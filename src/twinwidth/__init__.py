@@ -7,8 +7,8 @@ and dynamic programming along bounded-red-component sequences.
 """
 
 from .trigraph import Graph, Trigraph, contract, is_module, quotient
-from .sequence import (ContractionSequence, WidthReport, concat,
-                       final_trigraph, replay, verify)
+from .sequence import (ContractionSequence, WidthReport, final_trigraph,
+                       replay, verify)
 from .modular import maximal_modular_partition, is_prime, trace_classes
 from .oracle import (CapacitatedGraph, exact_twinwidth, twinwidth_at_most,
                      min_dominating_set, all_min_dominating_sets,
@@ -26,8 +26,8 @@ from .dpsolve import check_component_bound, min_ds_dp, min_vc_dp
 
 __all__ = [
     "Graph", "Trigraph", "contract", "is_module", "quotient",
-    "ContractionSequence", "WidthReport", "concat", "final_trigraph",
-    "replay", "verify",
+    "ContractionSequence", "WidthReport", "final_trigraph", "replay",
+    "verify",
     "maximal_modular_partition", "is_prime", "trace_classes",
     "CapacitatedGraph", "exact_twinwidth", "twinwidth_at_most",
     "min_dominating_set", "all_min_dominating_sets",

@@ -35,6 +35,11 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError("%s must be non-negative, got %d" % (name, value))
+
+
 def _load_graph(path: str) -> Graph:
     g, caps = io.parse_graph(_read(path))
     if caps:
@@ -43,6 +48,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def cmd_verify(args) -> int:
+    _nonnegative("bound", args.bound)
     g = _load_graph(args.graph)
     seq = io.parse_sequence(_read(args.sequence))
     report = verify(g, seq, bound=args.bound)
@@ -73,6 +79,7 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    _nonnegative("k", args.k)
     g, caps = io.parse_graph(_read(args.graph))
     if args.problem == "capvc":
         if set(caps) != g.vertices:
@@ -123,8 +130,6 @@ def cmd_reduce3sat(args) -> int:
 
 def cmd_compose(args) -> int:
     instances = [io.parse_instance(_read(path)) for path in args.instances]
-    for inst in instances:
-        validate_instance(inst)
     composed = or_cross_compose(instances)
     _emit(io.write_graph(composed.graph), args.out)
     _emit(io.write_sequence(composed.witness), args.witness)
@@ -155,11 +160,8 @@ def cmd_validate_instance(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    instances = []
-    for path in args.formulas:
-        red = reduce_3sat(io.parse_formula(_read(path)))
-        validate_instance(red.instance)
-        instances.append(red.instance)
+    instances = [reduce_3sat(io.parse_formula(_read(path))).instance
+                 for path in args.formulas]
     composed = or_cross_compose(instances)
     report = verify(composed.graph, composed.witness, bound=4)
     if args.out:

@@ -136,9 +136,10 @@ def stage2_order(p: int, q: int) -> List[Point]:
 def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance:
     """Compose annotated instances (plus a fresh dummy row) into one.
 
-    Raises on dimension mismatch or an invalid input instance; the
-    emitted witness is a full sequence asserted to satisfy the
-    C + 2P <= 4 degree audit at every stage-2 contraction.
+    Raises ValueError on dimension mismatch or an invalid input
+    instance, and AssertionError (also under python -O) if the emitted
+    witness is not full or breaks the C + 2P <= 4 degree audit at a
+    stage-2 contraction.
     """
     if not instances:
         raise ValueError("need at least one instance")
@@ -200,8 +201,7 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
             gz = fresh()
             steps.append((gz, gu, gv))
             local[z] = gz
-        final = final_trigraph(inst.graph, inst.witness)
-        bag_id = {bag: v for v, bag in final.bags.items()}
+        bag_id = {bag: v for v, bag in inst.witness.final_bags().items()}
         row_rep = {}
         for j, part in enumerate(inst.parts):
             v = bag_id[part]
@@ -222,8 +222,9 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
         for pt in order:
             contracted = len(neighbors[pt] & done)
             pending = len(neighbors[pt]) - contracted
-            assert contracted + 2 * pending <= 4, \
-                "degree audit failed at %r: C=%d P=%d" % (pt, contracted, pending)
+            if contracted + 2 * pending > 4:
+                raise AssertionError("degree audit failed at %r: C=%d P=%d"
+                                     % (pt, contracted, pending))
             col = point_col[pt]
             gz = fresh()
             steps.append((gz, cur[col], deeper[col]))
@@ -236,7 +237,8 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     embedding = {cur[point_col[pt]]: pt for pt in sg.vertex_at}
     tail = grid_subdivision_collapse(t_fin, embedding, n=n_h, prior=len(steps))
     witness = ContractionSequence(n_h, steps + list(tail.steps))
-    assert witness.is_full
+    if not witness.is_full:
+        raise AssertionError("composed witness is not a full sequence")
 
     columns = tuple(
         frozenset().union(*(cells[i][col] for i in range(t1 - 1)))

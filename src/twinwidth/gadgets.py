@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .trigraph import Graph, Trigraph, contract, quotient, validate_partition
-from .sequence import ContractionSequence, final_trigraph, verify
+from .sequence import ContractionSequence, verify
 
 Point = Tuple[int, int]
 
@@ -288,8 +288,7 @@ def validate_instance(inst: AnnotatedInstance) -> None:
     rep = verify(inst.graph, inst.witness, bound=4)
     if not rep.ok:
         raise ValueError("witness exceeds red degree 4 at step %d" % rep.violation[0])
-    final = final_trigraph(inst.graph, inst.witness)
-    if sorted(final.bag_partition()) != sorted(inst.parts):
+    if set(inst.witness.final_bags().values()) != set(inst.parts):
         raise ValueError("witness does not end at the declared partition")
     for part in inst.parts:
         if not any(inst.graph.closed_neighborhood(v) <= part for v in part):

@@ -5,7 +5,8 @@ live vertices u and v into the fresh vertex z.  Fresh ids continue the
 numbering, so step i (0-based) of a sequence on 1..n must create
 z = n + i + 1.  A full sequence has n - 1 steps and ends in a single
 vertex; shorter sequences are partial and are the currency of the
-composition machinery.
+composition machinery, which reads their final bags off the steps
+(final_bags) instead of replaying them.
 
 verify() replays a sequence and reports the maximum red degree seen in
 any intermediate trigraph (the width of the sequence), together with
@@ -15,8 +16,8 @@ violating (step, vertex, degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple, Union
 
 from .trigraph import Graph, Trigraph, contract
 
@@ -27,9 +28,10 @@ class ContractionSequence:
 
     prior > 0 marks a suffix: the sequence resumes after that many
     earlier contractions, so its fresh ids start at n + prior + 1 and
-    it replays from the matching intermediate trigraph.  Liveness of
-    the inherited ids can only be checked fully once the pieces are
-    concatenated back to prior = 0.
+    it replays from the matching intermediate trigraph.  A step may
+    use any id below its fresh id that no earlier step retired: from
+    scratch that is exactly the live set, while for a suffix the ids
+    the prior steps retired are unknown and only replay rejects them.
     """
 
     n: int
@@ -49,50 +51,34 @@ class ContractionSequence:
             raise ValueError("prior contraction count out of range")
         if self.prior + len(self.steps) > self.n - 1:
             raise ValueError("more steps than a full sequence allows")
-        if self.prior == 0:
-            live = set(range(1, self.n + 1))
-            for i, (z, u, v) in enumerate(self.steps):
-                expect = self.n + i + 1
-                if z != expect:
-                    raise ValueError("step %d creates %d, expected fresh id %d" % (i, z, expect))
-                if u == v or u not in live or v not in live:
-                    raise ValueError("step %d contracts (%d, %d) which are not two live vertices" % (i, u, v))
-                live -= {u, v}
-                live.add(z)
-        else:
-            retired = set()
-            for i, (z, u, v) in enumerate(self.steps):
-                expect = self.n + self.prior + i + 1
-                if z != expect:
-                    raise ValueError("step %d creates %d, expected fresh id %d" % (i, z, expect))
-                if u == v or u in retired or v in retired or not 1 <= u < z or not 1 <= v < z:
-                    raise ValueError("step %d contracts (%d, %d) which are not two live vertices" % (i, u, v))
-                retired |= {u, v}
+        retired = set()
+        for i, (z, u, v) in enumerate(self.steps):
+            expect = self.n + self.prior + i + 1
+            if z != expect:
+                raise ValueError("step %d creates %d, expected fresh id %d" % (i, z, expect))
+            if u == v or u in retired or v in retired or not 1 <= u < z or not 1 <= v < z:
+                raise ValueError("step %d contracts (%d, %d) which are not two live vertices" % (i, u, v))
+            retired |= {u, v}
 
     @property
     def is_full(self) -> bool:
         return self.prior + len(self.steps) == self.n - 1
 
-    def prefix(self, k: int) -> "ContractionSequence":
-        return ContractionSequence(self.n, self.steps[:k], self.prior)
+    def final_bags(self) -> Dict[int, FrozenSet[int]]:
+        """Original vertices behind each vertex left after the steps.
+
+        Bags follow from the steps alone, so no trigraph is replayed;
+        only a from-scratch sequence (prior = 0) knows its start bags.
+        """
+        if self.prior:
+            raise ValueError("a suffix does not know the bags it starts from")
+        bags = {v: frozenset([v]) for v in range(1, self.n + 1)}
+        for z, u, v in self.steps:
+            bags[z] = bags.pop(u) | bags.pop(v)
+        return bags
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-def concat(first: ContractionSequence, second: ContractionSequence) -> ContractionSequence:
-    """Join two sequences over the same original vertex set.
-
-    second must be the suffix picking up where first stopped: same n,
-    prior equal to the number of steps already taken, fresh numbering
-    continuing seamlessly.  The combined sequence is revalidated, so a
-    suffix touching vertices first retired is rejected here.
-    """
-    if first.n != second.n:
-        raise ValueError("sequences disagree on n")
-    if second.prior != first.prior + len(first.steps):
-        raise ValueError("second sequence does not continue where the first stopped")
-    return ContractionSequence(first.n, first.steps + second.steps, first.prior)
 
 
 @dataclass(frozen=True)
@@ -149,14 +135,11 @@ def verify(
     g: Union[Graph, Trigraph],
     seq: ContractionSequence,
     bound: Optional[int] = None,
-    full_recompute: bool = False,
 ) -> WidthReport:
     """Replay seq on g and measure its width.
 
     Red degrees are tracked incrementally: after contracting u, v into
-    z, only z and its neighbourhood can change degree.  full_recompute
-    cross-checks every step against a from-scratch maximum and exists
-    for the test suite.
+    z, only z and its neighbourhood can change degree.
     """
     t = _start_trigraph(g, seq)
     width = t.max_red_degree()
@@ -182,8 +165,6 @@ def verify(
         touched_before = (t.black[u] | t.red[u] | t.black[v] | t.red[v]) - {u, v}
         t = contract(t, u, v, z)
         scan(seq.prior + i, touched_before | {z})
-        if full_recompute:
-            assert t.max_red_degree() <= width, "incremental width tracking missed a vertex"
     return WidthReport(width, argmax, violation)
 
 
@@ -192,13 +173,3 @@ def final_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigr
     for z, u, v in seq.steps:
         t = contract(t, u, v, z)
     return t
-
-
-def remap(seq: ContractionSequence, mapping) -> ContractionSequence:
-    """Apply a vertex renaming to every step; mapping must cover all ids used."""
-    steps = [(mapping[z], mapping[u], mapping[v]) for z, u, v in seq.steps]
-    n = seq.n
-    originals = sorted(mapping[x] for x in range(1, n + 1))
-    if originals != list(range(1, n + 1)):
-        raise ValueError("remap must send originals onto 1..n")
-    return ContractionSequence(n, steps)

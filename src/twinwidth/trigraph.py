@@ -207,9 +207,6 @@ class Trigraph:
         t.retired = set(self.retired)
         return t
 
-    def bag_partition(self) -> List[FrozenSet[int]]:
-        return sorted((self.bags[v] for v in self.vertices), key=lambda b: min(b))
-
     def induced(self, keep: Iterable[int]) -> "Trigraph":
         keep = set(keep)
         if not keep <= self.vertices:
@@ -221,14 +218,6 @@ class Trigraph:
             bags={v: self.bags[v] for v in keep},
         )
         return t
-
-    def same_structure(self, other: "Trigraph") -> bool:
-        """Equality of vertices and coloured edge sets (bags ignored)."""
-        return (
-            self.vertices == other.vertices
-            and self.black == other.black
-            and self.red == other.red
-        )
 
     def __repr__(self) -> str:
         nb = sum(len(s) for s in self.black.values()) // 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from twinwidth import io
+from twinwidth import cli, compose, gadgets, io, sequence
 from twinwidth.cli import main
 from twinwidth.sequence import verify
 from twinwidth.trigraph import Graph
@@ -35,6 +35,14 @@ class TestVerify:
         assert code == 1
         out = capsys.readouterr().out
         assert out.startswith("width 1\nviolation step 0 ")
+
+    def test_negative_bound_is_input_error(self, workdir, capsys):
+        code = main(["verify", "-d", "-1",
+                     str(workdir / "p4.graph"), str(workdir / "p4.seq")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bound must be non-negative, got -1\n"
 
 
 class TestExact:
@@ -172,6 +180,28 @@ class TestReductionPipeline:
         assert code == 0
         assert capsys.readouterr().out == "instances 2 parts 40 n 306 width 4\n"
 
+    def test_pipeline_replays_each_witness_once(self, workdir, capsys, monkeypatch):
+        # one verify per input row inside or_cross_compose, one for the
+        # composed witness, and one final_trigraph before stage 3
+        calls = {"verify": 0, "final_trigraph": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            original = getattr(sequence, name)
+            for mod in (cli, compose, gadgets):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted(name, original))
+        code = main(["pipeline", str(workdir / "micro.formula"),
+                     str(workdir / "micro.formula")])
+        assert code == 0
+        assert calls == {"verify": 3, "final_trigraph": 1}
+
     def test_pipeline_mismatched_dims(self, workdir, capsys):
         other = workdir / "other.formula"
         other.write_text("formula 5\nclause + 1 1 2 5\n")
@@ -225,6 +255,15 @@ class TestKernel:
                      str(workdir / "path8.graph")])
         assert code == 1
         assert capsys.readouterr().out == "trivial-no\n"
+
+    def test_negative_k_is_input_error(self, workdir, capsys):
+        (workdir / "star.graph").write_text(self.STAR6)
+        code = main(["kernel", "--problem", "cvc2", "--k", "-3",
+                     str(workdir / "star.graph")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be non-negative, got -3\n"
 
 
 class TestErrorExits:

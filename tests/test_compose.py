@@ -1,9 +1,13 @@
 """OR-composition: dummy rows, position schedule, and OR-semantics."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import twinwidth
 from twinwidth.trigraph import Graph
 from twinwidth.sequence import ContractionSequence, verify
 from twinwidth.oracle import min_dominating_set
@@ -48,6 +52,18 @@ def test_make_dummy_is_a_no_instance():
     assert size == 32
     with pytest.raises(ValueError):
         make_dummy(15, 2, 2)
+
+
+def test_validate_accepts_parts_in_any_order():
+    # part 0 is {1, 2}, part 1 is {3, 4}: listing them the other way
+    # round (eta swapped with them) describes the same instance
+    inst = make_dummy(16, 2, 2)
+    parts = (inst.parts[1], inst.parts[0]) + inst.parts[2:]
+    eta = dict(inst.eta)
+    eta[0], eta[1] = inst.eta[1], inst.eta[0]
+    swapped = AnnotatedInstance(inst.graph, parts, inst.p, inst.q, eta, inst.witness)
+    validate_instance(swapped)
+    assert or_cross_compose([swapped]).graph == or_cross_compose([inst]).graph
 
 
 def test_classify_positions_frozen_counts():
@@ -135,6 +151,23 @@ def test_compose_reduced_formulas():
     size, _ = min_dominating_set(comp.graph, forced_hit_parts=comp.forced_parts(),
                                  max_size=comp.budget)
     assert size == comp.budget
+
+
+def test_degree_audit_survives_optimize_flag():
+    # contracting the stage-2 positions in reverse order breaks the
+    # audit; the check must still fire when asserts are stripped
+    script = (
+        "from twinwidth import compose\n"
+        "order = compose.stage2_order\n"
+        "compose.stage2_order = lambda p, q: order(p, q)[::-1]\n"
+        "compose.or_cross_compose([compose.make_dummy(40, 2, 4)])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: degree audit failed at (2, 7): C=0 P=3" in proc.stderr
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 4), (3, 4)])

@@ -7,9 +7,7 @@ import pytest
 from twinwidth.trigraph import Graph, Trigraph
 from twinwidth.sequence import (
     ContractionSequence,
-    concat,
     final_trigraph,
-    remap,
     replay,
     verify,
 )
@@ -31,7 +29,7 @@ def test_is_full_and_prefix():
     seq = ContractionSequence(3, [(4, 1, 2), (5, 4, 3)])
     assert seq.is_full
     assert len(seq) == 2
-    p = seq.prefix(1)
+    p = ContractionSequence(3, seq.steps[:1])
     assert not p.is_full
     assert p.steps == ((4, 1, 2),)
 
@@ -104,39 +102,13 @@ def test_suffix_sequences():
 def test_suffix_replay_from_intermediate():
     g = Graph.cycle(5)
     whole = ContractionSequence(5, [(6, 1, 2), (7, 6, 3), (8, 7, 4), (9, 8, 5)])
-    mid = replay(g, whole.prefix(2))[-1]
+    mid = replay(g, ContractionSequence(5, whole.steps[:2]))[-1]
     tail = ContractionSequence(5, [(8, 7, 4), (9, 8, 5)], prior=2)
     rep = verify(mid, tail)
     assert rep.width == 2
     assert rep.argmax_step == 1  # the starting trigraph, one step before 2
     with pytest.raises(ValueError):
         verify(g, tail)
-
-
-def test_concat():
-    a = ContractionSequence(4, [(5, 1, 2)])
-    b = ContractionSequence(4, [(6, 5, 3)], prior=1)
-    ab = concat(a, b)
-    assert ab.steps == ((5, 1, 2), (6, 5, 3))
-    assert ab.prior == 0
-    with pytest.raises(ValueError):
-        concat(a, ContractionSequence(3, []))
-    with pytest.raises(ValueError):
-        concat(a, ContractionSequence(4, [(7, 5, 3)], prior=2))  # gap in numbering
-    # suffix may not touch vertices the first half already retired
-    with pytest.raises(ValueError):
-        concat(a, ContractionSequence(4, [(6, 1, 3)], prior=1))
-    # empty suffix is the identity
-    assert concat(a, ContractionSequence(4, [], prior=1)).steps == a.steps
-
-
-def test_remap_permutes_originals():
-    seq = ContractionSequence(3, [(4, 1, 3), (5, 4, 2)])
-    m = {1: 3, 2: 1, 3: 2, 4: 4, 5: 5}
-    r = remap(seq, m)
-    assert r.steps == ((4, 3, 2), (5, 4, 1))
-    with pytest.raises(ValueError):
-        remap(seq, {1: 1, 2: 2, 3: 5, 4: 4, 5: 3})
 
 
 def _random_full_sequence(rng, n):
@@ -161,13 +133,26 @@ def test_incremental_width_matches_full_recompute():
                  if rng.random() < 0.4]
         g = Graph(range(1, n + 1), edges)
         seq = _random_full_sequence(rng, n)
-        a = verify(g, seq)
-        b = verify(g, seq, full_recompute=True)
-        assert a.width == b.width
-        assert a.argmax_step == b.argmax_step
-        # the width really is the max over the replayed states
-        states = replay(g, seq)
-        assert a.width == max(t.max_red_degree() for t in states)
+        rep = verify(g, seq)
+        # from-scratch maximum over every replayed state
+        widths = [t.max_red_degree() for t in replay(g, seq)]
+        assert rep.width == max(widths)
+        assert rep.argmax_step == widths.index(rep.width) - 1
+
+
+def test_final_bags_match_replayed_bags():
+    rng = random.Random(2024)
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < 0.4]
+        g = Graph(range(1, n + 1), edges)
+        full = _random_full_sequence(rng, n)
+        for k in sorted({0, rng.randint(0, len(full)), len(full)}):
+            seq = ContractionSequence(n, full.steps[:k])
+            assert seq.final_bags() == final_trigraph(g, seq).bags
+    with pytest.raises(ValueError):
+        ContractionSequence(4, [(6, 5, 3)], prior=1).final_bags()
 
 
 def test_width_monotone_under_prefix():
@@ -178,5 +163,6 @@ def test_width_monotone_under_prefix():
                  if rng.random() < 0.5]
         g = Graph(range(1, n + 1), edges)
         seq = _random_full_sequence(rng, n)
-        widths = [verify(g, seq.prefix(k)).width for k in range(len(seq) + 1)]
+        widths = [verify(g, ContractionSequence(n, seq.steps[:k])).width
+                  for k in range(len(seq) + 1)]
         assert widths == sorted(widths)
