@@ -9,7 +9,7 @@ and dynamic programming along bounded-red-component sequences.
 from .trigraph import Graph, Trigraph, contract, is_module, quotient
 from .sequence import (ContractionSequence, WidthReport, final_trigraph,
                        replay, verify)
-from .modular import maximal_modular_partition, is_prime, trace_classes
+from .modular import maximal_modular_partition, trace_classes
 from .oracle import (CapacitatedGraph, exact_twinwidth, twinwidth_at_most,
                      min_dominating_set, all_min_dominating_sets,
                      min_connected_vertex_cover, min_capacitated_vc)
@@ -19,7 +19,7 @@ from .kernel import (KernelInstance, cvc_kernel_quadratic,
 from .gadgets import (LayoutClause, LayoutFormula, AnnotatedInstance,
                       snaking_grid, augmented_snaking_grid, hamiltonian_cycle,
                       halfgraph_cycle, grid_subdivision_collapse,
-                      removal_ordering, reduce_3sat, lift_assignment,
+                      reduce_3sat, lift_assignment,
                       variable_wire, validate_instance)
 from .compose import ComposedInstance, make_dummy, or_cross_compose
 from .dpsolve import check_component_bound, min_ds_dp, min_vc_dp
@@ -28,7 +28,7 @@ __all__ = [
     "Graph", "Trigraph", "contract", "is_module", "quotient",
     "ContractionSequence", "WidthReport", "final_trigraph", "replay",
     "verify",
-    "maximal_modular_partition", "is_prime", "trace_classes",
+    "maximal_modular_partition", "trace_classes",
     "CapacitatedGraph", "exact_twinwidth", "twinwidth_at_most",
     "min_dominating_set", "all_min_dominating_sets",
     "min_connected_vertex_cover", "min_capacitated_vc",
@@ -37,7 +37,7 @@ __all__ = [
     "capvc_kernel",
     "LayoutClause", "LayoutFormula", "AnnotatedInstance", "snaking_grid",
     "augmented_snaking_grid", "hamiltonian_cycle", "halfgraph_cycle",
-    "grid_subdivision_collapse", "removal_ordering", "reduce_3sat",
+    "grid_subdivision_collapse", "reduce_3sat",
     "lift_assignment", "variable_wire", "validate_instance",
     "ComposedInstance", "make_dummy", "or_cross_compose",
     "check_component_bound", "min_ds_dp", "min_vc_dp",

@@ -2,41 +2,36 @@
 sequence whose red components stay small.
 
 A partial solution is traced per red component: every component vertex
-records whether its bag lies fully inside the solution, meets it
-partially, or misses it entirely (for domination also whether all of
-the bag is dominated yet).  Black edges are homogeneous, so any
-obligation they carry is decidable from those statuses alone; each one
-is discharged at the contraction that internalizes it, while red edges
-keep their obligations inside the component tables.  Tables have at
-most 3^c (or 6^c) entries, so the run time is linear in the sequence
-for fixed component bound c.
+records whether its bag lies fully inside the solution (FULL = 0),
+meets it partially (PARTIAL = 1) or misses it entirely (NONE = 2).  A
+table maps (statuses, dominated) to the smallest solution size, both
+tuples aligned to the component's sorted vertex ids; dominated says
+whether all of each bag is dominated yet and stays empty for Vertex
+Cover.  Black edges are homogeneous, so any obligation they carry is
+decidable from the statuses alone; each one is discharged at the
+contraction that internalizes it, while red edges keep their
+obligations inside the component tables.  Tables have at most 3^c (or
+6^c) entries, so the run time is linear in the sequence for fixed
+component bound c.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from .trigraph import Graph, Trigraph, contract
-from .sequence import ContractionSequence, replay
+from .trigraph import Graph
+from .sequence import ContractionSequence, walk
 
-FULL, PARTIAL, NONE = "full", "partial", "none"
+FULL, PARTIAL, NONE = 0, 1, 2
 
-
-@dataclass(frozen=True)
-class ComponentTrace:
-    """Selection statuses of one red component, aligned to its sorted
-    vertex ids; dominated flags ride along for Dominating Set."""
-
-    status: Tuple[str, ...]
-    dominated: Optional[Tuple[bool, ...]] = None
+Key = Tuple[Tuple[int, ...], Tuple[bool, ...]]
 
 
 def check_component_bound(g: Graph, s: ContractionSequence) -> int:
-    """Largest red component over all snapshots of the replay."""
+    """Largest red component over all states of the replay."""
     best = 0
-    for t in replay(g, s):
+    for t in walk(g, s):
         seen = set()
         for v in t.vertices:
             if v in seen:
@@ -63,14 +58,6 @@ def min_ds_dp(g: Graph, s: ContractionSequence, c: int) -> int:
     return _solve(g, s, c, dominating=True)
 
 
-def _merge_status(sa: str, sb: str) -> str:
-    if sa == FULL and sb == FULL:
-        return FULL
-    if sa == NONE and sb == NONE:
-        return NONE
-    return PARTIAL
-
-
 def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
     if c < 1:
         raise ValueError("component bound must be at least 1")
@@ -78,79 +65,54 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
         raise ValueError("sequence must start from the original graph")
     if not s.is_full:
         raise ValueError("dynamic programming needs a full sequence")
-    if g.n == 0:
-        return 0
 
-    t = Trigraph.from_graph(g)
-    comp: Dict[int, int] = {v: v for v in t.vertices}
-    members: Dict[int, Tuple[int, ...]] = {v: (v,) for v in t.vertices}
-    tables: Dict[int, Dict[ComponentTrace, int]] = {}
-    for v in t.vertices:
-        if dominating:
-            # a picked singleton dominates itself; partial never applies
-            tables[v] = {ComponentTrace((FULL,), (True,)): 1,
-                         ComponentTrace((NONE,), (False,)): 0}
-        else:
-            tables[v] = {ComponentTrace((FULL,)): 1, ComponentTrace((NONE,)): 0}
+    states = walk(g, s)
+    old = next(states)
+    comp: Dict[int, int] = {v: v for v in old.vertices}
+    members: Dict[int, Tuple[int, ...]] = {v: (v,) for v in old.vertices}
+    # a picked singleton dominates itself; partial never applies
+    picked, unpicked = ((True,), (False,)) if dominating else ((), ())
+    tables: Dict[int, Dict[Key, int]] = {
+        v: {((FULL,), picked): 1, ((NONE,), unpicked): 0} for v in old.vertices}
 
-    for z, a, b in s.steps:
-        old = t
-        t = contract(t, a, b, z)
+    for (z, a, b), t in zip(s.steps, states):
         new_red = t.red[z]
         cids = sorted({comp[a], comp[b]} | {comp[w] for w in new_red})
-        olds: List[int] = []
-        for cid in cids:
-            olds.extend(members[cid])
+        olds = [u for cid in cids for u in members[cid]]
         merged = tuple(sorted(({z} | set(olds)) - {a, b}))
         if len(merged) > c:
             raise ValueError(
                 "red component of %d vertices at step %d exceeds the bound %d"
                 % (len(merged), z, c))
+        # a black edge becoming internal (contracted away or turned red)
+        # needs one side fully picked, now
+        internal = [(a, b)] if b in old.black[a] else []
+        internal += [(x, w) for x in (a, b) for w in old.black[x] & new_red]
+        # any picked black neighbour inside the joined components
+        # dominates the whole bag
+        inside = set(olds)
+        links = [(u, old.black[u] & inside) for u in olds]
 
-        joint: Dict[ComponentTrace, int] = {}
+        joint: Dict[Key, int] = {}
         for combo in itertools.product(*(tables[cid].items() for cid in cids)):
-            status: Dict[int, str] = {}
+            status: Dict[int, int] = {}
             dom: Dict[int, bool] = {}
             size = 0
-            for (trace, val), cid in zip(combo, cids):
+            for ((sts, doms), val), cid in zip(combo, cids):
                 size += val
-                for vert, st in zip(members[cid], trace.status):
-                    status[vert] = st
-                if dominating:
-                    for vert, d in zip(members[cid], trace.dominated):
-                        dom[vert] = d
+                status.update(zip(members[cid], sts))
+                dom.update(zip(members[cid], doms))
 
-            if not dominating:
-                # a black edge becoming internal (contracted away or
-                # turned red) needs one side fully picked, now
-                if b in old.black[a] and FULL not in (status[a], status[b]):
-                    continue
-                ok = True
-                for x in (a, b):
-                    for w in old.black[x]:
-                        if w in new_red and FULL not in (status[x], status[w]):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-            else:
-                # any picked black neighbor dominates the whole bag
-                for u in olds:
-                    if not dom[u]:
-                        dom[u] = any(status.get(w) not in (None, NONE)
-                                     for w in old.black[u])
-
-            z_status = _merge_status(status[a], status[b])
             if dominating:
-                z_dom = dom[a] and dom[b]
-                key = ComponentTrace(
-                    tuple(z_status if v == z else status[v] for v in merged),
-                    tuple(z_dom if v == z else dom[v] for v in merged))
-            else:
-                key = ComponentTrace(
-                    tuple(z_status if v == z else status[v] for v in merged))
+                for u, ws in links:
+                    if not dom[u]:
+                        dom[u] = any(status[w] != NONE for w in ws)
+                dom[z] = dom[a] and dom[b]
+            elif any(FULL not in (status[x], status[w]) for x, w in internal):
+                continue
+            status[z] = status[a] if status[a] == status[b] else PARTIAL
+            key = (tuple(status[v] for v in merged),
+                   tuple(dom[v] for v in merged) if dominating else ())
             if size < joint.get(key, g.n + 1):
                 joint[key] = size
 
@@ -160,8 +122,7 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
         members[z] = merged
         for v in merged:
             comp[v] = z
+        old = t
 
     (table,) = tables.values()
-    if dominating:
-        return min(v for k, v in table.items() if all(k.dominated))
-    return min(table.values())
+    return min(v for (_, doms), v in table.items() if all(doms))

@@ -370,38 +370,6 @@ class LayoutFormula:
                       key=lambda cl: cl.rank)
 
 
-def removal_ordering(triples: Sequence[Tuple[int, int, int]]) -> Optional[List[int]]:
-    """Greedy removal order (indices into triples) for one clause family.
-
-    Each step removes a clause whose variable span contains no variable
-    still carried by another remaining clause, retiring its middle; a
-    dead end returns None.
-    """
-    remaining = list(range(len(triples)))
-    gone: Set[int] = set()
-    order = []
-    while remaining:
-        found = None
-        for idx in remaining:
-            lo, mid, hi = sorted(triples[idx])
-            insiders = set(range(lo + 1, hi)) - {mid} - gone
-            used = set()
-            for other in remaining:
-                used |= set(triples[other]) if other != idx else set()
-            if insiders & used:
-                continue
-            if mid in used:
-                continue
-            found = idx
-            break
-        if found is None:
-            return None
-        remaining.remove(found)
-        gone.add(sorted(triples[found])[1])
-        order.append(found)
-    return order
-
-
 # ---------------------------------------------------------------------------
 # the reduction
 

@@ -6,7 +6,6 @@ and equal values serialize to equal bytes.  Parsers raise ParseError
 with the offending line number.
 
     graph file      graph <n> / edge <u> <v> / cap <v> <c>
-    trigraph file   graph <n> / edge / redge <u> <v> / bag <z> <v...>
     sequence file   seq <n> / contract <z> <u> <v>
     formula file    formula <n> / clause <+|-> <rank> <l1> <l2> <l3>
     instance file   graph section, dims <p> <q>, part <j> <v...>,
@@ -15,7 +14,7 @@ with the offending line number.
 
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .trigraph import Graph, Trigraph
+from .trigraph import Graph
 from .sequence import ContractionSequence
 from .gadgets import AnnotatedInstance, LayoutClause, LayoutFormula
 
@@ -61,7 +60,7 @@ def _endpoints(no: int, tokens: List[str], n: int, what: str) -> Tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# graphs and trigraphs
+# graphs
 
 def parse_graph(text: str) -> Tuple[Graph, Dict[int, int]]:
     """Graph plus capacity map (empty when no cap lines are present)."""
@@ -100,50 +99,6 @@ def write_graph(g: Graph, caps: Optional[Dict[int, int]] = None) -> str:
     out += ["edge %d %d" % e for e in sorted(map(tuple, map(sorted, g.edges())))]
     if caps:
         out += ["cap %d %d" % (v, caps[v]) for v in sorted(caps)]
-    return "\n".join(out) + "\n"
-
-
-def parse_trigraph(text: str) -> Trigraph:
-    n = None
-    black: List[Tuple[int, int]] = []
-    red: List[Tuple[int, int]] = []
-    seen = set()
-    bags: Dict[int, FrozenSet[int]] = {}
-    for no, tokens in _lines(text):
-        if n is None:
-            n = _header(no, tokens, "graph")
-        elif tokens[0] in ("edge", "redge"):
-            e = _endpoints(no, tokens[1:], n, tokens[0])
-            if e in seen:
-                raise ParseError(no, "duplicate edge %d-%d" % e)
-            seen.add(e)
-            (black if tokens[0] == "edge" else red).append(e)
-        elif tokens[0] == "bag":
-            vals = _ints(no, tokens[1:], "bag")
-            if len(vals) < 2:
-                raise ParseError(no, "bag wants a vertex and its contents")
-            z, members = vals[0], vals[1:]
-            if not 1 <= z <= n:
-                raise ParseError(no, "bag vertex %d out of range 1..%d" % (z, n))
-            if z in bags:
-                raise ParseError(no, "duplicate bag for vertex %d" % z)
-            bags[z] = frozenset(members)
-        else:
-            raise ParseError(no, "unknown directive %r in trigraph file" % tokens[0])
-    if n is None:
-        raise ParseError(0, "empty trigraph file")
-    full = {v: bags.get(v, frozenset([v])) for v in range(1, n + 1)}
-    return Trigraph(range(1, n + 1), black, red, full)
-
-
-def write_trigraph(t: Trigraph) -> str:
-    _require_compact(t.vertices)
-    out = ["graph %d" % len(t.vertices)]
-    out += ["edge %d %d" % e for e in sorted(t.black_edges())]
-    out += ["redge %d %d" % e for e in sorted(t.red_edges())]
-    for z in sorted(t.vertices):
-        if t.bags[z] != frozenset([z]):
-            out.append("bag %d %s" % (z, " ".join(map(str, sorted(t.bags[z])))))
     return "\n".join(out) + "\n"
 
 

@@ -40,13 +40,6 @@ class KernelInstance:
     trivial_no: bool = False
 
 
-@dataclass(frozen=True)
-class TraceCountReport:
-    x_size: int
-    class_count: int
-    ratio: float
-
-
 def trivial_no_graph() -> Graph:
     return Graph([1, 2, 3, 4], [(1, 2), (3, 4)])
 
@@ -58,16 +51,6 @@ def two_approx_vc(g: Graph) -> Set[int]:
         if u not in matched and v not in matched:
             matched |= {u, v}
     return matched
-
-
-def trace_count(g: Graph, x: Set[int]) -> TraceCountReport:
-    classes = trace_classes(g, set(x))
-    count = len(classes)
-    if x:
-        ratio = count / len(x)
-    else:
-        ratio = float("inf") if count else 0.0
-    return TraceCountReport(len(x), count, ratio)
 
 
 def _lex_classes(g: Graph, x: Set[int]):
@@ -157,9 +140,11 @@ def _check_size_accounting(out: Graph, x: Set[int], xs: Set[int], k: int) -> Non
     for key, members in trace_classes(out, x).items():
         x_i = key & xs
         if x_i:
-            assert len(members) <= len(x_i) + 1, "rule 3 fixpoint violated"
+            if len(members) > len(x_i) + 1:
+                raise AssertionError("rule 3 fixpoint violated")
             sizes.append((len(members), len(x_i)))
     q = len(sizes)
     if q:
         total = sum(y for y, _ in sizes)
-        assert q * sum(y * xi for y, xi in sizes) >= (total - q) ** 2
+        if q * sum(y * xi for y, xi in sizes) < (total - q) ** 2:
+            raise AssertionError("quadratic size bound violated")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from .trigraph import Graph, Trigraph, is_module, quotient, validate_partition
+from .trigraph import Graph, is_module, validate_partition
 
 
 @dataclass(frozen=True)
@@ -77,32 +77,17 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
         if v in covered:
             continue
         m = _maximal_proper_module(g, v)
-        assert is_module(g, m), "grown set is not a module"
-        assert not (m & covered), "maximal modules overlapped"
+        if not is_module(g, m):
+            raise AssertionError("grown set is not a module")
+        if m & covered:
+            raise AssertionError("maximal modules overlapped")
         parts_list.append(m)
         covered |= m
-    assert covered == g.vertices
+    if covered != g.vertices:
+        raise AssertionError("maximal modules do not cover the graph")
     parts = tuple(frozenset(p) for p in sorted(parts_list, key=min))
     validate_partition(g.vertices, [set(p) for p in parts])
     return ModularPartition(parts, "maximal")
-
-
-def partition_quotient(g: Graph, mp: ModularPartition) -> Trigraph:
-    """Quotient trigraph of the partition; modules make every edge black."""
-    q = quotient(g, [set(p) for p in mp.parts])
-    assert not q.red_edges(), "module quotient produced a red edge"
-    return q
-
-
-def is_prime(g: Graph) -> bool:
-    """No module other than singletons, V, and the empty set.
-
-    Prime graphs have at least 4 vertices (P4 is the smallest).
-    """
-    if g.n <= 3:
-        return False
-    mp = maximal_modular_partition(g)
-    return mp.kind == "maximal" and mp.is_trivial
 
 
 def trace_classes(g: Graph, x: Set[int]) -> Dict[FrozenSet[int], List[int]]:

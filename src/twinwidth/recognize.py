@@ -98,19 +98,11 @@ def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
 
 
 def _contraction_is_deletion(t: Trigraph, w: int, partner: int) -> bool:
-    after = contract(t, w, partner)
-    z = max(after.vertices)
-    expect = t.induced(t.vertices - {w})
-
-    def m(x):
-        return z if x == partner else x
-
-    for x in expect.vertices:
-        if {m(y) for y in expect.black[x]} != after.black[m(x)]:
-            return False
-        if {m(y) for y in expect.red[x]} != after.red[m(x)]:
-            return False
-    return True
+    # the merged vertex keeps the partner's edges and colours exactly
+    # when w sees every black neighbour of the partner black and brings
+    # no neighbour of its own
+    return (t.black[partner] - {w} <= t.black[w]
+            and t.neighbors(w) - {partner} <= t.neighbors(partner))
 
 
 def _drive(t0: Trigraph, labels: Dict[int, int], u: int, v: int) -> Optional[List[Tuple[int, int]]]:
@@ -136,19 +128,8 @@ def _drive(t0: Trigraph, labels: Dict[int, int], u: int, v: int) -> Optional[Lis
 
 
 def _plan_prime(h: Graph) -> List[Tuple[int, int]]:
-    """1-sequence plan for a prime graph, or _TooWide.
-
-    The n <= 3 branches are defensive; callers only reach this with a
-    prime quotient, which has at least four vertices.
-    """
+    """1-sequence plan for a prime graph (at least four vertices), or _TooWide."""
     verts = sorted(h.vertices)
-    if h.n == 1:
-        return []
-    if h.n <= 3:
-        for a, b in itertools.combinations(verts, 2):
-            if h.adj[a] - {b} == h.adj[b] - {a}:
-                return [(a, b)] + _plan_prime(h.without({b}))
-        raise _TooWide
     t0 = Trigraph.from_graph(h)
     labels = {x: x for x in h.vertices}
     for u, v in itertools.combinations(verts, 2):
@@ -191,5 +172,6 @@ def recognize_tww1(g: Graph) -> RecognitionResult:
         return RecognitionResult("above1")
     seq = _materialize(g.n, pairs)
     for t in replay(g, seq):
-        assert len(t.red_edges()) <= 1, "recognition produced a bad witness"
+        if len(t.red_edges()) > 1:
+            raise AssertionError("recognition produced a bad witness")
     return RecognitionResult("tww1", seq)

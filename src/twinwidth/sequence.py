@@ -8,16 +8,18 @@ vertex; shorter sequences are partial and are the currency of the
 composition machinery, which reads their final bags off the steps
 (final_bags) instead of replaying them.
 
-verify() replays a sequence and reports the maximum red degree seen in
-any intermediate trigraph (the width of the sequence), together with
-the first step attaining it and, when a bound is given, the first
-violating (step, vertex, degree).
+walk() is the single replay loop: replay, verify, final_trigraph and
+the dynamic programming all read their states from it.  verify()
+reports the maximum red degree seen in any intermediate trigraph (the
+width of the sequence), together with the first step attaining it
+and, when a bound is given, the first violating (step, vertex,
+degree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .trigraph import Graph, Trigraph, contract
 
@@ -121,14 +123,18 @@ def _start_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trig
     return t
 
 
-def replay(g: Union[Graph, Trigraph], seq: ContractionSequence) -> List[Trigraph]:
-    """All intermediate trigraphs, initial state included (len(steps)+1 entries)."""
+def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigraph]:
+    """The starting trigraph, then the trigraph after each step of seq."""
     t = _start_trigraph(g, seq)
-    out = [t]
+    yield t
     for z, u, v in seq.steps:
         t = contract(t, u, v, z)
-        out.append(t)
-    return out
+        yield t
+
+
+def replay(g: Union[Graph, Trigraph], seq: ContractionSequence) -> List[Trigraph]:
+    """All intermediate trigraphs, initial state included (len(steps)+1 entries)."""
+    return list(walk(g, seq))
 
 
 def verify(
@@ -139,37 +145,25 @@ def verify(
     """Replay seq on g and measure its width.
 
     Red degrees are tracked incrementally: after contracting u, v into
-    z, only z and its neighbourhood can change degree.
+    the fresh vertex z = n + step + 1, only z and its neighbourhood
+    N(u) | N(v) - {u, v} = N(z) can change degree, so each state after
+    the start is scanned there alone.
     """
-    t = _start_trigraph(g, seq)
-    width = t.max_red_degree()
-    argmax = seq.prior - 1
+    width, argmax = 0, seq.prior - 1
     violation: Optional[Tuple[int, int, int]] = None
-
-    def scan(step: int, candidates) -> None:
-        nonlocal width, argmax, violation
-        for x in sorted(candidates):
+    for step, t in enumerate(walk(g, seq), start=seq.prior - 1):
+        z = seq.n + step + 1
+        touched = t.vertices if step < seq.prior else t.black[z] | t.red[z] | {z}
+        for x in sorted(touched):
             d = len(t.red[x])
             if d > width:
-                width = d
-                argmax = step
+                width, argmax = d, step
             if bound is not None and d > bound and violation is None:
                 violation = (step, x, d)
-
-    if bound is not None and width > bound:
-        for x in sorted(t.vertices):
-            if len(t.red[x]) > bound:
-                violation = (seq.prior - 1, x, len(t.red[x]))
-                break
-    for i, (z, u, v) in enumerate(seq.steps):
-        touched_before = (t.black[u] | t.red[u] | t.black[v] | t.red[v]) - {u, v}
-        t = contract(t, u, v, z)
-        scan(seq.prior + i, touched_before | {z})
     return WidthReport(width, argmax, violation)
 
 
 def final_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
-    t = _start_trigraph(g, seq)
-    for z, u, v in seq.steps:
-        t = contract(t, u, v, z)
+    for t in walk(g, seq):
+        pass
     return t

@@ -48,6 +48,40 @@ class TestComponentBound:
         assert check_component_bound(g, s) == 1
 
 
+def _largest_red_component(t):
+    """Reference: components of the red graph from its edge list."""
+    parent = {v: v for v in t.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in t.red_edges():
+        parent[find(u)] = find(v)
+    sizes = {}
+    for v in t.vertices:
+        sizes[find(v)] = sizes.get(find(v), 0) + 1
+    return max(sizes.values())
+
+
+def test_component_bound_matches_replay_on_random_sequences():
+    rng = random.Random(3120)
+    for _ in range(80):
+        n = rng.randint(1, 9)
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < rng.choice([0.3, 0.6])]
+        g = Graph(range(1, n + 1), edges)
+        live, steps = list(range(1, n + 1)), []
+        for z in range(n + 1, 2 * n):
+            u, v = rng.sample(live, 2)
+            live = [x for x in live if x not in (u, v)] + [z]
+            steps.append((z, u, v))
+        s = ContractionSequence(n, steps)
+        expect = max(_largest_red_component(t) for t in replay(g, s))
+        assert check_component_bound(g, s) == expect
+
+
 class TestSmallCases:
     def test_single_vertex(self):
         g = Graph([1])
@@ -112,6 +146,15 @@ class TestValidation:
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             min_vc_dp(P4, P4_SEQ, 0)
+
+    def test_vertex_ids_must_be_one_to_n(self):
+        # right vertex count, wrong ids: rejected before any step runs
+        g = Graph([1, 2, 4], [(1, 2)])
+        s = ContractionSequence(3, [(4, 1, 2), (5, 4, 3)])
+        with pytest.raises(ValueError, match="exactly 1..3"):
+            min_ds_dp(g, s, 2)
+        with pytest.raises(ValueError, match="exactly 1..3"):
+            min_vc_dp(g, s, 2)
 
 
 class TestGenerator:

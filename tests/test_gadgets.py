@@ -16,7 +16,6 @@ from twinwidth.gadgets import (
     hamiltonian_cycle,
     lift_assignment,
     reduce_3sat,
-    removal_ordering,
     snaking_grid,
     validate_instance,
     variable_wire,
@@ -132,15 +131,6 @@ def test_grid_subdivision_collapse_rejects_bad_embeddings():
         grid_subdivision_collapse(Trigraph.from_graph(g), {1: (1, 1), 2: (2, 2)})
     with pytest.raises(ValueError):
         grid_subdivision_collapse(Trigraph.from_graph(g), {1: (1, 1), 2: (1, 1)})
-
-
-def test_removal_ordering():
-    assert removal_ordering([(1, 2, 3)]) == [0]
-    assert removal_ordering([(1, 2, 3), (4, 5, 6)]) == [0, 1]
-    # shared middle blocks both orders
-    assert removal_ordering([(1, 2, 3), (4, 2, 5)]) is None
-    # the wide clause must wait for the narrow one
-    assert removal_ordering([(1, 3, 5), (3, 4, 5)]) == [1, 0]
 
 
 def test_layout_formula_validation():

@@ -3,7 +3,7 @@
 import pytest
 
 from twinwidth import io
-from twinwidth.trigraph import Graph, Trigraph
+from twinwidth.trigraph import Graph
 from twinwidth.sequence import ContractionSequence
 from twinwidth.gadgets import (LayoutClause, LayoutFormula, halfgraph_cycle,
                                reduce_3sat, snaking_grid)
@@ -53,31 +53,6 @@ class TestGraphFormat:
     def test_writer_needs_compact_ids(self):
         with pytest.raises(ValueError, match="1..n"):
             io.write_graph(Graph([2, 3], [(2, 3)]))
-
-
-class TestTrigraphFormat:
-    def test_round_trip(self):
-        t = Trigraph(
-            range(1, 5),
-            black_edges=[(1, 2)],
-            red_edges=[(2, 3), (3, 4)],
-            bags={1: frozenset([1, 5]), 2: frozenset([2]),
-                  3: frozenset([3]), 4: frozenset([4])},
-        )
-        text = io.write_trigraph(t)
-        back = io.parse_trigraph(text)
-        assert back.black_edges() == t.black_edges()
-        assert back.red_edges() == t.red_edges()
-        assert back.bags == t.bags
-        assert io.write_trigraph(back) == text
-
-    def test_singleton_bags_are_implicit(self):
-        t = io.parse_trigraph("graph 3\nredge 1 2\n")
-        assert t.bags == {1: frozenset([1]), 2: frozenset([2]), 3: frozenset([3])}
-
-    def test_duplicate_across_colours(self):
-        with pytest.raises(io.ParseError, match="duplicate edge"):
-            io.parse_trigraph("graph 3\nedge 1 2\nredge 1 2\n")
 
 
 class TestSequenceFormat:

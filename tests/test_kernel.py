@@ -1,7 +1,11 @@
 """Kernelization rules: worked examples, fixpoints, and safeness."""
 
+import os
 import random
+import subprocess
+import sys
 
+import twinwidth
 from twinwidth.trigraph import Graph
 from twinwidth.modular import trace_classes
 from twinwidth.oracle import (
@@ -14,7 +18,6 @@ from twinwidth.kernel import (
     capvc_kernel,
     cvc_kernel_improved,
     cvc_kernel_quadratic,
-    trace_count,
     trivial_no_graph,
     two_approx_vc,
 )
@@ -139,17 +142,6 @@ def test_rule3_strips_isolated_vertices():
     assert not edgeless.trivial_no
 
 
-def test_trace_count():
-    g = _star(4)
-    rep = trace_count(g, {1})
-    assert rep.x_size == 1
-    assert rep.class_count == 1
-    assert rep.ratio == 1.0
-    rep = trace_count(Graph.path(4), {2, 3})
-    assert rep.class_count == 2
-    assert rep.ratio == 1.0
-
-
 def _random_connected(rng, n):
     while True:
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
@@ -179,3 +171,20 @@ def test_kernels_preserve_answers_spot_check():
             ker = capvc_kernel(cg, k)
             cap_after = min_capacitated_vc(ker.graph, k) is not None
             assert cap_before == cap_after, (k, sorted(g.edges()), caps)
+
+
+def test_size_accounting_survives_optimize_flag():
+    # three leaves share the trace {1} of a one-vertex cover, one more
+    # than rule 3 leaves; the check must fire when asserts are stripped
+    script = (
+        "from twinwidth.kernel import _check_size_accounting\n"
+        "from twinwidth.trigraph import Graph\n"
+        "g = Graph([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])\n"
+        "_check_size_accounting(g, {1}, {1}, 3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: rule 3 fixpoint violated" in proc.stderr

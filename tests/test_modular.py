@@ -4,12 +4,10 @@ import random
 
 import pytest
 
-from twinwidth.trigraph import Graph, is_module
+from twinwidth.trigraph import Graph, is_module, quotient
 from twinwidth.modular import (
     ModularPartition,
-    is_prime,
     maximal_modular_partition,
-    partition_quotient,
     trace_classes,
 )
 
@@ -33,13 +31,15 @@ def test_prime_path():
     mp = maximal_modular_partition(Graph.path(4))
     assert mp.kind == "maximal"
     assert mp.is_trivial
-    assert is_prime(Graph.path(4))
-    assert is_prime(Graph.cycle(6))
+    mp = maximal_modular_partition(Graph.cycle(6))
+    assert mp.kind == "maximal"
+    assert mp.is_trivial
 
 
 def test_small_graphs_not_prime():
-    assert not is_prime(Graph.complete(3))
-    assert not is_prime(Graph([1, 2], [(1, 2)]))
+    # below four vertices the graph or its complement is disconnected
+    for g in (Graph.complete(3), Graph([1, 2], [(1, 2)]), Graph.path(3)):
+        assert maximal_modular_partition(g).kind != "maximal"
 
 
 def test_maximal_modules_found():
@@ -52,7 +52,7 @@ def test_maximal_modules_found():
     assert len(mp.parts) == 5
     for p in mp.parts:
         assert is_module(g, set(p))
-    q = partition_quotient(g, mp)
+    q = quotient(g, mp.parts)
     assert q.red_edges() == []
     assert q.total_graph().edge_count() == 5  # quotient is again a 5-cycle
 
@@ -63,10 +63,10 @@ def test_single_vertex_rejected():
 
 
 def test_partition_quotient_requires_modules():
+    # the no-red-edge checks below catch a partition into non-modules
     g = Graph.path(4)
     fake = ModularPartition((frozenset([1, 2]), frozenset([3, 4])), "maximal")
-    with pytest.raises(AssertionError):
-        partition_quotient(g, fake)
+    assert quotient(g, fake.parts).red_edges() == [(1, 2)]
 
 
 def test_trace_classes():
@@ -103,4 +103,4 @@ def test_parts_are_modules_on_random_graphs():
             seen |= p
         assert seen == g.vertices
         if mp.kind == "maximal" and not mp.is_trivial:
-            assert partition_quotient(g, mp).red_edges() == []
+            assert quotient(g, mp.parts).red_edges() == []

@@ -10,9 +10,9 @@ import random
 
 import pytest
 
-from twinwidth.trigraph import Graph
+from twinwidth.trigraph import Graph, quotient
 from twinwidth.sequence import ContractionSequence, verify
-from twinwidth.modular import maximal_modular_partition, partition_quotient
+from twinwidth.modular import maximal_modular_partition
 from twinwidth.oracle import (
     CapacitatedGraph,
     all_min_dominating_sets,
@@ -116,7 +116,9 @@ def test_twinwidth_composes_over_modular_partition():
         for p in mp.parts:
             sub, _ = g.induced(p).relabel_compact()
             pieces.append(exact_twinwidth(sub)[0])
-        qg, _ = partition_quotient(g, mp).total_graph().relabel_compact()
+        q = quotient(g, mp.parts)
+        assert q.red_edges() == []
+        qg, _ = q.total_graph().relabel_compact()
         pieces.append(exact_twinwidth(qg)[0])
         assert whole == max(pieces)
 

@@ -1,10 +1,11 @@
 """Width-0/1 recognition and the safe-contraction helper."""
 
+import itertools
 import random
 
 import pytest
 
-from twinwidth.trigraph import Graph, Trigraph
+from twinwidth.trigraph import Graph, Trigraph, contract
 from twinwidth.sequence import replay, verify
 from twinwidth.oracle import exact_twinwidth
 from twinwidth.recognize import (
@@ -93,20 +94,35 @@ def test_safe_contractions_needs_one_red_edge():
         safe_contractions(Trigraph([1, 2, 3], red_edges=[(1, 2), (2, 3)]))
 
 
-def test_safe_contraction_really_deletes():
-    from twinwidth.trigraph import contract
+def _deletes(t, w, partner):
+    """Reference: contracting w into partner gives t minus w, the merged
+    vertex playing the partner's role, built from whole trigraphs."""
+    after = contract(t, w, partner)
+    expect = t.induced(t.vertices - {w})
+    z = max(after.vertices)
 
+    def renamed(edges):
+        return {frozenset(z if x == partner else x for x in e) for e in edges}
+
+    return ({frozenset(e) for e in after.black_edges()} == renamed(expect.black_edges())
+            and {frozenset(e) for e in after.red_edges()} == renamed(expect.red_edges()))
+
+
+def test_safe_contraction_really_deletes():
     t = Trigraph([2, 4, 5, 6], black_edges=[(2, 6), (4, 5)], red_edges=[(4, 6)])
     for w, partner in safe_contractions(t):
-        after = contract(t, w, partner)
-        expect = t.induced(t.vertices - {w})
-        z = max(after.vertices)
-        renamed_black = {frozenset({z if x == partner else x for x in (u, v)})
-                        for u, v in expect.black_edges()}
-        assert {frozenset(e) for e in after.black_edges()} == renamed_black
-        renamed_red = {frozenset({z if x == partner else x for x in (u, v)})
-                       for u, v in expect.red_edges()}
-        assert {frozenset(e) for e in after.red_edges()} == renamed_red
+        assert _deletes(t, w, partner)
+    rng = random.Random(7207)
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        red = rng.choice(pairs)
+        density = rng.choice([0.2, 0.5, 0.8])
+        black = [e for e in pairs if e != red and rng.random() < density]
+        t = Trigraph(range(1, n + 1), black_edges=black, red_edges=[red])
+        expect = [(w, p) for w in range(1, n + 1) if w not in red
+                  for p in red if _deletes(t, w, p)]
+        assert safe_contractions(t) == expect
 
 
 def test_agreement_with_oracle_on_random_graphs():
