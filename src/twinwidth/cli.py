@@ -3,7 +3,8 @@
 Every command is a thin adapter over one library operation.  Exit
 codes: 0 success or positive verdict, 1 negative verdict (bound
 violated, above1, failed validation, trivial no-instance), 2 input or
-usage error.  Output is byte-deterministic for fixed inputs and flags.
+usage error, 3 internal error (any other exception, reported on one
+line).  Output is byte-deterministic for fixed inputs and flags.
 """
 
 import argparse
@@ -254,6 +255,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ collapses the surviving augmented grid like a grid subdivision
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .trigraph import Graph
 from .sequence import ContractionSequence, final_trigraph
@@ -92,14 +92,10 @@ def classify_positions(p: int, q: int) -> Dict[Point, object]:
     for c in range(4, cols - 2, 3):
         out[2, c] = "orange"
     for pt, deg in degree.items():
-        if pt in out:
-            assert deg == 3
-            continue
-        if deg == 2:
-            out[pt] = "blue"
-        else:
-            assert deg == 3
-            out[pt] = "purple"
+        if deg != 3 and (pt in out or deg != 2):
+            raise AssertionError("position %r has degree %d" % (pt, deg))
+        if pt not in out:
+            out[pt] = "blue" if deg == 2 else "purple"
     return out
 
 

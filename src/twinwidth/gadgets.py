@@ -21,11 +21,10 @@ the grid quotient with red degree at most 4.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .trigraph import Graph, Trigraph, contract, quotient, validate_partition
+from .trigraph import Graph, Trigraph, quotient, validate_partition
 from .sequence import ContractionSequence, verify
 
 Point = Tuple[int, int]
@@ -108,13 +107,16 @@ def hamiltonian_cycle(p: int, q: int) -> List[Point]:
     for c in range(2, cols - 1, 2):
         link((2, c), (2, c + 1))
 
-    assert all(len(nb) == 2 for nb in adj.values())
+    if any(len(nb) != 2 for nb in adj.values()):
+        raise AssertionError("cycle edges are not 2-regular")
     order = [(1, 1), (1, 2)]
     while len(order) < rows * cols:
         nxt = sorted(adj[order[-1]] - {order[-2]})
-        assert len(nxt) == 1, "cycle is not hamiltonian"
+        if len(nxt) != 1:
+            raise AssertionError("cycle is not hamiltonian")
         order.append(nxt[0])
-    assert order[0] in adj[order[-1]]
+    if order[0] not in adj[order[-1]]:
+        raise AssertionError("cycle does not close")
     return order
 
 
@@ -274,6 +276,8 @@ def validate_instance(inst: AnnotatedInstance) -> None:
     validate_partition(inst.graph.vertices, [set(p) for p in inst.parts])
     if inst.q % 2:
         raise ValueError("instance dimensions must have q even")
+    if inst.p < 2:
+        raise ValueError("instance dimensions must have p >= 2")
     sg = snaking_grid(inst.p, inst.q)
     points = set(inst.eta.values())
     if set(inst.eta) != set(range(len(inst.parts))) or len(points) != len(inst.eta) \
@@ -453,7 +457,8 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
     def walk(v: int, row: int, target: Point, rightward: bool) -> None:
         """Snake v's wire along rows (row, row-1) until target is placed."""
         cur = (row, column_of(v))
-        assert cur in occ and occ[cur].variable == v
+        if cur not in occ or occ[cur].variable != v:
+            raise AssertionError("wire of variable %d does not reach %r" % (v, cur))
         while True:
             r, c = cur
             if rightward:
@@ -508,7 +513,8 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
             for var, link, lit in ((lo, lo_link, cl.literals[0]),
                                    (mid, mid_link, cl.literals[1]),
                                    (hi, hi_link, cl.literals[2])):
-                assert occ[link].variable == var
+                if occ[link].variable != var:
+                    raise AssertionError("clause link %r is off the wire of %d" % (link, var))
                 links.append((pc, link, lit))
 
     for r in range(1, rows + 1):
@@ -588,7 +594,8 @@ def _quotient_witness(g: Graph, occ: Dict[Point, PlacedGadget],
             fold(pt, ("c", "z"))
     for pt in order:
         if occ[pt].kind == "regular" and wire_neighbors(pt) > 2:
-            assert wire_neighbors(pt) == 3, "wire gadget with too many neighbors"
+            if wire_neighbors(pt) != 3:
+                raise AssertionError("wire gadget with too many neighbors")
             fold(pt, ("top", "d", "t", "bot", "f"))
     return ContractionSequence(g.n, steps)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .trigraph import Graph, Trigraph, contract
 from .sequence import ContractionSequence, replay
@@ -51,28 +51,41 @@ def _materialize(n: int, pairs: List[Tuple[int, int]]) -> ContractionSequence:
     return ContractionSequence(n, steps)
 
 
-def _twin_chain(reps: List[int]) -> List[Tuple[int, int]]:
-    # reps come sorted; the accumulating bag keeps the smallest label
-    return [(reps[0], r) for r in reps[1:]]
+def _plan(g: Graph, prime: Callable[[Graph], List[Tuple[int, int]]]) -> List[Tuple[int, int]]:
+    """Merge pairs for g along its maximal modular partitions, or _TooWide.
 
-
-def _plan_tww0(g: Graph) -> List[Tuple[int, int]]:
+    Series and parallel levels chain their modules; prime(h) plans each
+    prime quotient h or raises _TooWide.  The quotient goes first, so a
+    level that fails stops before its modules are planned.
+    """
     if g.n == 1:
         return []
     mp = maximal_modular_partition(g)
+    if mp.kind == "maximal" and mp.is_trivial:
+        return prime(g)
+    reps = [min(p) for p in mp.parts]
     if mp.kind == "maximal":
-        raise _TooWide
+        # adjacency between modules is uniform, so any representatives carry it
+        edges = [(a, b) for a, b in itertools.combinations(reps, 2) if g.has_edge(a, b)]
+        top = prime(Graph(reps, edges))
+    else:
+        # reps come sorted; the accumulating bag keeps the smallest label
+        top = [(reps[0], r) for r in reps[1:]]
     pairs = []
     for part in mp.parts:
-        pairs += _plan_tww0(g.induced(part))
-    pairs += _twin_chain([min(p) for p in mp.parts])
-    return pairs
+        pairs += _plan(g.induced(part), prime)
+    return pairs + top
+
+
+def _no_prime(h: Graph) -> List[Tuple[int, int]]:
+    """Width 0: a prime graph (four or more vertices) has width at least 1."""
+    raise _TooWide
 
 
 def recognize_tww0(g: Graph) -> RecognitionResult:
     """Cograph test with a 0-sequence witness."""
     try:
-        pairs = _plan_tww0(g)
+        pairs = _plan(g, _no_prime)
     except _TooWide:
         return RecognitionResult("above0")
     return RecognitionResult("tww0", _materialize(g.n, pairs))
@@ -141,33 +154,13 @@ def _plan_prime(h: Graph) -> List[Tuple[int, int]]:
     raise _TooWide
 
 
-def _plan_tww1(g: Graph) -> List[Tuple[int, int]]:
-    if g.n == 1:
-        return []
-    mp = maximal_modular_partition(g)
-    if mp.kind == "maximal" and mp.is_trivial:
-        return _plan_prime(g)
-    pairs = []
-    for part in mp.parts:
-        pairs += _plan_tww1(g.induced(part))
-    reps = [min(p) for p in mp.parts]
-    if mp.kind == "maximal":
-        # prime quotient over the collapsed parts; adjacency between
-        # modules is uniform, so any representatives carry it
-        edges = [(a, b) for a, b in itertools.combinations(reps, 2) if g.has_edge(a, b)]
-        pairs += _plan_prime(Graph(reps, edges))
-    else:
-        pairs += _twin_chain(reps)
-    return pairs
-
-
 def recognize_tww1(g: Graph) -> RecognitionResult:
     """Width-at-most-1 test; reports tww0 when the graph is a cograph."""
     zero = recognize_tww0(g)
     if zero.verdict == "tww0":
         return zero
     try:
-        pairs = _plan_tww1(g)
+        pairs = _plan(g, _plan_prime)
     except _TooWide:
         return RecognitionResult("above1")
     seq = _materialize(g.n, pairs)

@@ -33,7 +33,8 @@ class ContractionSequence:
     it replays from the matching intermediate trigraph.  A step may
     use any id below its fresh id that no earlier step retired: from
     scratch that is exactly the live set, while for a suffix the ids
-    the prior steps retired are unknown and only replay rejects them.
+    the prior steps retired are unknown here, and replay rejects them
+    because they are not vertices of the starting trigraph.
     """
 
     n: int

@@ -4,14 +4,16 @@ A trigraph carries two disjoint edge sets on the same vertices: black
 (ordinary) edges and red (error) edges.  Contracting two vertices u, v
 into a fresh vertex z recolours the boundary: common neighbours keep a
 black edge only if both u and v saw them black, every other neighbour of
-u or v becomes a red neighbour of z.  Vertices are positive integers and
-ids are never reused, so a contracted vertex can be traced back to the
-set of original vertices it represents (its bag).
+u or v becomes a red neighbour of z.  Vertices are positive integers
+and a contraction target is larger than every live id, so ids are never
+reused.  Which original vertices a contracted vertex stands for is a
+property of the contraction sequence (ContractionSequence.final_bags),
+not of the trigraph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 class Graph:
@@ -127,20 +129,15 @@ class Graph:
 
 
 class Trigraph:
-    """Graph with black and red edge sets plus bag bookkeeping.
+    """Graph with disjoint black and red edge sets on the same vertices."""
 
-    bags[v] is the frozenset of original vertices that were contracted
-    into v; an uncontracted vertex has the singleton bag {v}.
-    """
-
-    __slots__ = ("vertices", "black", "red", "bags", "retired")
+    __slots__ = ("vertices", "black", "red")
 
     def __init__(
         self,
         vertices: Iterable[int],
         black_edges: Iterable[Tuple[int, int]] = (),
         red_edges: Iterable[Tuple[int, int]] = (),
-        bags: Optional[Dict[int, FrozenSet[int]]] = None,
     ):
         self.vertices: Set[int] = set(vertices)
         self.black: Dict[int, Set[int]] = {v: set() for v in self.vertices}
@@ -152,14 +149,6 @@ class Trigraph:
         for v in self.vertices:
             if self.black[v] & self.red[v]:
                 raise ValueError("vertex %d has an edge that is both black and red" % v)
-        if bags is None:
-            self.bags: Dict[int, FrozenSet[int]] = {v: frozenset([v]) for v in self.vertices}
-        else:
-            if set(bags) != self.vertices:
-                raise ValueError("bags must be keyed exactly by the vertices")
-            self.bags = dict(bags)
-        # ids that were ever used and must not come back
-        self.retired: Set[int] = set()
 
     def _add(self, table: Dict[int, Set[int]], u: int, v: int) -> None:
         if u == v:
@@ -203,21 +192,17 @@ class Trigraph:
         t.vertices = set(self.vertices)
         t.black = {v: set(s) for v, s in self.black.items()}
         t.red = {v: set(s) for v, s in self.red.items()}
-        t.bags = dict(self.bags)
-        t.retired = set(self.retired)
         return t
 
     def induced(self, keep: Iterable[int]) -> "Trigraph":
         keep = set(keep)
         if not keep <= self.vertices:
             raise ValueError("induced set is not a subset of the vertices")
-        t = Trigraph(
+        return Trigraph(
             keep,
             [(u, v) for u, v in self.black_edges() if u in keep and v in keep],
             [(u, v) for u, v in self.red_edges() if u in keep and v in keep],
-            bags={v: self.bags[v] for v in keep},
         )
-        return t
 
     def __repr__(self) -> str:
         nb = sum(len(s) for s in self.black.values()) // 2
@@ -231,14 +216,17 @@ def contract(t: Trigraph, u: int, v: int, z: Optional[int] = None) -> Trigraph:
     Neighbours seen by exactly one of u, v become red neighbours of z;
     common neighbours stay black only when both edges were black.  Edges
     not incident to u or v are untouched.  Returns a new trigraph.
+    z must exceed every live id (default: the next one), so each target
+    is the largest id so far and no id ever comes back.
     """
     if u not in t.vertices or v not in t.vertices:
         raise ValueError("contract on dead or unknown vertex (%s, %s)" % (u, v))
     if u == v:
         raise ValueError("cannot contract a vertex with itself")
+    top = max(t.vertices)
     if z is None:
-        z = max(max(t.vertices), max(t.retired, default=0)) + 1
-    if z in t.vertices or z in t.retired:
+        z = top + 1
+    if z <= top:
         raise ValueError("contraction target id %d is not fresh" % z)
 
     out = t.copy()
@@ -253,7 +241,6 @@ def contract(t: Trigraph, u: int, v: int, z: Optional[int] = None) -> Trigraph:
                 table[x].discard(w)
             del table[w]
     out.vertices -= {u, v}
-    out.retired |= {u, v, z}
 
     out.vertices.add(z)
     out.black[z] = set(black_z)
@@ -262,9 +249,6 @@ def contract(t: Trigraph, u: int, v: int, z: Optional[int] = None) -> Trigraph:
         out.black[x].add(z)
     for x in red_z:
         out.red[x].add(z)
-    out.bags[z] = t.bags[u] | t.bags[v]
-    del out.bags[u]
-    del out.bags[v]
     return out
 
 
@@ -323,5 +307,4 @@ def quotient(g: Graph, parts: List[Set[int]]) -> Trigraph:
                 black.append((i + 1, j + 1))
             else:
                 red.append((i + 1, j + 1))
-    bags = {i + 1: frozenset(sets[i]) for i in range(k)}
-    return Trigraph(range(1, k + 1), black, red, bags=bags)
+    return Trigraph(range(1, k + 1), black, red)

@@ -140,6 +140,16 @@ class TestReductionPipeline:
         assert main(["validate-instance", str(inst)]) == 0
         assert capsys.readouterr().out == "ok\n"
 
+    def test_validate_rejects_single_row_instance(self, workdir, capsys):
+        # a clause-free formula reduces to p = 1, which compose rejects
+        (workdir / "empty.formula").write_text("formula 2\n")
+        inst = workdir / "empty.inst"
+        assert main(["reduce3sat", str(workdir / "empty.formula"),
+                     "--out", str(inst)]) == 0
+        assert capsys.readouterr().out == "n 8 parts 4 dims 1 2\n"
+        assert main(["validate-instance", str(inst)]) == 1
+        assert capsys.readouterr().out == "invalid: instance dimensions must have p >= 2\n"
+
     def test_validate_rejects_tampering(self, workdir, capsys):
         inst = workdir / "micro.inst"
         main(["reduce3sat", str(workdir / "micro.formula"), "--out", str(inst)])
@@ -281,3 +291,13 @@ class TestErrorExits:
         capped = workdir / "capped.graph"
         capped.write_text("graph 2\nedge 1 2\ncap 1 1\ncap 2 1\n")
         assert main(["exact", str(capped)]) == 2
+
+    def test_unexpected_exception_is_internal_error(self, workdir, capsys, monkeypatch):
+        def deep(args):
+            raise RecursionError("maximum recursion depth exceeded")
+        monkeypatch.setattr(cli, "cmd_exact", deep)
+        assert main(["exact", str(workdir / "p4.graph")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal error: RecursionError: "
+                                "maximum recursion depth exceeded\n")

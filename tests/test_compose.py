@@ -170,6 +170,23 @@ def test_degree_audit_survives_optimize_flag():
     assert "AssertionError: degree audit failed at (2, 7): C=0 P=3" in proc.stderr
 
 
+def test_position_degree_check_survives_optimize_flag():
+    # without the hamiltonian cycle edges the grid positions lose the
+    # degrees the stage-2 schedule relies on; the check must fire when
+    # asserts are stripped
+    script = (
+        "from twinwidth import compose\n"
+        "compose.augmented_snaking_grid = lambda p, q: compose.snaking_grid(p, q).graph\n"
+        "compose.or_cross_compose([compose.make_dummy(40, 2, 4)])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: position (2, 2) has degree 0" in proc.stderr
+
+
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 4), (3, 4)])
 def test_compose_degree_audit_across_dims(p, q):
     rows, cols = fine_dims(p, q)

@@ -1,7 +1,12 @@
 """Generators: snaking grids, half-graph cycles, and the 3-SAT reduction."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import twinwidth
 from twinwidth.trigraph import Graph, Trigraph
 from twinwidth.sequence import verify
 from twinwidth.oracle import all_min_dominating_sets, is_dominating_set, min_dominating_set
@@ -232,3 +237,28 @@ def test_single_gadget_wire_is_symmetric():
     # a lone triangle has three optimum dominating sets, not two
     w = variable_wire([None])
     assert len(all_min_dominating_sets(w.graph)) == 3
+
+
+def test_validate_instance_rejects_single_row_grid():
+    # the clause-free formula reduces to a p = 1 instance, which the
+    # composition cannot take (its hamiltonian cycle needs p >= 2)
+    inst = reduce_3sat(LayoutFormula(2, [])).instance
+    assert inst.p == 1
+    with pytest.raises(ValueError, match="p >= 2"):
+        validate_instance(inst)
+
+
+def test_cycle_check_survives_optimize_flag():
+    # an odd fine column count leaves the comb's end column without its
+    # second neighbor; the check must fire when asserts are stripped
+    script = (
+        "from twinwidth import gadgets\n"
+        "gadgets.fine_dims = lambda s, t: (3 * (s - 1) + 1, 3 * (t - 1) + 2)\n"
+        "gadgets.hamiltonian_cycle(2, 4)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: cycle edges are not 2-regular" in proc.stderr

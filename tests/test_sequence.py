@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from twinwidth.trigraph import Graph, Trigraph
+from twinwidth.trigraph import Graph, Trigraph, quotient
 from twinwidth.sequence import (
     ContractionSequence,
     final_trigraph,
@@ -78,7 +78,8 @@ def test_replay_and_final_trigraph():
     assert states[0].vertices == {1, 2, 3, 4, 5}
     last = final_trigraph(g, seq)
     assert last.vertices == {9}
-    assert last.bags[9] == frozenset([1, 2, 3, 4, 5])
+    assert last.red_edges() == [] and last.black_edges() == []
+    assert seq.final_bags() == {9: frozenset([1, 2, 3, 4, 5])}
 
 
 def test_verify_needs_matching_vertex_set():
@@ -141,6 +142,8 @@ def test_incremental_width_matches_full_recompute():
 
 
 def test_final_bags_match_replayed_bags():
+    # a trigraph reached by contractions is the quotient of the
+    # partition into its bags, whatever the contraction order
     rng = random.Random(2024)
     for _ in range(40):
         n = rng.randint(1, 10)
@@ -150,7 +153,13 @@ def test_final_bags_match_replayed_bags():
         full = _random_full_sequence(rng, n)
         for k in sorted({0, rng.randint(0, len(full)), len(full)}):
             seq = ContractionSequence(n, full.steps[:k])
-            assert seq.final_bags() == final_trigraph(g, seq).bags
+            bags = seq.final_bags()
+            ids = sorted(bags)
+            q = quotient(g, [bags[v] for v in ids])
+            t = final_trigraph(g, seq)
+            assert t.vertices == set(ids)
+            assert sorted((ids[a - 1], ids[b - 1]) for a, b in q.black_edges()) == t.black_edges()
+            assert sorted((ids[a - 1], ids[b - 1]) for a, b in q.red_edges()) == t.red_edges()
     with pytest.raises(ValueError):
         ContractionSequence(4, [(6, 5, 3)], prior=1).final_bags()
 

@@ -68,7 +68,9 @@ def test_trigraph_validation():
     with pytest.raises(ValueError):
         Trigraph([1, 2], black_edges=[(1, 2)], red_edges=[(1, 2)])
     with pytest.raises(ValueError):
-        Trigraph([1, 2], bags={1: frozenset([1])})
+        Trigraph([1, 2], red_edges=[(1, 3)])
+    with pytest.raises(ValueError):
+        Trigraph([1, 2], black_edges=[(2, 2)])
 
 
 def test_from_graph_round_trip():
@@ -76,7 +78,8 @@ def test_from_graph_round_trip():
     t = Trigraph.from_graph(g)
     assert t.red_edges() == []
     assert t.total_graph() == g
-    assert t.bags == {v: frozenset([v]) for v in [1, 2, 3, 4]}
+    assert t.vertices == {1, 2, 3, 4}
+    assert t.black_edges() == list(g.edges())
 
 
 def test_contract_merges_neighborhoods():
@@ -87,8 +90,11 @@ def test_contract_merges_neighborhoods():
     assert t.vertices == {3, 4, 5, z}
     assert t.black[z] == {3}
     assert t.red[z] == {4, 5}
-    assert t.bags[z] == frozenset([1, 2])
-    assert t.retired == {1, 2, 6}
+    # 1 and 2 are gone and no id up to z comes back
+    for stale in (1, 2):
+        with pytest.raises(ValueError, match="not fresh"):
+            contract(t, 3, 4, z=stale)
+    assert contract(t, 3, 4).vertices == {5, 6, 7}
 
 
 def test_contract_shared_neighbor_goes_red_unless_black_on_both_sides():
@@ -110,7 +116,7 @@ def test_contract_rejects_dead_or_reused_ids():
     t = Trigraph.from_graph(Graph.path(3))
     t2 = contract(t, 1, 2)
     with pytest.raises(ValueError):
-        contract(t2, 4, 3, z=1)  # 1 is retired
+        contract(t2, 4, 3, z=1)  # 1 was used before
     with pytest.raises(ValueError):
         contract(t2, 1, 3)  # 1 is gone
     with pytest.raises(ValueError):
@@ -192,7 +198,10 @@ def test_quotient_colors():
     assert q.vertices == {1, 2, 3}
     assert q.black_edges() == []
     assert sorted(q.red_edges()) == [(1, 2), (1, 3), (2, 3)]
-    assert q.bags[1] == frozenset([1, 4])
+    # class i becomes vertex i + 1
+    p = quotient(Graph.path(4), [{4}, {1, 2}, {3}])
+    assert p.black_edges() == [(1, 3)]
+    assert p.red_edges() == [(2, 3)]
 
 
 def test_quotient_of_modules_has_no_red():
@@ -206,14 +215,15 @@ def test_quotient_order_independent():
     g = Graph.path(6)
     a = quotient(g, [{1, 2}, {3, 4}, {5, 6}])
     b = quotient(g, [{5, 6}, {1, 2}, {3, 4}])
-    # classes are numbered by position, so compare the multiset of
-    # colored relations between bags
-    def canon(t):
+    # classes are numbered by position (class i is vertex i + 1), so
+    # compare the colored relations between the classes themselves
+    def canon(t, parts):
+        bag = {i + 1: frozenset(p) for i, p in enumerate(parts)}
         rel = {}
         for x in t.vertices:
             for y in t.black[x]:
-                rel[frozenset([t.bags[x], t.bags[y]])] = "black"
+                rel[frozenset([bag[x], bag[y]])] = "black"
             for y in t.red[x]:
-                rel[frozenset([t.bags[x], t.bags[y]])] = "red"
+                rel[frozenset([bag[x], bag[y]])] = "red"
         return rel
-    assert canon(a) == canon(b)
+    assert canon(a, [{1, 2}, {3, 4}, {5, 6}]) == canon(b, [{5, 6}, {1, 2}, {3, 4}])
