@@ -67,15 +67,20 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
         raise ValueError("dynamic programming needs a full sequence")
 
     states = walk(g, s)
-    old = next(states)
-    comp: Dict[int, int] = {v: v for v in old.vertices}
-    members: Dict[int, Tuple[int, ...]] = {v: (v,) for v in old.vertices}
+    t = next(states)
+    comp: Dict[int, int] = {v: v for v in t.vertices}
+    members: Dict[int, Tuple[int, ...]] = {v: (v,) for v in t.vertices}
     # a picked singleton dominates itself; partial never applies
     picked, unpicked = ((True,), (False,)) if dominating else ((), ())
     tables: Dict[int, Dict[Key, int]] = {
-        v: {((FULL,), picked): 1, ((NONE,), unpicked): 0} for v in old.vertices}
+        v: {((FULL,), picked): 1, ((NONE,), unpicked): 0} for v in t.vertices}
 
-    for (z, a, b), t in zip(s.steps, states):
+    for z, a, b in s.steps:
+        # the walk contracts in place: keep the black neighbourhoods of
+        # a and b, the only before-state edges the step drops
+        black_a = set(t.black[a])
+        before = ((a, black_a), (b, set(t.black[b])))
+        t = next(states)
         new_red = t.red[z]
         cids = sorted({comp[a], comp[b]} | {comp[w] for w in new_red})
         olds = [u for cid in cids for u in members[cid]]
@@ -86,12 +91,15 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
                 % (len(merged), z, c))
         # a black edge becoming internal (contracted away or turned red)
         # needs one side fully picked, now
-        internal = [(a, b)] if b in old.black[a] else []
-        internal += [(x, w) for x in (a, b) for w in old.black[x] & new_red]
+        internal = [(a, b)] if b in black_a else []
+        internal += [(x, w) for x, bx in before for w in bx & new_red]
         # any picked black neighbour inside the joined components
-        # dominates the whole bag
+        # dominates the whole bag; a member other than a and b had its
+        # present black edges there plus those to a and b
         inside = set(olds)
-        links = [(u, old.black[u] & inside) for u in olds]
+        links = [(x, bx & inside) for x, bx in before]
+        links += [(u, t.black[u] & inside | {x for x, bx in before if u in bx})
+                  for u in olds if u != a and u != b]
 
         joint: Dict[Key, int] = {}
         for combo in itertools.product(*(tables[cid].items() for cid in cids)):
@@ -122,7 +130,6 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
         members[z] = merged
         for v in merged:
             comp[v] = z
-        old = t
 
     (table,) = tables.values()
     return min(v for (_, doms), v in table.items() if all(doms))

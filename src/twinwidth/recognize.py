@@ -122,6 +122,8 @@ def _drive(t0: Trigraph, labels: Dict[int, int], u: int, v: int) -> Optional[Lis
     """Extend the guessed first contraction of a prime graph to the end."""
     label = dict(labels)
     pairs = [(label[u], label[v])]
+    # t0 serves every guess, so the first step copies it; the rest
+    # contract that copy in place
     t = contract(t0, u, v)
     label[max(t.vertices)] = min(label[u], label[v])
     while len(t.vertices) > 1:
@@ -133,10 +135,9 @@ def _drive(t0: Trigraph, labels: Dict[int, int], u: int, v: int) -> Optional[Lis
             w, partner = safe[0]
         else:
             w, partner = reds[0]
-        nxt = contract(t, w, partner)
-        label[max(nxt.vertices)] = min(label[w], label[partner])
+        t.contract_inplace(w, partner)
+        label[max(t.vertices)] = min(label[w], label[partner])
         pairs.append((label[w], label[partner]))
-        t = nxt
     return pairs
 
 

@@ -9,11 +9,16 @@ composition machinery, which reads their final bags off the steps
 (final_bags) instead of replaying them.
 
 walk() is the single replay loop: replay, verify, final_trigraph and
-the dynamic programming all read their states from it.  verify()
-reports the maximum red degree seen in any intermediate trigraph (the
-width of the sequence), together with the first step attaining it
-and, when a bound is given, the first violating (step, vertex,
-degree).
+the dynamic programming all read their states from it.  It copies the
+start once, at the first step, and contracts that private copy in
+place from then on, so a walk costs one copy and each step touches
+only the contracted vertices' neighbourhoods.  A state it yields is
+valid until the next one is requested; replay keeps a copy of each.
+
+verify() reports the maximum red degree seen in any intermediate
+trigraph (the width of the sequence), together with the first step
+attaining it and, when a bound is given, the first violating (step,
+vertex, degree).
 """
 
 from __future__ import annotations
@@ -106,10 +111,8 @@ class WidthReport:
 
 
 def _start_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
-    if isinstance(g, Trigraph):
-        t = g.copy()
-    else:
-        t = Trigraph.from_graph(g)
+    """g as a trigraph, checked against seq; a Trigraph is not copied."""
+    t = g if isinstance(g, Trigraph) else Trigraph.from_graph(g)
     if seq.prior == 0:
         if t.vertices != set(range(1, seq.n + 1)):
             raise ValueError("graph vertices must be exactly 1..%d" % seq.n)
@@ -125,17 +128,29 @@ def _start_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trig
 
 
 def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigraph]:
-    """The starting trigraph, then the trigraph after each step of seq."""
+    """The starting trigraph, then the trigraph after each step of seq.
+
+    The start is g itself when g is a Trigraph, and it is never
+    modified: the first step contracts a copy (the walk's only one),
+    and every later step contracts that copy in place.  So each state
+    yielded is valid only until the next one is requested, and a
+    consumer that keeps states must copy them.
+    """
     t = _start_trigraph(g, seq)
     yield t
-    for z, u, v in seq.steps:
-        t = contract(t, u, v, z)
-        yield t
+    if not seq.steps:
+        return
+    z, u, v = seq.steps[0]
+    t = contract(t, u, v, z)
+    yield t
+    for z, u, v in seq.steps[1:]:
+        yield t.contract_inplace(u, v, z)
 
 
 def replay(g: Union[Graph, Trigraph], seq: ContractionSequence) -> List[Trigraph]:
-    """All intermediate trigraphs, initial state included (len(steps)+1 entries)."""
-    return list(walk(g, seq))
+    """Copies of all intermediate trigraphs, initial state included
+    (len(steps)+1 entries)."""
+    return [t.copy() for t in walk(g, seq)]
 
 
 def verify(
@@ -165,6 +180,7 @@ def verify(
 
 
 def final_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
+    """The trigraph after the last step, never g itself."""
     for t in walk(g, seq):
         pass
-    return t
+    return t.copy() if t is g else t

@@ -4,7 +4,9 @@ A trigraph carries two disjoint edge sets on the same vertices: black
 (ordinary) edges and red (error) edges.  Contracting two vertices u, v
 into a fresh vertex z recolours the boundary: common neighbours keep a
 black edge only if both u and v saw them black, every other neighbour of
-u or v becomes a red neighbour of z.  Vertices are positive integers
+u or v becomes a red neighbour of z.  Trigraph.contract_inplace does
+this to one trigraph in time linear in the two neighbourhoods; contract
+returns a contracted copy.  Vertices are positive integers
 and a contraction target is larger than every live id, so ids are never
 reused.  Which original vertices a contracted vertex stands for is a
 property of the contraction sequence (ContractionSequence.final_bags),
@@ -194,6 +196,53 @@ class Trigraph:
         t.red = {v: set(s) for v, s in self.red.items()}
         return t
 
+    def contract_inplace(self, u: int, v: int, z: Optional[int] = None) -> "Trigraph":
+        """Contract vertices u and v into the fresh vertex z, in place.
+
+        Neighbours seen by exactly one of u, v become red neighbours of
+        z; common neighbours stay black only when both edges were black.
+        Only edges at u, v and z change, so a step costs O(deg u + deg v)
+        beyond the freshness check.  z must exceed every live id
+        (default: the next one), so each target is the largest id so far
+        and no id ever comes back.  A rejected call leaves the trigraph
+        as it was.  Returns the trigraph itself.
+        """
+        vertices = self.vertices
+        if u not in vertices or v not in vertices:
+            raise ValueError("contract on dead or unknown vertex (%s, %s)" % (u, v))
+        if u == v:
+            raise ValueError("cannot contract a vertex with itself")
+        top = max(vertices)
+        if z is None:
+            z = top + 1
+        if z <= top:
+            raise ValueError("contraction target id %d is not fresh" % z)
+
+        black, red = self.black, self.red
+        bu, bv, ru, rv = black.pop(u), black.pop(v), red.pop(u), red.pop(v)
+        black_z = bu & bv
+        red_z = (bu | bv | ru | rv) - black_z
+        red_z.discard(u)
+        red_z.discard(v)
+        for x in black_z:
+            bx = black[x]
+            bx.discard(u)
+            bx.discard(v)
+            bx.add(z)
+        for x in red_z:
+            bx, rx = black[x], red[x]
+            bx.discard(u)
+            bx.discard(v)
+            rx.discard(u)
+            rx.discard(v)
+            rx.add(z)
+        black[z] = black_z
+        red[z] = red_z
+        vertices.discard(u)
+        vertices.discard(v)
+        vertices.add(z)
+        return self
+
     def induced(self, keep: Iterable[int]) -> "Trigraph":
         keep = set(keep)
         if not keep <= self.vertices:
@@ -213,43 +262,11 @@ class Trigraph:
 def contract(t: Trigraph, u: int, v: int, z: Optional[int] = None) -> Trigraph:
     """Contract vertices u and v of t into the fresh vertex z.
 
-    Neighbours seen by exactly one of u, v become red neighbours of z;
-    common neighbours stay black only when both edges were black.  Edges
-    not incident to u or v are untouched.  Returns a new trigraph.
-    z must exceed every live id (default: the next one), so each target
-    is the largest id so far and no id ever comes back.
+    Returns a new trigraph and leaves t as it was: a copy of t
+    contracted with Trigraph.contract_inplace, which documents the
+    rules and the checks.
     """
-    if u not in t.vertices or v not in t.vertices:
-        raise ValueError("contract on dead or unknown vertex (%s, %s)" % (u, v))
-    if u == v:
-        raise ValueError("cannot contract a vertex with itself")
-    top = max(t.vertices)
-    if z is None:
-        z = top + 1
-    if z <= top:
-        raise ValueError("contraction target id %d is not fresh" % z)
-
-    out = t.copy()
-    nu = (t.black[u] | t.red[u]) - {u, v}
-    nv = (t.black[v] | t.red[v]) - {u, v}
-    black_z = {x for x in nu & nv if x in t.black[u] and x in t.black[v]}
-    red_z = (nu | nv) - black_z
-
-    for table in (out.black, out.red):
-        for w in (u, v):
-            for x in table[w]:
-                table[x].discard(w)
-            del table[w]
-    out.vertices -= {u, v}
-
-    out.vertices.add(z)
-    out.black[z] = set(black_z)
-    out.red[z] = set(red_z)
-    for x in black_z:
-        out.black[x].add(z)
-    for x in red_z:
-        out.red[x].add(z)
-    return out
+    return t.copy().contract_inplace(u, v, z)
 
 
 def is_module(g: Graph, s: Iterable[int], relative_to: Optional[Iterable[int]] = None) -> bool:

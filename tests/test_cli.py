@@ -212,6 +212,23 @@ class TestReductionPipeline:
         assert code == 0
         assert calls == {"verify": 3, "final_trigraph": 1}
 
+    def test_pipeline_copies_once_per_walk(self, workdir, capsys, monkeypatch):
+        # the replays above contract in place: one copying contract per
+        # walk, so 4 for the 3 verify and 1 final_trigraph walks, which
+        # have 73 to 305 steps each
+        calls = []
+        original = sequence.contract
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sequence, "contract", counted)
+        code = main(["pipeline", str(workdir / "micro.formula"),
+                     str(workdir / "micro.formula")])
+        assert code == 0
+        assert len(calls) == 4
+
     def test_pipeline_mismatched_dims(self, workdir, capsys):
         other = workdir / "other.formula"
         other.write_text("formula 5\nclause + 1 1 2 5\n")

@@ -9,6 +9,7 @@ from twinwidth.trigraph import Graph
 from twinwidth.sequence import ContractionSequence, replay, verify
 from twinwidth.dpsolve import min_vc_dp, min_ds_dp, check_component_bound
 from twinwidth.oracle import min_dominating_set
+from twinwidth.recognize import recognize_tww1
 
 from gen_tww1 import random_tww1
 
@@ -210,3 +211,16 @@ class TestRandomisedEquivalence:
             ds = min_ds_dp(g, seq, c)
             assert 0 <= ds <= g.n
             assert 0 <= vc <= g.n
+
+    def test_two_witnesses_agree_beyond_oracle_sizes(self):
+        # the optimum does not depend on the witness; along two
+        # different sequences the in-place walk gives the DP different
+        # before-states to reconstruct, on graphs no oracle can check
+        rng = random.Random(2021)
+        for _ in range(24):
+            g, seq = random_tww1(rng.randint(20, 80), rng)
+            other = recognize_tww1(g).witness
+            assert other.steps != seq.steps
+            c = max(2, check_component_bound(g, seq), check_component_bound(g, other))
+            assert min_ds_dp(g, seq, c) == min_ds_dp(g, other, c)
+            assert min_vc_dp(g, seq, c) == min_vc_dp(g, other, c)

@@ -1,5 +1,7 @@
 """Round-trip and diagnostic tests for the plain-text file formats."""
 
+import random
+
 import pytest
 
 from twinwidth import io
@@ -157,3 +159,47 @@ class TestDeterminism:
         g, s = halfgraph_cycle(4, 3)
         assert io.write_graph(g) == io.write_graph(halfgraph_cycle(4, 3)[0])
         assert io.write_sequence(s) == io.write_sequence(halfgraph_cycle(4, 3)[1])
+
+
+class TestFuzz:
+    """Seeded mutations of valid files raise only ParseError or ValueError."""
+
+    @staticmethod
+    def _mutate(text, rng):
+        lines = text.splitlines()
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        words = text.split()
+        pool = words + ["x", "-", "+", "0", "-1", "1.5", "#", "edge", "contract"]
+        kind = rng.randrange(5)
+        if kind == 0:
+            tokens[rng.randrange(len(tokens))] = rng.choice(pool)
+        elif kind == 1:
+            del tokens[rng.randrange(len(tokens))]
+        elif kind == 2:
+            tokens.append(rng.choice(pool))
+        if kind <= 2:
+            lines[i] = " ".join(tokens)
+        elif kind == 3:
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("parse, text", [
+        (io.parse_graph, io.write_graph(Graph.cycle(5), {1: 2, 4: 1})),
+        (io.parse_sequence, io.write_sequence(halfgraph_cycle(3, 2)[1])),
+        (io.parse_formula, io.write_formula(LayoutFormula(4, [
+            LayoutClause("+", 1, (1, 2, -3)), LayoutClause("-", 1, (2, -3, 4))]))),
+        (io.parse_instance, io.write_instance(
+            reduce_3sat(LayoutFormula(3, [LayoutClause("+", 1, (1, 2, -3))])).instance)),
+    ], ids=["graph", "sequence", "formula", "instance"])
+    def test_mutations_raise_only_value_errors(self, parse, text):
+        rng = random.Random(len(text))
+        parse(text)
+        for _ in range(2000):
+            mutated = self._mutate(text, rng)
+            try:
+                parse(mutated)
+            except ValueError:  # ParseError is a ValueError
+                pass

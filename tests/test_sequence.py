@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from twinwidth.trigraph import Graph, Trigraph, quotient
+from twinwidth import sequence
+from twinwidth.trigraph import Graph, Trigraph, contract, quotient
 from twinwidth.sequence import (
     ContractionSequence,
     final_trigraph,
     replay,
     verify,
+    walk,
 )
 
 
@@ -175,3 +177,80 @@ def test_width_monotone_under_prefix():
         widths = [verify(g, ContractionSequence(n, seq.steps[:k])).width
                   for k in range(len(seq) + 1)]
         assert widths == sorted(widths)
+
+
+def _state(t):
+    return (set(t.vertices), {v: set(s) for v, s in t.black.items()},
+            {v: set(s) for v, s in t.red.items()})
+
+
+def _reference_contract(t, u, v, z):
+    """The contraction rebuilt from edge lists, independent of the library."""
+    black = [e for e in t.black_edges() if u not in e and v not in e]
+    red = [e for e in t.red_edges() if u not in e and v not in e]
+    for x in sorted((t.neighbors(u) | t.neighbors(v)) - {u, v}):
+        (black if x in t.black[u] and x in t.black[v] else red).append((x, z))
+    return Trigraph((t.vertices - {u, v}) | {z}, black, red)
+
+
+def _random_trigraph(rng, n):
+    black, red = [], []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            r = rng.random()
+            if r < 0.35:
+                black.append((i, j))
+            elif r < 0.5:
+                red.append((i, j))
+    return Trigraph(range(1, n + 1), black, red)
+
+
+def test_walk_states_equal_chain_of_pure_contractions():
+    # the walk contracts in place; each state it yields, copied on the
+    # spot, must equal the chain of copying contractions kept here
+    rng = random.Random(7031)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        start = _random_trigraph(rng, n)
+        full = _random_full_sequence(rng, n)
+        chain = [start]
+        for z, u, v in full.steps:
+            chain.append(contract(chain[-1], u, v, z))
+            assert _state(chain[-1]) == _state(_reference_contract(chain[-2], u, v, z))
+        before = _state(start)
+        for k in sorted({0, rng.randint(0, len(full)), len(full)}):
+            # the prefix of k steps from scratch, and the suffix resumed
+            # from the chain's state after those k steps
+            prefix = ContractionSequence(n, full.steps[:k])
+            suffix = ContractionSequence(n, full.steps[k:], prior=k)
+            for g, seq, expect in ((start, prefix, chain[:k + 1]),
+                                   (chain[k], suffix, chain[k:])):
+                kept = _state(g)
+                assert [_state(t) for t in walk(g, seq)] == [_state(t) for t in expect]
+                assert [_state(t) for t in replay(g, seq)] == [_state(t) for t in expect]
+                assert _state(final_trigraph(g, seq)) == _state(expect[-1])
+                assert final_trigraph(g, seq) is not g
+                verify(g, seq, bound=1)
+                assert _state(g) == kept
+        assert _state(start) == before
+
+
+def test_walk_copies_once(monkeypatch):
+    # one copying contract per walk; every later step is in place
+    calls = []
+
+    def counted(t, u, v, z=None):
+        calls.append(z)
+        return contract(t, u, v, z)
+
+    monkeypatch.setattr(sequence, "contract", counted)
+    n = 30
+    g = Graph.path(n)
+    seq = ContractionSequence(n, [(n + 1, 1, 2)] + [(z, z - 1, z - n + 1)
+                                                    for z in range(n + 2, 2 * n)])
+    assert verify(g, seq).width == 1
+    assert calls == [n + 1]
+    assert len(final_trigraph(g, seq).vertices) == 1
+    assert calls == [n + 1, n + 1]
+    verify(g, ContractionSequence(n, []))
+    assert calls == [n + 1, n + 1]

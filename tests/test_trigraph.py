@@ -123,6 +123,27 @@ def test_contract_rejects_dead_or_reused_ids():
         contract(t2, 3, 3)
 
 
+def test_contract_inplace_rejects_like_contract():
+    t = Trigraph([1, 2, 3, 4], black_edges=[(1, 2), (2, 3)], red_edges=[(3, 4)])
+    t.contract_inplace(1, 2)  # vertices 3, 4, 5
+    state = (set(t.vertices), {v: set(s) for v, s in t.black.items()},
+             {v: set(s) for v, s in t.red.items()})
+    for args, message in (((1, 3), "dead or unknown"), ((3, 9), "dead or unknown"),
+                          ((3, 3), "with itself"), ((3, 4, 2), "id 2 is not fresh"),
+                          ((3, 4, 5), "id 5 is not fresh")):
+        with pytest.raises(ValueError) as pure:
+            contract(t, *args)
+        with pytest.raises(ValueError, match=message) as inplace:
+            t.contract_inplace(*args)
+        assert str(inplace.value) == str(pure.value)
+        assert (t.vertices, t.black, t.red) == state
+    # contract leaves its input alone; contract_inplace returns itself
+    expect = contract(t, 3, 4)
+    assert (t.vertices, t.black, t.red) == state
+    assert t.contract_inplace(3, 4) is t
+    assert (t.vertices, t.black, t.red) == (expect.vertices, expect.black, expect.red)
+
+
 def test_contract_mixed_neighborhood_example():
     # u: black to 4,7,8,10,12,13 and red to 3,9,11
     # v: black to 7,8,9,12,13,5 and red to 10,11,6
