@@ -3,7 +3,10 @@
 Every format is line-oriented with '#' comments, 1-based vertex ids,
 and a deterministic writer: write followed by parse is the identity,
 and equal values serialize to equal bytes.  Parsers raise ParseError
-with the offending line number.
+with the offending line number.  A header may declare at most
+MAX_HEADER (100000) vertices or variables: every vertex is built
+before any edge is read, so the limit keeps a one-line file from
+exhausting memory.  It is separate from the oracles' TWW_SIZE_CAP.
 
     graph file      graph <n> / edge <u> <v> / cap <v> <c>
     sequence file   seq <n> / contract <z> <u> <v>
@@ -17,6 +20,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from .trigraph import Graph
 from .sequence import ContractionSequence
 from .gadgets import AnnotatedInstance, LayoutClause, LayoutFormula
+
+
+MAX_HEADER = 100000
 
 
 class ParseError(ValueError):
@@ -45,6 +51,8 @@ def _header(no: int, tokens: List[str], keyword: str) -> int:
     (n,) = _ints(no, tokens[1:], keyword)
     if n < 1:
         raise ParseError(no, "%s needs at least one vertex" % keyword)
+    if n > MAX_HEADER:
+        raise ParseError(no, "%s %d exceeds the header limit %d" % (keyword, n, MAX_HEADER))
     return n
 
 

@@ -1,12 +1,15 @@
 """Exhaustive ground-truth solvers at desk scale.
 
-Everything here is deliberately small and exact: an iterative-deepening
-search for exact twin-width, branch-and-bound for Minimum Dominating
-Set (with an optional part-transversal mode), subset enumeration for
-Minimum Connected Vertex Cover, and an augmenting-path feasibility
-check for capacitated covers.  Sizes are capped; exceeding a cap is an
-error rather than silent slowness.  TWW_SIZE_CAP in the environment
-overrides every cap at once.
+Everything here is deliberately small and exact: iterative deepening
+for exact twin-width from the best first contraction's red degree,
+branch-and-bound for Minimum Dominating Set (with an optional
+part-transversal mode), and size-ordered subset enumeration for
+Minimum Connected and Capacitated Vertex Cover.  Those test each subset
+as an integer mask against per-vertex adjacency masks built once per
+graph (a cover leaves no edge outside it; connectivity is a bit
+frontier); only covers reach the augmenting-path capacity assignment.
+Sizes are capped; exceeding a cap is an error rather than silent
+slowness.  TWW_SIZE_CAP in the environment overrides every cap at once.
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ def _part_tables(order: List[int], g: Graph) -> Dict[int, int]:
     return {v: sum(1 << idx[u] for u in g.adj[v]) for v in order}
 
 
+def _check_tww_input(g: Graph, cap: Optional[int]) -> None:
+    limit = _cap(TWW_CAP, cap)
+    if g.n > limit:
+        raise ValueError("graph has %d vertices, twin-width cap is %d" % (g.n, limit))
+    if g.vertices != set(range(1, g.n + 1)):
+        raise ValueError("twinwidth_at_most needs vertices 1..n; relabel first")
+
+
 def twinwidth_at_most(g: Graph, d: int, cap: Optional[int] = None) -> Optional[ContractionSequence]:
     """A witness d-sequence for g, or None when tww(g) > d.
 
@@ -59,11 +70,7 @@ def twinwidth_at_most(g: Graph, d: int, cap: Optional[int] = None) -> Optional[C
     witness is deterministic.
     """
     n = g.n
-    limit = _cap(TWW_CAP, cap)
-    if n > limit:
-        raise ValueError("graph has %d vertices, twin-width cap is %d" % (n, limit))
-    if g.vertices != set(range(1, n + 1)):
-        raise ValueError("twinwidth_at_most needs vertices 1..n; relabel first")
+    _check_tww_input(g, cap)
     if n == 1:
         return ContractionSequence(1, [])
 
@@ -123,8 +130,16 @@ def twinwidth_at_most(g: Graph, d: int, cap: Optional[int] = None) -> Optional[C
 
 
 def exact_twinwidth(g: Graph, cap: Optional[int] = None) -> Tuple[int, ContractionSequence]:
-    """Exact twin-width with one optimal witness sequence."""
-    for d in range(0, max(g.n, 1)):
+    """Exact twin-width with one optimal witness sequence.
+
+    Deepening starts at min over u != v of |N(u) xor N(v) - {u, v}|, the
+    red degree of the best first contraction: no smaller d succeeds.
+    """
+    _check_tww_input(g, cap)
+    adj = _part_tables(list(range(1, g.n + 1)), g)
+    lower = min((bin((adj[u] ^ adj[v]) & ~((1 << u - 1) | (1 << v - 1))).count("1")
+                 for u, v in itertools.combinations(adj, 2)), default=0)
+    for d in range(lower, max(g.n, 1)):
         seq = twinwidth_at_most(g, d, cap=cap)
         if seq is not None:
             return d, seq
@@ -332,11 +347,31 @@ def _transversal_ds(g: Graph, sets: List[Set[int]], sizes: List[int]) -> Optiona
 
 
 # ---------------------------------------------------------------------------
-# connected vertex cover
+# connected and capacitated vertex cover (nbr: vertex bit -> neighbour mask)
 
 def is_vertex_cover(g: Graph, s) -> bool:
     s = set(s)
     return all(u in s or v in s for u, v in g.edges())
+
+
+def _covers(nbr: Dict[int, int], out: int) -> bool:
+    m = out
+    while m:
+        low = m & -m
+        if nbr[low] & out:
+            return False
+        m ^= low
+    return True
+
+
+def _connected(nbr: Dict[int, int], s: int) -> bool:
+    seen = frontier = s & -s
+    while frontier:
+        low = frontier & -frontier
+        new = nbr[low] & s & ~seen
+        seen |= new
+        frontier ^= low | new
+    return seen == s
 
 
 def min_connected_vertex_cover(
@@ -346,7 +381,8 @@ def min_connected_vertex_cover(
 
     Infeasible exactly when at least two components contain edges: a
     connected cover cannot straddle components.  Isolated vertices are
-    ignored.  Size-ordered subset enumeration; fine at desk scale.
+    ignored.  Size-ordered subset enumeration with bitmask cover and
+    connectivity tests; the first hit in combinations order is returned.
     """
     limit = _cap(SEARCH_CAP, cap)
     if g.n > limit:
@@ -357,43 +393,22 @@ def min_connected_vertex_cover(
     if not edgeful:
         return 0, frozenset()
     comp = sorted(edgeful[0])
-    sub = g.induced(comp)
-
-    def connected(s: Set[int]) -> bool:
-        start = next(iter(s))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in sub.adj[x] & s:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return seen == s
-
+    nbr = {1 << i: m for i, m in enumerate(_part_tables(comp, g).values())}
+    full = (1 << len(comp)) - 1
     for k in range(1, len(comp) + 1):
-        for combo in itertools.combinations(comp, k):
-            s = set(combo)
-            if is_vertex_cover(sub, s) and connected(s):
-                return k, frozenset(s)
+        for combo in itertools.combinations(nbr, k):
+            s = sum(combo)
+            if _covers(nbr, full & ~s) and _connected(nbr, s):
+                return k, frozenset(v for i, v in enumerate(comp) if s >> i & 1)
     raise AssertionError("unreachable: the whole component is a connected cover")
 
 
-# ---------------------------------------------------------------------------
-# capacitated vertex cover
+def _assign(cg: CapacitatedGraph, edges: List[Tuple[int, int]], x: Set[int]) -> bool:
+    """Kuhn-style augmenting assignment of edges to endpoints in the cover x.
 
-def capacitated_vc_feasible(cg: CapacitatedGraph, x) -> bool:
-    """Can every edge be assigned to a covering endpoint within capacity?
-
-    Kuhn-style augmenting assignment; negative capacities (legal
-    bookkeeping in the kernel rules) count as zero.
+    Negative capacities (legal bookkeeping in the kernel rules) count
+    as zero.
     """
-    x = set(x)
-    g = cg.graph
-    edges = list(g.edges())
-    for u, v in edges:
-        if u not in x and v not in x:
-            return False
     cap = {v: max(0, cg.cap[v]) for v in x}
     load: Dict[int, List[Tuple[int, int]]] = {v: [] for v in x}
 
@@ -417,13 +432,20 @@ def capacitated_vc_feasible(cg: CapacitatedGraph, x) -> bool:
     return True
 
 
+def capacitated_vc_feasible(cg: CapacitatedGraph, x) -> bool:
+    """Can every edge be assigned to a covering endpoint within capacity?"""
+    x = set(x)
+    return is_vertex_cover(cg.graph, x) and _assign(cg, list(cg.graph.edges()), x)
+
+
 def min_capacitated_vc(
     cg: CapacitatedGraph, k: Optional[int] = None, cap: Optional[int] = None
 ) -> Optional[FrozenSet[int]]:
     """Smallest capacitated vertex cover of size at most k, or None.
 
     k = None searches all sizes, so the result (if any) is a true
-    minimum.
+    minimum.  Non-covers are rejected by the masks before the
+    assignment runs.
     """
     g = cg.graph
     limit = _cap(SEARCH_CAP, cap)
@@ -431,8 +453,14 @@ def min_capacitated_vc(
         raise ValueError("graph has %d vertices, search cap is %d" % (g.n, limit))
     hi = g.n if k is None else min(k, g.n)
     order = sorted(g.vertices)
+    nbr = {1 << i: m for i, m in enumerate(_part_tables(order, g).values())}
+    full = (1 << g.n) - 1
+    edges = list(g.edges())
     for size in range(0, hi + 1):
-        for combo in itertools.combinations(order, size):
-            if capacitated_vc_feasible(cg, combo):
-                return frozenset(combo)
+        for combo in itertools.combinations(nbr, size):
+            s = sum(combo)
+            if _covers(nbr, full & ~s):
+                x = {v for i, v in enumerate(order) if s >> i & 1}
+                if _assign(cg, edges, x):
+                    return frozenset(x)
     return None

@@ -304,6 +304,18 @@ class TestErrorExits:
         assert main(["exact", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_oversized_header_is_input_error(self, workdir, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was built")
+        monkeypatch.setattr(io, "Graph", refuse)
+        huge = workdir / "huge.graph"
+        huge.write_text("graph 1000000000\n")
+        assert main(["recognize", str(huge)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 1: graph 1000000000 exceeds the "
+                                "header limit 100000\n")
+
     def test_capacities_rejected_outside_capvc(self, workdir, capsys):
         capped = workdir / "capped.graph"
         capped.write_text("graph 2\nedge 1 2\ncap 1 1\ncap 2 1\n")

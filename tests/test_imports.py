@@ -1,4 +1,4 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used, and the oracles stay independent."""
 
 import ast
 import glob
@@ -38,3 +38,38 @@ def test_library_has_no_unused_imports():
             for line, name in _unused_imports(fh.read()):
                 found.append("%s:%d %s" % (os.path.basename(path), line, name))
     assert found == []
+
+
+# the oracles are the independent ground truth: within the package they
+# may lean on graphs and sequences only, never on the code they check
+ORACLE_ALLOWED = {"trigraph", "sequence"}
+
+
+def _package_imports(source: str):
+    """Package modules named by the imports of one module's source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "twinwidth":
+                    continue
+                module = module[len("twinwidth."):]
+            found |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("twinwidth."))
+    return found
+
+
+def test_scan_finds_forbidden_oracle_import():
+    source = ("import itertools\nfrom .trigraph import Graph\nfrom . import sequence, dpsolve\n"
+              "from .kernel import cvc_kernel_quadratic\nimport twinwidth.modular\n"
+              "from twinwidth import recognize\nfrom twinwidth.sequence import walk\n")
+    assert _package_imports(source) == {"trigraph", "sequence", "dpsolve", "kernel",
+                                        "modular", "recognize"}
+
+
+def test_oracle_imports_only_graphs_and_sequences():
+    with open(os.path.join(PACKAGE, "oracle.py"), encoding="utf-8") as fh:
+        assert _package_imports(fh.read()) <= ORACLE_ALLOWED

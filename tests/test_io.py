@@ -69,6 +69,9 @@ class TestSequenceFormat:
                            match="line 2: contract creates 7, expected fresh id 6"):
             io.parse_sequence("seq 5\ncontract 7 1 2\n")
 
+    def test_header_at_limit_is_accepted(self):
+        assert io.parse_sequence("seq %d\n" % io.MAX_HEADER).n == io.MAX_HEADER
+
     def test_dead_vertex_rejected(self):
         with pytest.raises(ValueError, match="not two live vertices"):
             io.parse_sequence("seq 4\ncontract 5 1 2\ncontract 6 1 3\n")
@@ -142,6 +145,42 @@ class TestInstanceFormat:
     def test_eta_mismatch(self):
         text = "graph 2\ndims 1 2\npart 1 1 2\neta 2 1 1\nseq 2\n"
         with pytest.raises(io.ParseError, match="eta must cover"):
+            io.parse_instance(text)
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("parser built a value from an oversized header")
+    for name in ("Graph", "ContractionSequence", "LayoutFormula", "AnnotatedInstance"):
+        monkeypatch.setattr(io, name, refuse)
+
+
+@pytest.mark.usefixtures("no_allocation")
+class TestHeaderLimit:
+    """Headers above io.MAX_HEADER are refused before anything is built."""
+
+    HUGE = 1000000000
+
+    def test_graph(self):
+        with pytest.raises(io.ParseError, match="line 1: graph 1000000000 exceeds"):
+            io.parse_graph("graph %d\nedge 1 2\n" % self.HUGE)
+        with pytest.raises(io.ParseError, match="exceeds the header limit 100000"):
+            io.parse_graph("graph %d\n" % (io.MAX_HEADER + 1))
+
+    def test_sequence(self):
+        with pytest.raises(io.ParseError, match="line 2: seq 1000000000 exceeds"):
+            io.parse_sequence("# big\nseq %d\ncontract %d 1 2\n" % (self.HUGE, self.HUGE + 1))
+
+    def test_formula(self):
+        with pytest.raises(io.ParseError, match="line 1: formula 1000000000 exceeds"):
+            io.parse_formula("formula %d\n" % self.HUGE)
+
+    def test_instance_graph_and_seq_headers(self):
+        with pytest.raises(io.ParseError, match="line 1: graph 1000000000 exceeds"):
+            io.parse_instance("graph %d\ndims 1 2\n" % self.HUGE)
+        text = "graph 2\ndims 1 2\npart 1 1 2\neta 1 1 1\nseq %d\n" % self.HUGE
+        with pytest.raises(io.ParseError, match="line 5: seq 1000000000 exceeds"):
             io.parse_instance(text)
 
 

@@ -10,9 +10,11 @@ import random
 
 import pytest
 
+import oracle_reference as reference
 from twinwidth.trigraph import Graph, quotient
 from twinwidth.sequence import ContractionSequence, verify
 from twinwidth.modular import maximal_modular_partition
+from twinwidth import oracle
 from twinwidth.oracle import (
     CapacitatedGraph,
     all_min_dominating_sets,
@@ -134,6 +136,39 @@ def test_twinwidth_size_cap(monkeypatch):
 def test_twinwidth_needs_compact_labels():
     with pytest.raises(ValueError):
         exact_twinwidth(Graph([2, 3], [(2, 3)]))
+
+
+def _exact_twinwidth_from_zero(g):
+    """exact_twinwidth as it was: deepening from d = 0."""
+    for d in range(0, max(g.n, 1)):
+        seq = twinwidth_at_most(g, d)
+        if seq is not None:
+            return d, seq
+    raise AssertionError("unreachable: every graph has an (n-1)-sequence")
+
+
+def test_lower_bound_start_keeps_widths_and_witnesses():
+    rng = random.Random(6061)
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        assert exact_twinwidth(g) == _exact_twinwidth_from_zero(g)
+
+
+def test_lower_bound_start_skips_hopeless_widths(monkeypatch):
+    tried = []
+    real = oracle.twinwidth_at_most
+
+    def spy(g, d, cap=None):
+        tried.append(d)
+        return real(g, d, cap=cap)
+
+    monkeypatch.setattr(oracle, "twinwidth_at_most", spy)
+    # every pair of C_7 leaves a red degree of at least 2 after contracting
+    assert exact_twinwidth(Graph.cycle(7))[0] == 2
+    assert tried == [2]
+    tried.clear()
+    assert exact_twinwidth(Graph([1]))[0] == 0
+    assert tried == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +336,28 @@ def test_capacitated_cover_matches_flow_free_enumeration():
                     feasible = True
                     break
             assert capacitated_vc_feasible(cg, x) == feasible
+
+
+def test_vc_oracles_match_reference():
+    """Bitmask oracles return the reference's values and witness sets.
+
+    Every labelled graph on at most 5 vertices, then 400 seeded graphs
+    with 6 to 10 vertices; capacities in -1..3, budgets None and 0..n.
+    """
+    rng = random.Random(4242)
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            graphs.append(Graph(range(1, n + 1),
+                                [e for i, e in enumerate(pairs) if bits >> i & 1]))
+    graphs += [_random_graph(rng, rng.randint(6, 10), rng.choice([0.2, 0.35, 0.5, 0.7]))
+               for _ in range(400)]
+    for g in graphs:
+        assert min_connected_vertex_cover(g) == reference.min_connected_vertex_cover(g)
+        cg = CapacitatedGraph(g, {v: rng.randint(-1, 3) for v in g.vertices})
+        k = rng.choice([None] + list(range(g.n + 1)))
+        assert min_capacitated_vc(cg, k) == reference.min_capacitated_vc(cg, k)
+        for _ in range(3):
+            x = {v for v in g.vertices if rng.random() < 0.7}
+            assert capacitated_vc_feasible(cg, x) == reference.capacitated_vc_feasible(cg, x)
