@@ -209,9 +209,8 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     order = stage2_order(p, q)
     sg = snaking_grid(p, q)
     aug = augmented_snaking_grid(p, q)
-    neighbors = {pt: {pt2 for pt2, v2 in sg.vertex_at.items()
-                      if aug.has_edge(sg.vertex_at[pt], v2)}
-                 for pt in sg.vertex_at}
+    pos = {v: pt for pt, v in sg.vertex_at.items()}
+    neighbors = {pt: {pos[w] for w in aug.adj[v]} for pt, v in sg.vertex_at.items()}
     cur = dict(reps[0])
     for deeper in reps[1:]:
         done: Set[Point] = set()

@@ -14,6 +14,12 @@ from oversized classes:
           outside X) and the rest X^s, a class Y_i whose trace meets
           X^s in X_i != empty shrinks to |X_i| + 1.
 
+The three rules are one pass over the classes (_prune): each class keeps
+limit(trace) members and the surplus of all classes is deleted in one
+batch.  That is exact because the vertices outside X are independent:
+deleting one changes no other outside vertex's neighborhood, trace or
+capacity (only X is charged), so every deletion order is fixed up front.
+
 Budgets are never modified.  A graph whose cover must already exceed k
 (|X| >= 2k+1), or a disconnected input to the improved kernel, is
 replaced by a canonical constant-size no-instance: two disjoint edges,
@@ -24,7 +30,7 @@ capacitated cover either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from .trigraph import Graph
 from .modular import trace_classes
@@ -58,20 +64,41 @@ def _lex_classes(g: Graph, x: Set[int]):
     return sorted(classes.items(), key=lambda kv: sorted(kv[0]))
 
 
+def _prune(g: Graph, x: Set[int], rule: int, limit: Callable[[FrozenSet[int]], int],
+           caps: Optional[Dict[int, int]] = None) -> Tuple[Graph, Tuple]:
+    """Trim every trace class outside x to limit(trace) members.
+
+    Rules 1 and 3 delete the largest ids first.  Rule 2 (caps given)
+    deletes the smallest (capacity, -id) first and charges each deleted
+    vertex's neighbors one unit in caps, which it updates in place.
+    Returns the graph without the deleted vertices and the rule trace.
+    """
+    drop: List[int] = []
+    trace: List[Tuple[int, int, FrozenSet[int]]] = []
+    for key, members in _lex_classes(g, x):
+        surplus = len(members) - limit(key)
+        if surplus <= 0:
+            continue
+        if caps is None:
+            doomed = sorted(members, reverse=True)[:surplus]
+        else:
+            doomed = sorted(members, key=lambda m: (caps[m], -m))[:surplus]
+            for s in doomed:
+                for nb in g.adj[s]:
+                    caps[nb] -= 1
+                del caps[s]
+        drop += doomed
+        trace += [(rule, v, key) for v in doomed]
+    return (g.without(drop) if drop else g), tuple(trace)
+
+
 def cvc_kernel_quadratic(g: Graph, k: int) -> KernelInstance:
     """Shrink every false-twin class outside X to at most k+1 vertices."""
     x = two_approx_vc(g)
     if len(x) >= 2 * k + 1:
         return KernelInstance(trivial_no_graph(), k, frozenset(), (), trivial_no=True)
-    h = g
-    trace: List[Tuple[int, int, FrozenSet[int]]] = []
-    for key, members in _lex_classes(g, x):
-        members = sorted(members)
-        while len(members) > k + 1:
-            v = members.pop()
-            h = h.without({v})
-            trace.append((1, v, key))
-    return KernelInstance(h, k, frozenset(x), tuple(trace))
+    h, trace = _prune(g, x, 1, lambda key: k + 1)
+    return KernelInstance(h, k, frozenset(x), trace)
 
 
 def capvc_kernel(cg: CapacitatedGraph, k: int) -> KernelInstance:
@@ -83,20 +110,8 @@ def capvc_kernel(cg: CapacitatedGraph, k: int) -> KernelInstance:
         return KernelInstance(CapacitatedGraph(no, {v: 0 for v in no.vertices}),
                               k, frozenset(), (), trivial_no=True)
     caps = dict(cg.cap)
-    h = g
-    trace: List[Tuple[int, int, FrozenSet[int]]] = []
-    for key, members in _lex_classes(g, x):
-        members = set(members)
-        while len(members) > k + 1:
-            # minimum current capacity, ties to the largest id
-            s = min(members, key=lambda m: (caps[m], -m))
-            for nb in h.adj[s]:
-                caps[nb] -= 1
-            h = h.without({s})
-            del caps[s]
-            members.remove(s)
-            trace.append((2, s, key))
-    return KernelInstance(CapacitatedGraph(h, caps), k, frozenset(x), tuple(trace))
+    h, trace = _prune(g, x, 2, lambda key: k + 1, caps)
+    return KernelInstance(CapacitatedGraph(h, caps), k, frozenset(x), trace)
 
 
 def cvc_kernel_improved(g: Graph, k: int) -> KernelInstance:
@@ -117,19 +132,10 @@ def cvc_kernel_improved(g: Graph, k: int) -> KernelInstance:
         return KernelInstance(trivial_no_graph(), k, frozenset(), (), trivial_no=True)
     xb = {v for v in x if len(h.adj[v] - x) >= k + 1}
     xs = x - xb
-    out = h
-    trace: List[Tuple[int, int, FrozenSet[int]]] = []
-    for key, members in _lex_classes(h, x):
-        x_i = key & xs
-        if not x_i:
-            continue
-        members = sorted(members)
-        while len(members) >= len(x_i) + 2:
-            v = members.pop()
-            out = out.without({v})
-            trace.append((3, v, key))
+    # classes whose trace misses X^s are never trimmed: no class exceeds h.n
+    out, trace = _prune(h, x, 3, lambda key: len(key & xs) + 1 if key & xs else h.n)
     _check_size_accounting(out, x, xs, k)
-    return KernelInstance(out, k, frozenset(x), tuple(trace))
+    return KernelInstance(out, k, frozenset(x), trace)
 
 
 def _check_size_accounting(out: Graph, x: Set[int], xs: Set[int], k: int) -> None:

@@ -10,6 +10,13 @@ with at least two vertices the maximal modular partition is
     the quotient is prime (only trivial modules) and all-red edges play
     no role since distinct maximal modules see each other homogeneously.
 
+In the last case the maximal proper modules are read off pairwise.  When
+G and its complement are both connected, a module that is not V lies in
+exactly one maximal proper module, and these partition V (Gallai).  So u
+and v share a class exactly when the smallest module holding both is not
+V: with v the least vertex not yet placed, its class is v together with
+every unplaced u whose closure with v stops short of V.
+
 Width composes over this partition: the width of G is the larger of the
 quotient's width and the worst width among the parts.
 """
@@ -34,28 +41,18 @@ class ModularPartition:
 
 
 def _closure(g: Graph, seed: Set[int]) -> Set[int]:
-    """Smallest module containing seed: repeatedly absorb splitters."""
+    """Smallest module containing seed.
+
+    Each round absorbs every splitter at once (a vertex seeing some but
+    not all of the set): any module holding the set must hold them too.
+    """
     mod = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for w in g.vertices - mod:
-            inter = g.adj[w] & mod
-            if inter and inter != mod:
-                mod.add(w)
-                changed = True
-                break
-    return mod
-
-
-def _maximal_proper_module(g: Graph, v: int) -> Set[int]:
-    """Largest module containing v that is not all of V (may be {v})."""
-    best = {v}
-    for u in sorted(g.vertices - {v}):
-        cand = _closure(g, best | {u})
-        if cand != g.vertices:
-            best = cand
-    return best
+    while True:
+        size = len(mod)
+        splitters = {w for w in g.vertices - mod if 0 < len(g.adj[w] & mod) < size}
+        if not splitters:
+            return mod
+        mod |= splitters
 
 
 def maximal_modular_partition(g: Graph) -> ModularPartition:
@@ -70,19 +67,20 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
         parts = tuple(frozenset(c) for c in sorted(cocomps, key=min))
         return ModularPartition(parts, "cocomponents")
 
-    # both connected: grow a maximal proper module from each uncovered vertex
+    # both connected: the class of v holds every u whose closure with v is proper
     parts_list: List[Set[int]] = []
     covered: Set[int] = set()
-    for v in sorted(g.vertices):
-        if v in covered:
-            continue
-        m = _maximal_proper_module(g, v)
+    rest = set(g.vertices)
+    while rest:
+        v = min(rest)
+        m = {v} | {u for u in rest - {v} if _closure(g, {u, v}) != g.vertices}
         if not is_module(g, m):
             raise AssertionError("grown set is not a module")
         if m & covered:
             raise AssertionError("maximal modules overlapped")
         parts_list.append(m)
         covered |= m
+        rest -= m
     if covered != g.vertices:
         raise AssertionError("maximal modules do not cover the graph")
     parts = tuple(frozenset(p) for p in sorted(parts_list, key=min))

@@ -171,14 +171,6 @@ class Trigraph:
     def neighbors(self, v: int) -> Set[int]:
         return self.black[v] | self.red[v]
 
-    def red_degree(self, v: int) -> int:
-        return len(self.red[v])
-
-    def max_red_degree(self) -> int:
-        if not self.vertices:
-            return 0
-        return max(len(self.red[v]) for v in self.vertices)
-
     def red_edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u in sorted(self.red) for v in sorted(self.red[u]) if u < v]
 
@@ -243,16 +235,6 @@ class Trigraph:
         vertices.add(z)
         return self
 
-    def induced(self, keep: Iterable[int]) -> "Trigraph":
-        keep = set(keep)
-        if not keep <= self.vertices:
-            raise ValueError("induced set is not a subset of the vertices")
-        return Trigraph(
-            keep,
-            [(u, v) for u, v in self.black_edges() if u in keep and v in keep],
-            [(u, v) for u, v in self.red_edges() if u in keep and v in keep],
-        )
-
     def __repr__(self) -> str:
         nb = sum(len(s) for s in self.black.values()) // 2
         nr = sum(len(s) for s in self.red.values()) // 2
@@ -269,21 +251,12 @@ def contract(t: Trigraph, u: int, v: int, z: Optional[int] = None) -> Trigraph:
     return t.copy().contract_inplace(u, v, z)
 
 
-def is_module(g: Graph, s: Iterable[int], relative_to: Optional[Iterable[int]] = None) -> bool:
-    """True when every outside vertex sees all of s or none of s.
-
-    relative_to restricts which outside vertices are examined.
-    """
+def is_module(g: Graph, s: Iterable[int]) -> bool:
+    """True when every outside vertex sees all of s or none of s."""
     s = set(s)
     if not s <= g.vertices:
         raise ValueError("module candidate is not a subset of the vertices")
-    if relative_to is not None:
-        outside = set(relative_to)
-        if outside & s:
-            raise ValueError("relative_to overlaps the candidate module")
-    else:
-        outside = g.vertices - s
-    for w in outside:
+    for w in g.vertices - s:
         inter = g.adj[w] & s
         if inter and inter != s:
             return False
@@ -309,19 +282,23 @@ def quotient(g: Graph, parts: List[Set[int]]) -> Trigraph:
     Between two classes the edge is black when the bipartite link is
     complete, absent when it is empty, red otherwise.  The result does
     not depend on any contraction order.  Class i becomes vertex i+1.
+    One pass over the edges counts the links between each pair of
+    classes.
     """
-    validate_partition(g.vertices, [set(p) for p in parts])
-    k = len(parts)
     sets = [set(p) for p in parts]
+    validate_partition(g.vertices, sets)
+    owner = {v: i for i, p in enumerate(sets) for v in p}
+    links: Dict[Tuple[int, int], int] = {}
+    for u, i in owner.items():
+        for w in g.adj[u]:
+            j = owner[w]
+            if i < j:
+                links[i, j] = links.get((i, j), 0) + 1
     black = []
     red = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            cnt = sum(len(g.adj[x] & sets[j]) for x in sets[i])
-            if cnt == 0:
-                continue
-            if cnt == len(sets[i]) * len(sets[j]):
-                black.append((i + 1, j + 1))
-            else:
-                red.append((i + 1, j + 1))
-    return Trigraph(range(1, k + 1), black, red)
+    for (i, j), cnt in sorted(links.items()):
+        if cnt == len(sets[i]) * len(sets[j]):
+            black.append((i + 1, j + 1))
+        else:
+            red.append((i + 1, j + 1))
+    return Trigraph(range(1, len(sets) + 1), black, red)

@@ -1,10 +1,12 @@
 """Kernelization rules: worked examples, fixpoints, and safeness."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 
+import kernel_reference as reference
 import twinwidth
 from twinwidth.trigraph import Graph
 from twinwidth.modular import trace_classes
@@ -188,3 +190,39 @@ def test_size_accounting_survives_optimize_flag():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert "AssertionError: rule 3 fixpoint violated" in proc.stderr
+
+
+def _twin_rich(rng):
+    """A few hubs and many leaves drawn from a small pool of hub sets,
+    so the trace classes outside the cover are large."""
+    hubs = rng.randint(1, 4)
+    n = hubs + rng.randint(3, 14)
+    edges = [e for e in itertools.combinations(range(1, hubs + 1), 2) if rng.random() < 0.5]
+    pool = [[h for h in range(1, hubs + 1) if rng.random() < 0.5] for _ in range(3)]
+    for leaf in range(hubs + 1, n + 1):
+        edges += [(h, leaf) for h in rng.choice(pool)]
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return Graph(labels, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+
+
+def test_kernels_match_reference_on_twin_rich_graphs():
+    rng = random.Random(9091)
+    cases = 0
+    multi = {1: 0, 2: 0, 3: 0}  # per rule, kernels that deleted two or more
+    for _ in range(300):
+        g = _twin_rich(rng)
+        cg = CapacitatedGraph(g, {v: rng.randint(-1, 4) for v in sorted(g.vertices)})
+        for k in range(8):
+            pairs = [(cvc_kernel_quadratic(g, k), reference.cvc_kernel_quadratic(g, k)),
+                     (cvc_kernel_improved(g, k), reference.cvc_kernel_improved(g, k)),
+                     (capvc_kernel(cg, k), reference.capvc_kernel(cg, k))]
+            for ker, ref in pairs:
+                assert ker == ref, (k, sorted(g.edges()), cg.cap)
+                if len(ker.trace) >= 2:
+                    multi[ker.trace[0][0]] += 1
+                cases += 1
+            cap, ref_cap = pairs[2][0].graph.cap, pairs[2][1].graph.cap
+            assert list(cap.items()) == list(ref_cap.items())
+    assert cases == 7200
+    assert min(multi.values()) >= 100, multi

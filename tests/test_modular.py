@@ -1,9 +1,15 @@
 """Modular decomposition and quotients."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import modular_reference as reference
+import twinwidth
 from twinwidth.trigraph import Graph, is_module, quotient
 from twinwidth.modular import (
     ModularPartition,
@@ -104,3 +110,94 @@ def test_parts_are_modules_on_random_graphs():
         assert seen == g.vertices
         if mp.kind == "maximal" and not mp.is_trivial:
             assert quotient(g, mp.parts).red_edges() == []
+
+
+def _all_graphs(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(range(1, n + 1), [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def _same_partition(g):
+    if g.n <= 1:
+        with pytest.raises(ValueError):
+            maximal_modular_partition(g)
+        with pytest.raises(ValueError):
+            reference.maximal_modular_partition(g)
+        return
+    assert maximal_modular_partition(g) == reference.maximal_modular_partition(g), \
+        sorted(g.edges())
+
+
+def test_partition_matches_reference_on_small_and_random_graphs():
+    count = 0
+    for n in range(1, 6):
+        for g in _all_graphs(n):
+            _same_partition(g)
+            count += 1
+    assert count == 1 + 2 + 8 + 64 + 1024
+    rng = random.Random(7707)
+    for _ in range(400):
+        n = rng.randint(6, 12)
+        density = rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < density]
+        _same_partition(Graph(range(1, n + 1), edges))
+
+
+# prime skeletons: every class of a graph substituted into one is a
+# maximal proper module, so the prime branch gets classes of any size
+SKELETONS = {
+    "P4": (4, [(1, 2), (2, 3), (3, 4)]),
+    "C5": (5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)]),
+    "bull": (5, [(1, 2), (2, 3), (1, 3), (1, 4), (2, 5)]),
+}
+
+
+def _substituted(rng, size, skeleton_edges):
+    """Random graphs of 1..4 vertices put in place of the skeleton's
+    vertices, under a random labelling; returns the graph and its blocks."""
+    sizes = [rng.randint(1, 4) for _ in range(size)]
+    labels = list(range(1, sum(sizes) + 1))
+    rng.shuffle(labels)
+    blocks, at = [], 0
+    for s in sizes:
+        blocks.append(labels[at:at + s])
+        at += s
+    edges = []
+    for block in blocks:
+        edges += [e for e in itertools.combinations(block, 2) if rng.random() < 0.5]
+    for a, b in skeleton_edges:
+        edges += [(u, v) for u in blocks[a - 1] for v in blocks[b - 1]]
+    return Graph(labels, edges), {frozenset(b) for b in blocks}
+
+
+def test_partition_matches_reference_on_substituted_prime_graphs():
+    rng = random.Random(5150)
+    big = 0
+    for name, (size, skeleton_edges) in sorted(SKELETONS.items()):
+        for _ in range(100):
+            g, blocks = _substituted(rng, size, skeleton_edges)
+            mp = maximal_modular_partition(g)
+            assert mp.kind == "maximal", name
+            assert set(mp.parts) == blocks, name
+            assert mp == reference.maximal_modular_partition(g)
+            big += not mp.is_trivial
+    assert big >= 250  # the prime branch really saw classes above one vertex
+
+
+def test_module_check_survives_optimize_flag():
+    # on the prime P4 a closure that stops at {1, 3} puts 1 and 3 in one
+    # class, which 4 splits; the check must fire when asserts are stripped
+    script = (
+        "from twinwidth import modular\n"
+        "from twinwidth.trigraph import Graph\n"
+        "modular._closure = lambda g, seed: set(seed) if seed == {1, 3} else set(g.vertices)\n"
+        "modular.maximal_modular_partition(Graph.path(4))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "AssertionError: grown set is not a module" in proc.stderr

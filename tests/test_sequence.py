@@ -138,7 +138,8 @@ def test_incremental_width_matches_full_recompute():
         seq = _random_full_sequence(rng, n)
         rep = verify(g, seq)
         # from-scratch maximum over every replayed state
-        widths = [t.max_red_degree() for t in replay(g, seq)]
+        widths = [max((len(t.red[v]) for v in t.vertices), default=0)
+                  for t in replay(g, seq)]
         assert rep.width == max(widths)
         assert rep.argmax_step == widths.index(rep.width) - 1
 
