@@ -63,8 +63,8 @@ def make_dummy(budget: int, p: int, q: int) -> AnnotatedInstance:
     parts = tuple(frozenset((2 * j + 1, 2 * j + 2)) for j in range(budget))
     cyc = hamiltonian_cycle(p, q)
     eta = {j: cyc[j] for j in range(budget)}
-    steps = [(2 * budget + j + 1, 2 * j + 1, 2 * j + 2) for j in range(budget)]
-    witness = ContractionSequence(2 * budget, steps)
+    witness = ContractionSequence.from_merges(
+        2 * budget, [(2 * j + 1, 2 * j + 2) for j in range(budget)])
     return AnnotatedInstance(g, parts, p, q, eta, witness)
 
 
@@ -181,37 +181,23 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
                         edges.append((u, v))
     h = Graph(range(1, n_h + 1), edges)
 
-    steps: List[Tuple[int, int, int]] = []
-
-    def fresh() -> int:
-        return n_h + len(steps) + 1
-
-    # stage 1: each row's own witness, vertices shifted, fresh ids global
-    reps: List[Dict[int, int]] = []  # per row: column -> contracted id
+    # stage 1: each row's own witness, vertices shifted; a part's bag
+    # is labelled by its smallest global vertex
+    pairs: List[Tuple[int, int]] = []
+    reps: List[Dict[int, int]] = []  # per row: column -> bag label
     for i, inst in enumerate(all_rows):
         off = offsets[i]
-        local = {}
-        for z, u, v in inst.witness.steps:
-            gu = local.get(u, off + u if u <= inst.graph.n else None)
-            gv = local.get(v, off + v if v <= inst.graph.n else None)
-            gz = fresh()
-            steps.append((gz, gu, gv))
-            local[z] = gz
-        bag_id = {bag: v for v, bag in inst.witness.final_bags().items()}
-        row_rep = {}
-        for j, part in enumerate(inst.parts):
-            v = bag_id[part]
-            gid = local.get(v, offsets[i] + v if v <= inst.graph.n else None)
-            row_rep[point_col[inst.eta[j]]] = gid
-        reps.append(row_rep)
+        pairs += [(off + a, off + b) for a, b in inst.witness.merges()]
+        reps.append({point_col[inst.eta[j]]: off + min(part)
+                     for j, part in enumerate(inst.parts)})
 
-    # stage 2: fold rows into the bottom grid, fixed order, degree audit
+    # stage 2: fold rows into the bottom grid, fixed order, degree audit;
+    # row 0 has the smallest ids, so its labels name the folded bags
     order = stage2_order(p, q)
     sg = snaking_grid(p, q)
     aug = augmented_snaking_grid(p, q)
     pos = {v: pt for pt, v in sg.vertex_at.items()}
     neighbors = {pt: {pos[w] for w in aug.adj[v]} for pt, v in sg.vertex_at.items()}
-    cur = dict(reps[0])
     for deeper in reps[1:]:
         done: Set[Point] = set()
         for pt in order:
@@ -221,17 +207,16 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
                 raise AssertionError("degree audit failed at %r: C=%d P=%d"
                                      % (pt, contracted, pending))
             col = point_col[pt]
-            gz = fresh()
-            steps.append((gz, cur[col], deeper[col]))
-            cur[col] = gz
+            pairs.append((reps[0][col], deeper[col]))
             done.add(pt)
 
     # stage 3: the single remaining grid collapses like a red grid
-    partial = ContractionSequence(n_h, steps)
+    partial = ContractionSequence.from_merges(n_h, pairs)
     t_fin = final_trigraph(h, partial)
-    embedding = {cur[point_col[pt]]: pt for pt in sg.vertex_at}
-    tail = grid_subdivision_collapse(t_fin, embedding, n=n_h, prior=len(steps))
-    witness = ContractionSequence(n_h, steps + list(tail.steps))
+    vertex = {min(bag): v for v, bag in partial.final_bags().items()}
+    embedding = {vertex[reps[0][point_col[pt]]]: pt for pt in sg.vertex_at}
+    tail = grid_subdivision_collapse(t_fin, embedding, n=n_h, prior=len(pairs))
+    witness = ContractionSequence(n_h, partial.steps + tail.steps)
     if not witness.is_full:
         raise AssertionError("composed witness is not a full sequence")
 

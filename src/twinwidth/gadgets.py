@@ -159,24 +159,11 @@ def halfgraph_cycle(layers: int, height: int) -> Tuple[Graph, ContractionSequenc
                 edges.append((vid(p, i), vid(np_, j)))
     g = Graph(range(1, n + 1), edges)
 
-    steps = []
-    z = n + 1
-    # stacks of remaining ids per layer, lowest first
-    stacks = [[vid(p, i) for i in range(1, height + 1)] for p in range(layers)]
-    for _ in range(height - 1):
-        for p in range(layers):
-            a = stacks[p].pop(0)
-            b = stacks[p].pop(0)
-            steps.append((z, a, b))
-            stacks[p].insert(0, z)
-            z += 1
-    ring = [stacks[p][0] for p in range(layers)]
-    acc = ring[0]
-    for other in ring[1:]:
-        steps.append((z, acc, other))
-        acc = z
-        z += 1
-    return g, ContractionSequence(n, steps)
+    # each layer's bag is labelled by its lowest vertex, vid(p, 1)
+    sweeps = [(vid(p, 1), vid(p, i))
+              for i in range(2, height + 1) for p in range(layers)]
+    ring = [(vid(0, 1), vid(p, 1)) for p in range(1, layers)]
+    return g, ContractionSequence.from_merges(n, sweeps + ring)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +186,9 @@ def grid_subdivision_collapse(
 
     n/prior allow emitting a suffix that continues an ongoing sequence
     over a larger graph; by default the trigraph is taken as fresh.
+    Each cell holds the label of its bag, the smallest vertex of t
+    merged into it, and ContractionSequence.from_merges numbers the
+    fresh ids.
     """
     if set(embedding) != t.vertices:
         raise ValueError("embedding must cover exactly the vertices")
@@ -223,11 +213,9 @@ def grid_subdivision_collapse(
     rows = max((r for r, _ in occupied), default=1)
     cols = max((c for _, c in occupied), default=1)
 
-    steps = []
-    z = n + prior + 1
+    pairs = []
 
     def merge(src: Point, dst: Point) -> None:
-        nonlocal z
         a = occupied.pop(src, None)
         if a is None:
             return
@@ -235,16 +223,15 @@ def grid_subdivision_collapse(
         if b is None:
             occupied[dst] = a
             return
-        steps.append((z, a, b))
-        occupied[dst] = z
-        z += 1
+        pairs.append((a, b))
+        occupied[dst] = min(a, b)
 
     for c in range(1, cols):
         for r in range(rows, 0, -1):
             merge((r, c), (r, c + 1))
     for r in range(rows, 1, -1):
         merge((r, cols), (r - 1, cols))
-    return ContractionSequence(n, steps, prior)
+    return ContractionSequence.from_merges(n, pairs, prior)
 
 
 # ---------------------------------------------------------------------------
@@ -566,19 +553,14 @@ def _quotient_witness(g: Graph, occ: Dict[Point, PlacedGadget],
     initial triangles and clause pairs; junction gadgets last, when
     their three wire neighbors are single vertices already.
     """
-    steps: List[Tuple[int, int, int]] = []
-    z = g.n + 1
-    live: Dict[Point, int] = {}
+    pairs: List[Tuple[int, int]] = []
 
     def fold(pt: Point, names: Sequence[str]) -> None:
-        nonlocal z
         mem = occ[pt].members
         acc = mem[names[0]]
         for name in names[1:]:
-            steps.append((z, acc, mem[name]))
-            acc = z
-            z += 1
-        live[pt] = acc
+            pairs.append((acc, mem[name]))
+            acc = min(acc, mem[name])
 
     def wire_neighbors(pt: Point) -> int:
         gadget = occ[pt]
@@ -597,7 +579,7 @@ def _quotient_witness(g: Graph, occ: Dict[Point, PlacedGadget],
             if wire_neighbors(pt) != 3:
                 raise AssertionError("wire gadget with too many neighbors")
             fold(pt, ("top", "d", "t", "bot", "f"))
-    return ContractionSequence(g.n, steps)
+    return ContractionSequence.from_merges(g.n, pairs)
 
 
 def lift_assignment(red: ReducedFormula, assignment: Dict[int, bool]) -> Set[int]:

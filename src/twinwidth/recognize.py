@@ -12,8 +12,8 @@ one red edge in every intermediate trigraph, so the driver never needs
 to branch after the initial guess.
 
 Plans are built as (label, label) merge pairs, where a bag is labelled
-by its smallest original vertex, and materialized into a single
-contraction sequence at the end.
+by its smallest original vertex, and ContractionSequence.from_merges
+numbers their fresh ids at the end.
 """
 
 from __future__ import annotations
@@ -35,20 +35,6 @@ class RecognitionResult:
 
 class _TooWide(Exception):
     pass
-
-
-def _materialize(n: int, pairs: List[Tuple[int, int]]) -> ContractionSequence:
-    """Turn merge pairs over bag labels into numbered steps."""
-    cur = {v: v for v in range(1, n + 1)}
-    steps = []
-    z = n + 1
-    for a, b in pairs:
-        steps.append((z, cur[a], cur[b]))
-        keep, drop = min(a, b), max(a, b)
-        cur[keep] = z
-        del cur[drop]
-        z += 1
-    return ContractionSequence(n, steps)
 
 
 def _plan(g: Graph, prime: Callable[[Graph], List[Tuple[int, int]]]) -> List[Tuple[int, int]]:
@@ -88,7 +74,7 @@ def recognize_tww0(g: Graph) -> RecognitionResult:
         pairs = _plan(g, _no_prime)
     except _TooWide:
         return RecognitionResult("above0")
-    return RecognitionResult("tww0", _materialize(g.n, pairs))
+    return RecognitionResult("tww0", ContractionSequence.from_merges(g.n, pairs))
 
 
 def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
@@ -164,7 +150,7 @@ def recognize_tww1(g: Graph) -> RecognitionResult:
         pairs = _plan(g, _plan_prime)
     except _TooWide:
         return RecognitionResult("above1")
-    seq = _materialize(g.n, pairs)
+    seq = ContractionSequence.from_merges(g.n, pairs)
     for t in replay(g, seq):
         if len(t.red_edges()) > 1:
             raise AssertionError("recognition produced a bad witness")

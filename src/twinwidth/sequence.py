@@ -8,6 +8,13 @@ vertex; shorter sequences are partial and are the currency of the
 composition machinery, which reads their final bags off the steps
 (final_bags) instead of replaying them.
 
+Builders do not number fresh ids themselves: they list merges of bags
+named by labels, and from_merges numbers the steps.  A label is a
+vertex a bag started from; a merged bag keeps the smaller of its two
+labels, and a label never merged is its own vertex.  From scratch a
+bag's label is therefore its smallest original vertex.  merges() is
+the inverse, so this module is the only place that numbers fresh ids.
+
 walk() is the single replay loop: replay, verify, final_trigraph and
 the dynamic programming all read their states from it.  It copies the
 start once, at the first step, and contracts that private copy in
@@ -67,6 +74,34 @@ class ContractionSequence:
             if u == v or u in retired or v in retired or not 1 <= u < z or not 1 <= v < z:
                 raise ValueError("step %d contracts (%d, %d) which are not two live vertices" % (i, u, v))
             retired |= {u, v}
+
+    @classmethod
+    def from_merges(cls, n: int, pairs, prior: int = 0) -> "ContractionSequence":
+        """Number the merges (a, b) of bags labelled a and b as steps.
+
+        A dead or repeated label yields a retired id, which the step
+        validation rejects.
+        """
+        cur: Dict[int, int] = {}  # label of a merged bag -> its vertex
+        steps = []
+        for z, (a, b) in enumerate(pairs, start=n + prior + 1):
+            steps.append((z, cur.pop(a, a), cur.pop(b, b)))
+            cur[min(a, b)] = z
+        return cls(n, steps, prior)
+
+    def merges(self) -> List[Tuple[int, int]]:
+        """The steps as label merges, the inverse of from_merges.
+
+        A label is a vertex of the starting trigraph, so from scratch
+        it is the smallest original vertex of its bag.
+        """
+        label: Dict[int, int] = {}  # vertex of a merged bag -> its label
+        pairs = []
+        for z, u, v in self.steps:
+            a, b = label.pop(u, u), label.pop(v, v)
+            pairs.append((a, b))
+            label[z] = min(a, b)
+        return pairs
 
     @property
     def is_full(self) -> bool:

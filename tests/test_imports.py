@@ -70,6 +70,24 @@ def test_scan_finds_forbidden_oracle_import():
                                         "modular", "recognize"}
 
 
+# label merges are how recognition and the builders write witnesses, so
+# the oracle numbers its own fresh ids instead of sharing that code
+ORACLE_FORBIDDEN_ATTRS = {"from_merges", "merges"}
+
+
+def _attributes_used(source: str):
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
+def test_scan_finds_forbidden_oracle_attribute():
+    source = ("seq = ContractionSequence.from_merges(n, pairs)\n"
+              "pairs = witness.merges()\nstates = replay(g, seq)\n")
+    assert _attributes_used(source) & ORACLE_FORBIDDEN_ATTRS == {"from_merges", "merges"}
+
+
 def test_oracle_imports_only_graphs_and_sequences():
     with open(os.path.join(PACKAGE, "oracle.py"), encoding="utf-8") as fh:
-        assert _package_imports(fh.read()) <= ORACLE_ALLOWED
+        source = fh.read()
+    assert _package_imports(source) <= ORACLE_ALLOWED
+    assert _attributes_used(source) & ORACLE_FORBIDDEN_ATTRS == set()

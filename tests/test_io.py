@@ -1,10 +1,12 @@
 """Round-trip and diagnostic tests for the plain-text file formats."""
 
+import hashlib
 import random
 
 import pytest
 
 from twinwidth import io
+from twinwidth.compose import make_dummy, or_cross_compose
 from twinwidth.trigraph import Graph
 from twinwidth.sequence import ContractionSequence
 from twinwidth.gadgets import (LayoutClause, LayoutFormula, halfgraph_cycle,
@@ -198,6 +200,29 @@ class TestDeterminism:
         g, s = halfgraph_cycle(4, 3)
         assert io.write_graph(g) == io.write_graph(halfgraph_cycle(4, 3)[0])
         assert io.write_sequence(s) == io.write_sequence(halfgraph_cycle(4, 3)[1])
+
+    def test_witness_bytes_are_frozen(self):
+        # sha256 of the witnesses as the builders wrote them before fresh
+        # ids moved behind ContractionSequence.from_merges
+        f3 = LayoutFormula(4, [LayoutClause("+", 1, (-1, 3, 4)),
+                               LayoutClause("-", 1, (1, 2, 4))])
+        f4 = LayoutFormula(4, [LayoutClause("+", 1, (2, 3, 4)),
+                               LayoutClause("+", 2, (1, 2, 4))])
+        inst3, inst4 = reduce_3sat(f3).instance, reduce_3sat(f4).instance
+        witnesses = {
+            "halfgraph_cycle": halfgraph_cycle(4, 3)[1],
+            "make_dummy": make_dummy(16, 2, 2).witness,
+            "reduce_3sat": inst3.witness,
+            "or_cross_compose": or_cross_compose([inst3, inst4]).witness,
+        }
+        digests = {name: hashlib.sha256(io.write_sequence(seq).encode()).hexdigest()
+                   for name, seq in witnesses.items()}
+        assert digests == {
+            "halfgraph_cycle": "29a17feabc9893d0c5fb57fa3eef180f167f1d52cacaea042d732196a57b79c4",
+            "make_dummy": "6ef57f750f4d114a9cb168c0d4f0efd29f30c0b562f29c0fb63b157e8a965e0f",
+            "reduce_3sat": "a1d8da912981e1de2d30297484f6f6974563a3227b166eb990e8d3db31bd981f",
+            "or_cross_compose": "ec281d5f48f6f7000d7fa77577f36ac18b33def65d54c141e8c79cd95231cc14",
+        }
 
 
 class TestFuzz:

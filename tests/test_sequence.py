@@ -1,5 +1,6 @@
-"""Sequence validation, replay, and width measurement."""
+"""Sequence validation, label merges, replay, and width measurement."""
 
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,12 @@ from twinwidth.sequence import (
     verify,
     walk,
 )
+from twinwidth.recognize import recognize_tww1
+from twinwidth.gadgets import LayoutClause, LayoutFormula, halfgraph_cycle, reduce_3sat
+from twinwidth.compose import or_cross_compose
+from twinwidth.oracle import exact_twinwidth
+
+from gen_tww1 import random_tww1
 
 
 def test_fresh_id_discipline():
@@ -25,6 +32,26 @@ def test_fresh_id_discipline():
         ContractionSequence(4, [(5, 1, 2), (6, 1, 3)])  # 1 already gone
     with pytest.raises(ValueError):
         ContractionSequence(0, [])
+
+
+def test_from_merges_numbers_label_merges():
+    # the merged bag keeps the smaller label; an unmerged label is its vertex
+    seq = ContractionSequence.from_merges(4, [(3, 4), (1, 2), (1, 3)])
+    assert seq == ContractionSequence(4, [(5, 3, 4), (6, 1, 2), (7, 6, 5)])
+    assert seq.merges() == [(3, 4), (1, 2), (1, 3)]
+    assert ContractionSequence.from_merges(4, [(4, 3)]).steps == ((5, 4, 3),)
+    # a suffix numbers from n + prior + 1 and labels its starting vertices
+    tail = ContractionSequence.from_merges(5, [(7, 4), (4, 5)], prior=2)
+    assert tail == ContractionSequence(5, [(8, 7, 4), (9, 8, 5)], prior=2)
+    assert tail.merges() == [(7, 4), (4, 5)]
+
+
+@pytest.mark.parametrize("pairs", [[(1, 2), (2, 3)],  # 2 was merged away
+                                   [(1, 1)],
+                                   [(1, 2), (1, 2)]])
+def test_from_merges_rejects_dead_labels(pairs):
+    with pytest.raises(ValueError, match="not two live vertices"):
+        ContractionSequence.from_merges(4, pairs)
 
 
 def test_is_full_and_prefix():
@@ -255,3 +282,49 @@ def test_walk_copies_once(monkeypatch):
     assert calls == [n + 1, n + 1]
     verify(g, ContractionSequence(n, []))
     assert calls == [n + 1, n + 1]
+
+
+def assert_merges_round_trip(seq):
+    """from_merges inverts merges(); from scratch the labels that no
+    merge retires are the smallest vertices of the final bags."""
+    assert ContractionSequence.from_merges(seq.n, seq.merges(), seq.prior) == seq
+    if not seq.prior:
+        retired = {max(pair) for pair in seq.merges()}
+        assert (set(range(1, seq.n + 1)) - retired
+                == {min(bag) for bag in seq.final_bags().values()})
+
+
+def test_merges_round_trip_random_sequences():
+    rng = random.Random(88)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        full = _random_full_sequence(rng, n)
+        k = rng.randint(0, len(full))
+        assert_merges_round_trip(full)
+        assert_merges_round_trip(ContractionSequence(n, full.steps[:k]))
+        assert_merges_round_trip(ContractionSequence(n, full.steps[k:], prior=k))
+    for _ in range(40):
+        assert_merges_round_trip(random_tww1(rng.randint(1, 12), rng)[1])
+
+
+def test_merges_round_trip_recognition_witnesses():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(range(1, n + 1), [e for i, e in enumerate(pairs) if mask >> i & 1])
+            result = recognize_tww1(g)
+            if result.witness is not None:
+                assert_merges_round_trip(result.witness)
+
+
+def test_merges_round_trip_builder_witnesses():
+    for layers, height in ((3, 1), (4, 3), (5, 4)):
+        assert_merges_round_trip(halfgraph_cycle(layers, height)[1])
+    f1 = LayoutFormula(3, [LayoutClause("+", 1, (1, 2, -3))])
+    f2 = LayoutFormula(3, [LayoutClause("-", 1, (1, 2, -3))])
+    instances = [reduce_3sat(f).instance for f in (f1, f2)]
+    for inst in instances:
+        assert_merges_round_trip(inst.witness)
+    assert_merges_round_trip(or_cross_compose(instances).witness)
+    for g in (Graph.path(5), Graph.cycle(6), halfgraph_cycle(3, 2)[0]):
+        assert_merges_round_trip(exact_twinwidth(g)[1])
