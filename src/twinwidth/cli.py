@@ -12,14 +12,14 @@ import sys
 from typing import Optional
 
 from . import io
-from .compose import or_cross_compose
+from .compose import ComposedInstance, or_cross_compose
 from .dpsolve import min_ds_dp, min_vc_dp
 from .gadgets import (augmented_snaking_grid, halfgraph_cycle, reduce_3sat,
                       snaking_grid, validate_instance)
 from .kernel import capvc_kernel, cvc_kernel_improved, cvc_kernel_quadratic
 from .oracle import CapacitatedGraph, exact_twinwidth
 from .recognize import recognize_tww1
-from .sequence import verify
+from .sequence import WidthReport, verify
 from .trigraph import Graph
 
 
@@ -129,14 +129,21 @@ def cmd_reduce3sat(args) -> int:
     return 0
 
 
+def _verify_and_write(composed: ComposedInstance, args) -> WidthReport:
+    """Verify a composition at bound 4 and write the files asked for."""
+    report = verify(composed.graph, composed.witness, bound=4)
+    for path, write, value in ((args.out, io.write_graph, composed.graph),
+                               (args.witness, io.write_sequence, composed.witness),
+                               (args.provenance, io.write_provenance, composed.provenance)):
+        if path:
+            _emit(write(value), path)
+    return report
+
+
 def cmd_compose(args) -> int:
     instances = [io.parse_instance(_read(path)) for path in args.instances]
     composed = or_cross_compose(instances)
-    _emit(io.write_graph(composed.graph), args.out)
-    _emit(io.write_sequence(composed.witness), args.witness)
-    if args.provenance:
-        _emit(io.write_provenance(composed.provenance), args.provenance)
-    report = verify(composed.graph, composed.witness, bound=4)
+    report = _verify_and_write(composed, args)
     print("n %d parts %d width %d" % (composed.graph.n, composed.budget, report.width))
     return 0 if report.ok else 1
 
@@ -164,13 +171,7 @@ def cmd_pipeline(args) -> int:
     instances = [reduce_3sat(io.parse_formula(_read(path))).instance
                  for path in args.formulas]
     composed = or_cross_compose(instances)
-    report = verify(composed.graph, composed.witness, bound=4)
-    if args.out:
-        _emit(io.write_graph(composed.graph), args.out)
-    if args.witness:
-        _emit(io.write_sequence(composed.witness), args.witness)
-    if args.provenance:
-        _emit(io.write_provenance(composed.provenance), args.provenance)
+    report = _verify_and_write(composed, args)
     print("instances %d parts %d n %d width %d"
           % (len(instances), composed.budget, composed.graph.n, report.width))
     return 0 if report.ok else 1

@@ -13,19 +13,22 @@ The witness contracts each class (stage 1, the inputs' own
 witnesses), then repeatedly folds the two bottommost grids into one by
 contracting homologous vertices in a fixed safe order (stage 2), and
 collapses the surviving augmented grid like a grid subdivision
-(stage 3).
+(stage 3).  Stage 2 goes over the fine-grid points in four groups:
+blue (augmented degree two), purple (the other points of degree
+three), orange (row 2, columns 4, 7, ... before the last three), and
+the residual snake bands (rows 3b and 3b + 1 for 0 < b < p - 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .trigraph import Graph
 from .sequence import ContractionSequence, final_trigraph
-from .gadgets import (AnnotatedInstance, Point, fine_dims, hamiltonian_cycle,
-                      augmented_snaking_grid, grid_subdivision_collapse,
-                      snaking_grid, validate_instance)
+from .gadgets import (AnnotatedInstance, Point, augmented_grid, fine_dims,
+                      grid_subdivision_collapse, hamiltonian_cycle,
+                      validate_instance)
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,6 @@ class ComposedInstance:
     graph: Graph
     budget: int
     rows: int
-    columns: Tuple[FrozenSet[int], ...]
     witness: ContractionSequence
     provenance: Dict[int, Tuple[int, int]]  # vertex -> (row, column)
 
@@ -68,65 +70,33 @@ def make_dummy(budget: int, p: int, q: int) -> AnnotatedInstance:
     return AnnotatedInstance(g, parts, p, q, eta, witness)
 
 
-def classify_positions(p: int, q: int) -> Dict[Point, object]:
-    """Stage-2 contraction schedule over augmented-grid positions.
-
-    Values are "blue" (degree two), "purple", "orange", or
-    ("path", rank) for the residual snake bands; colors contract in
-    that order, the bands by ascending rank.
-    """
-    rows, cols = fine_dims(p, q)
-    aug = augmented_snaking_grid(p, q)
-    sg = snaking_grid(p, q)
-    degree = {pt: aug.degree(v) for pt, v in sg.vertex_at.items()}
-
-    out: Dict[Point, object] = {}
-    rank = 0
-    for band in range(1, p - 1):
-        low = 3 * band
-        for c in range(2, cols):
-            pair = (low + 1, low) if c % 2 == 0 else (low, low + 1)
-            for r in pair:
-                rank += 1
-                out[r, c] = ("path", rank)
-    for c in range(4, cols - 2, 3):
-        out[2, c] = "orange"
-    for pt, deg in degree.items():
-        if deg != 3 and (pt in out or deg != 2):
-            raise AssertionError("position %r has degree %d" % (pt, deg))
-        if pt not in out:
-            out[pt] = "blue" if deg == 2 else "purple"
-    return out
-
-
 def stage2_order(p: int, q: int) -> List[Point]:
-    """Positions in contraction order: blue, purple, orange, then bands.
+    """Fine-grid points in contraction order: blue, purple, orange, bands.
 
-    Purple points next to an orange one go after the rest of the purple
-    group: with no band rows present the orange row touches the purple
-    row directly, and such a point must not see both its horizontal
-    partner and the orange point pending at once.
+    Blue and purple points come in row-major order, and the bands row
+    pair by row pair, zig-zagging between the two rows column by
+    column.  Purple points next to an orange one go after the rest of
+    the purple group: with no band rows present the orange row touches
+    the purple row directly, and such a point must not see both its
+    horizontal partner and the orange point pending at once.  Raises
+    AssertionError (also under python -O) unless blue points have
+    augmented degree two and all others three.
     """
-    classes = classify_positions(p, q)
-    aug = augmented_snaking_grid(p, q)
-    at = snaking_grid(p, q).vertex_at
-    pos = {v: pt for pt, v in at.items()}
-    colored = {"blue": [], "purple": [], "orange": []}
-    banded = []
-    for pt, label in classes.items():
-        if isinstance(label, tuple):
-            banded.append((label[1], pt))
-        else:
-            colored[label].append(pt)
-
-    def near_orange(pt: Point) -> bool:
-        return any(classes[pos[w]] == "orange" for w in aug.neighbors(at[pt]))
-
-    order = sorted(colored["blue"])
-    order += sorted(colored["purple"], key=lambda pt: (near_orange(pt), pt))
-    order += sorted(colored["orange"])
-    order += [pt for _, pt in sorted(banded)]
-    return order
+    cols = fine_dims(p, q)[1]
+    nbrs = augmented_grid(p, q)
+    bands = [(r, c) for low in range(3, 3 * p - 3, 3) for c in range(2, cols)
+             for r in ((low + 1, low) if c % 2 == 0 else (low, low + 1))]
+    orange = [(2, c) for c in range(4, cols - 2, 3)]
+    fixed = set(bands) | set(orange)
+    blue: List[Point] = []
+    purple: List[Point] = []
+    for pt, near in nbrs.items():
+        if len(near) != 3 and (pt in fixed or len(near) != 2):
+            raise AssertionError("position %r has degree %d" % (pt, len(near)))
+        if pt not in fixed:
+            (blue if len(near) == 2 else purple).append(pt)
+    purple.sort(key=lambda pt: not nbrs[pt].isdisjoint(orange))
+    return blue + purple + orange + bands
 
 
 def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance:
@@ -151,27 +121,24 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     cyc = hamiltonian_cycle(p, q)
     point_col = {pt: j + 1 for j, pt in enumerate(cyc)}
 
-    # global ids: instance i occupies offset_i + 1 .. offset_i + n_i
-    offsets = []
-    n_h = 0
-    for inst in all_rows:
-        offsets.append(n_h)
-        n_h += inst.graph.n
-
+    # global ids: each row's vertices follow those of the rows above;
+    # stage 1 is each row's own witness, shifted the same way
     provenance: Dict[int, Tuple[int, int]] = {}
     cells: List[Dict[int, Set[int]]] = []  # per row: column -> global ids
     edges: List[Tuple[int, int]] = []
+    pairs: List[Tuple[int, int]] = []
+    n_h = 0
     for i, inst in enumerate(all_rows):
-        off = offsets[i]
-        for u, v in inst.graph.edges():
-            edges.append((off + u, off + v))
+        edges += [(n_h + u, n_h + v) for u, v in inst.graph.edges()]
+        pairs += [(n_h + a, n_h + b) for a, b in inst.witness.merges()]
         row_cells: Dict[int, Set[int]] = {}
         for j, part in enumerate(inst.parts):
             col = point_col[inst.eta[j]]
-            row_cells[col] = {off + v for v in part}
+            row_cells[col] = {n_h + v for v in part}
             for v in part:
-                provenance[off + v] = (i + 1, col)
+                provenance[n_h + v] = (i + 1, col)
         cells.append(row_cells)
+        n_h += inst.graph.n
     for i in range(t1):
         for col in range(1, budget + 1):
             succ = col % budget + 1
@@ -181,46 +148,31 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
                         edges.append((u, v))
     h = Graph(range(1, n_h + 1), edges)
 
-    # stage 1: each row's own witness, vertices shifted; a part's bag
-    # is labelled by its smallest global vertex
-    pairs: List[Tuple[int, int]] = []
-    reps: List[Dict[int, int]] = []  # per row: column -> bag label
-    for i, inst in enumerate(all_rows):
-        off = offsets[i]
-        pairs += [(off + a, off + b) for a, b in inst.witness.merges()]
-        reps.append({point_col[inst.eta[j]]: off + min(part)
-                     for j, part in enumerate(inst.parts)})
-
-    # stage 2: fold rows into the bottom grid, fixed order, degree audit;
-    # row 0 has the smallest ids, so its labels name the folded bags
+    # stage 2: fold rows into the bottom grid in one fixed order, whose
+    # degree audit is the same for every fold; a part's bag is labelled
+    # by its smallest vertex, and row 0's labels name the folded bags
     order = stage2_order(p, q)
-    sg = snaking_grid(p, q)
-    aug = augmented_snaking_grid(p, q)
-    pos = {v: pt for pt, v in sg.vertex_at.items()}
-    neighbors = {pt: {pos[w] for w in aug.adj[v]} for pt, v in sg.vertex_at.items()}
-    for deeper in reps[1:]:
-        done: Set[Point] = set()
-        for pt in order:
-            contracted = len(neighbors[pt] & done)
-            pending = len(neighbors[pt]) - contracted
-            if contracted + 2 * pending > 4:
-                raise AssertionError("degree audit failed at %r: C=%d P=%d"
-                                     % (pt, contracted, pending))
-            col = point_col[pt]
-            pairs.append((reps[0][col], deeper[col]))
-            done.add(pt)
+    nbrs = augmented_grid(p, q)
+    done: Set[Point] = set()
+    for pt in order:
+        contracted = len(nbrs[pt] & done)
+        pending = len(nbrs[pt]) - contracted
+        if contracted + 2 * pending > 4:
+            raise AssertionError("degree audit failed at %r: C=%d P=%d"
+                                 % (pt, contracted, pending))
+        done.add(pt)
+    label = {col: min(cell) for col, cell in cells[0].items()}
+    fold = [point_col[pt] for pt in order]
+    for deeper in cells[1:]:
+        pairs += [(label[col], min(deeper[col])) for col in fold]
 
     # stage 3: the single remaining grid collapses like a red grid
     partial = ContractionSequence.from_merges(n_h, pairs)
     t_fin = final_trigraph(h, partial)
     vertex = {min(bag): v for v, bag in partial.final_bags().items()}
-    embedding = {vertex[reps[0][point_col[pt]]]: pt for pt in sg.vertex_at}
+    embedding = {vertex[label[col]]: pt for pt, col in point_col.items()}
     tail = grid_subdivision_collapse(t_fin, embedding, n=n_h, prior=len(pairs))
     witness = ContractionSequence(n_h, partial.steps + tail.steps)
     if not witness.is_full:
         raise AssertionError("composed witness is not a full sequence")
-
-    columns = tuple(
-        frozenset().union(*(cells[i][col] for i in range(t1 - 1)))
-        for col in range(1, budget + 1))
-    return ComposedInstance(h, budget, t1, columns, witness, provenance)
+    return ComposedInstance(h, budget, t1, witness, provenance)

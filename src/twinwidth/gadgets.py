@@ -120,16 +120,24 @@ def hamiltonian_cycle(p: int, q: int) -> List[Point]:
     return order
 
 
-def augmented_snaking_grid(p: int, q: int) -> Graph:
-    """Union of the snaking grid and the hamiltonian cycle edges."""
+def augmented_grid(p: int, q: int) -> Dict[Point, Set[Point]]:
+    """Each fine point, in row-major order, with its neighbours in the
+    augmented grid: the snaking grid plus the hamiltonian cycle."""
     sg = snaking_grid(p, q)
+    point = {v: pt for pt, v in sg.vertex_at.items()}
+    nbrs = {pt: {point[w] for w in sg.graph.adj[v]} for pt, v in sg.vertex_at.items()}
     cyc = hamiltonian_cycle(p, q)
-    extra = []
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        extra.append((sg.vertex_at[a], sg.vertex_at[b]))
-    merged = set(map(tuple, (sorted(e) for e in sg.graph.edges())))
-    merged |= set(map(tuple, (sorted(e) for e in extra)))
-    return Graph(sg.graph.vertices, merged)
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return nbrs
+
+
+def augmented_snaking_grid(p: int, q: int) -> Graph:
+    """The augmented grid as a graph on the snaking grid's vertex ids."""
+    nbrs = augmented_grid(p, q)
+    vid = {pt: v for v, pt in enumerate(nbrs, start=1)}
+    return Graph(vid.values(), [(vid[a], vid[b]) for a in nbrs for b in nbrs[a]])
 
 
 # ---------------------------------------------------------------------------

@@ -67,24 +67,37 @@ def _endpoints(no: int, tokens: List[str], n: int, what: str) -> Tuple[int, int]
     return (u, v) if u < v else (v, u)
 
 
+def _edge(no: int, tokens: List[str], n: int, edges: Dict[Tuple[int, int], None]) -> None:
+    """Add one edge line's edge to edges, a set that keeps file order."""
+    e = _endpoints(no, tokens[1:], n, "edge")
+    if e in edges:
+        raise ParseError(no, "duplicate edge %d-%d" % e)
+    edges[e] = None
+
+
+def _contract(no: int, tokens: List[str], n: int, steps: List[Tuple[int, int, int]]) -> None:
+    if len(tokens) != 4:
+        raise ParseError(no, "contract wants three vertices")
+    z, u, v = _ints(no, tokens[1:], "contract")
+    expect = n + len(steps) + 1
+    if z != expect:
+        raise ParseError(no, "contract creates %d, expected fresh id %d" % (z, expect))
+    steps.append((z, u, v))
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
 def parse_graph(text: str) -> Tuple[Graph, Dict[int, int]]:
     """Graph plus capacity map (empty when no cap lines are present)."""
     n = None
-    edges: List[Tuple[int, int]] = []
-    seen = set()
+    edges: Dict[Tuple[int, int], None] = {}
     caps: Dict[int, int] = {}
     for no, tokens in _lines(text):
         if n is None:
             n = _header(no, tokens, "graph")
         elif tokens[0] == "edge":
-            e = _endpoints(no, tokens[1:], n, "edge")
-            if e in seen:
-                raise ParseError(no, "duplicate edge %d-%d" % e)
-            seen.add(e)
-            edges.append(e)
+            _edge(no, tokens, n, edges)
         elif tokens[0] == "cap":
             if len(tokens) != 3:
                 raise ParseError(no, "cap wants a vertex and a capacity")
@@ -104,7 +117,7 @@ def parse_graph(text: str) -> Tuple[Graph, Dict[int, int]]:
 def write_graph(g: Graph, caps: Optional[Dict[int, int]] = None) -> str:
     _require_compact(g.vertices)
     out = ["graph %d" % g.n]
-    out += ["edge %d %d" % e for e in sorted(map(tuple, map(sorted, g.edges())))]
+    out += ["edge %d %d" % e for e in g.edges()]
     if caps:
         out += ["cap %d %d" % (v, caps[v]) for v in sorted(caps)]
     return "\n".join(out) + "\n"
@@ -125,13 +138,7 @@ def parse_sequence(text: str) -> ContractionSequence:
         if n is None:
             n = _header(no, tokens, "seq")
         elif tokens[0] == "contract":
-            if len(tokens) != 4:
-                raise ParseError(no, "contract wants three vertices")
-            z, u, v = _ints(no, tokens[1:], "contract")
-            expect = n + len(steps) + 1
-            if z != expect:
-                raise ParseError(no, "contract creates %d, expected fresh id %d" % (z, expect))
-            steps.append((z, u, v))
+            _contract(no, tokens, n, steps)
         else:
             raise ParseError(no, "unknown directive %r in sequence file" % tokens[0])
     if n is None:
@@ -185,8 +192,7 @@ def write_formula(f: LayoutFormula) -> str:
 def parse_instance(text: str) -> AnnotatedInstance:
     """Structural parse; semantic checks live in validate_instance."""
     n = None
-    edges: List[Tuple[int, int]] = []
-    seen_edges = set()
+    edges: Dict[Tuple[int, int], None] = {}
     dims: Optional[Tuple[int, int]] = None
     parts: Dict[int, FrozenSet[int]] = {}
     eta: Dict[int, Tuple[int, int]] = {}
@@ -197,11 +203,7 @@ def parse_instance(text: str) -> AnnotatedInstance:
         if n is None:
             n = _header(no, tokens, "graph")
         elif tokens[0] == "edge":
-            e = _endpoints(no, tokens[1:], n, "edge")
-            if e in seen_edges:
-                raise ParseError(no, "duplicate edge %d-%d" % e)
-            seen_edges.add(e)
-            edges.append(e)
+            _edge(no, tokens, n, edges)
         elif tokens[0] == "dims":
             if dims is not None:
                 raise ParseError(no, "duplicate dims line")
@@ -237,13 +239,7 @@ def parse_instance(text: str) -> AnnotatedInstance:
         elif tokens[0] == "contract":
             if seq_n is None:
                 raise ParseError(no, "contract before the seq header")
-            if len(tokens) != 4:
-                raise ParseError(no, "contract wants three vertices")
-            z, u, v = _ints(no, tokens[1:], "contract")
-            expect = seq_n + len(steps) + 1
-            if z != expect:
-                raise ParseError(no, "contract creates %d, expected fresh id %d" % (z, expect))
-            steps.append((z, u, v))
+            _contract(no, tokens, seq_n, steps)
         else:
             raise ParseError(no, "unknown directive %r in instance file" % tokens[0])
     if n is None:

@@ -9,7 +9,8 @@ as an integer mask against per-vertex adjacency masks built once per
 graph (a cover leaves no edge outside it; connectivity is a bit
 frontier); only covers reach the augmenting-path capacity assignment.
 Sizes are capped; exceeding a cap is an error rather than silent
-slowness.  TWW_SIZE_CAP in the environment overrides every cap at once.
+slowness.  TWW_SIZE_CAP in the environment overrides every cap at once;
+it is the only way to change them.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ TWW_CAP = 12
 SEARCH_CAP = 24
 
 
-def _cap(default: int, override: Optional[int]) -> int:
-    if override is not None:
-        return override
+def _check_size(g: Graph, default: int, what: str) -> None:
     env = os.environ.get("TWW_SIZE_CAP")
-    return int(env) if env else default
+    limit = int(env) if env else default
+    if g.n > limit:
+        raise ValueError("graph has %d vertices, %s cap is %d" % (g.n, what, limit))
 
 
 @dataclass(frozen=True)
@@ -53,15 +54,13 @@ def _part_tables(order: List[int], g: Graph) -> Dict[int, int]:
     return {v: sum(1 << idx[u] for u in g.adj[v]) for v in order}
 
 
-def _check_tww_input(g: Graph, cap: Optional[int]) -> None:
-    limit = _cap(TWW_CAP, cap)
-    if g.n > limit:
-        raise ValueError("graph has %d vertices, twin-width cap is %d" % (g.n, limit))
+def _check_tww_input(g: Graph) -> None:
+    _check_size(g, TWW_CAP, "twin-width")
     if g.vertices != set(range(1, g.n + 1)):
         raise ValueError("twinwidth_at_most needs vertices 1..n; relabel first")
 
 
-def twinwidth_at_most(g: Graph, d: int, cap: Optional[int] = None) -> Optional[ContractionSequence]:
+def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
     """A witness d-sequence for g, or None when tww(g) > d.
 
     Search over vertex-partition states (tuples of bitmasks over the
@@ -70,7 +69,7 @@ def twinwidth_at_most(g: Graph, d: int, cap: Optional[int] = None) -> Optional[C
     witness is deterministic.
     """
     n = g.n
-    _check_tww_input(g, cap)
+    _check_tww_input(g)
     if n == 1:
         return ContractionSequence(1, [])
 
@@ -129,18 +128,18 @@ def twinwidth_at_most(g: Graph, d: int, cap: Optional[int] = None) -> Optional[C
     return ContractionSequence(n, steps)
 
 
-def exact_twinwidth(g: Graph, cap: Optional[int] = None) -> Tuple[int, ContractionSequence]:
+def exact_twinwidth(g: Graph) -> Tuple[int, ContractionSequence]:
     """Exact twin-width with one optimal witness sequence.
 
     Deepening starts at min over u != v of |N(u) xor N(v) - {u, v}|, the
     red degree of the best first contraction: no smaller d succeeds.
     """
-    _check_tww_input(g, cap)
+    _check_tww_input(g)
     adj = _part_tables(list(range(1, g.n + 1)), g)
     lower = min((bin((adj[u] ^ adj[v]) & ~((1 << u - 1) | (1 << v - 1))).count("1")
                  for u, v in itertools.combinations(adj, 2)), default=0)
     for d in range(lower, max(g.n, 1)):
-        seq = twinwidth_at_most(g, d, cap=cap)
+        seq = twinwidth_at_most(g, d)
         if seq is not None:
             return d, seq
     raise AssertionError("unreachable: every graph has an (n-1)-sequence")
@@ -160,7 +159,6 @@ def is_dominating_set(g: Graph, s) -> bool:
 def min_dominating_set(
     g: Graph,
     forced_hit_parts: Optional[Sequence[Set[int]]] = None,
-    cap: Optional[int] = None,
     max_size: Optional[int] = None,
 ) -> Tuple[Optional[int], Optional[FrozenSet[int]]]:
     """Optimum dominating set size and one witness.
@@ -173,9 +171,7 @@ def min_dominating_set(
     """
     if forced_hit_parts is not None:
         return _forced_min_ds(g, forced_hit_parts, max_size)
-    limit = _cap(SEARCH_CAP, cap)
-    if g.n > limit:
-        raise ValueError("graph has %d vertices, search cap is %d" % (g.n, limit))
+    _check_size(g, SEARCH_CAP, "search")
     if g.n == 0:
         return 0, frozenset()
 
@@ -235,9 +231,9 @@ def min_dominating_set(
     return best[0], frozenset(order[i] for i in best_set)
 
 
-def all_min_dominating_sets(g: Graph, cap: Optional[int] = None) -> List[FrozenSet[int]]:
+def all_min_dominating_sets(g: Graph) -> List[FrozenSet[int]]:
     """Every minimum dominating set, enumerated exhaustively."""
-    size, _ = min_dominating_set(g, cap=cap)
+    size, _ = min_dominating_set(g)
     out = []
     for combo in itertools.combinations(sorted(g.vertices), size):
         if is_dominating_set(g, combo):
@@ -374,9 +370,7 @@ def _connected(nbr: Dict[int, int], s: int) -> bool:
     return seen == s
 
 
-def min_connected_vertex_cover(
-    g: Graph, cap: Optional[int] = None
-) -> Optional[Tuple[int, FrozenSet[int]]]:
+def min_connected_vertex_cover(g: Graph) -> Optional[Tuple[int, FrozenSet[int]]]:
     """Optimum connected vertex cover, or None when none exists.
 
     Infeasible exactly when at least two components contain edges: a
@@ -384,9 +378,7 @@ def min_connected_vertex_cover(
     ignored.  Size-ordered subset enumeration with bitmask cover and
     connectivity tests; the first hit in combinations order is returned.
     """
-    limit = _cap(SEARCH_CAP, cap)
-    if g.n > limit:
-        raise ValueError("graph has %d vertices, search cap is %d" % (g.n, limit))
+    _check_size(g, SEARCH_CAP, "search")
     edgeful = [c for c in g.components() if any(g.adj[v] & c for v in c)]
     if len(edgeful) > 1:
         return None
@@ -438,9 +430,7 @@ def capacitated_vc_feasible(cg: CapacitatedGraph, x) -> bool:
     return is_vertex_cover(cg.graph, x) and _assign(cg, list(cg.graph.edges()), x)
 
 
-def min_capacitated_vc(
-    cg: CapacitatedGraph, k: Optional[int] = None, cap: Optional[int] = None
-) -> Optional[FrozenSet[int]]:
+def min_capacitated_vc(cg: CapacitatedGraph, k: Optional[int] = None) -> Optional[FrozenSet[int]]:
     """Smallest capacitated vertex cover of size at most k, or None.
 
     k = None searches all sizes, so the result (if any) is a true
@@ -448,9 +438,7 @@ def min_capacitated_vc(
     assignment runs.
     """
     g = cg.graph
-    limit = _cap(SEARCH_CAP, cap)
-    if g.n > limit:
-        raise ValueError("graph has %d vertices, search cap is %d" % (g.n, limit))
+    _check_size(g, SEARCH_CAP, "search")
     hi = g.n if k is None else min(k, g.n)
     order = sorted(g.vertices)
     nbr = {1 << i: m for i, m in enumerate(_part_tables(order, g).values())}

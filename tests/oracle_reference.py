@@ -3,12 +3,14 @@
 Kept verbatim as the differential reference for twinwidth.oracle:
 size-ordered subset enumeration over sets, with the cover test and the
 augmenting assignment re-run on Graph.edges() for every candidate.
+Only the size check changed with the oracle's: TWW_SIZE_CAP is the
+one override, so neither function takes a per-call cap.
 """
 
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from twinwidth.oracle import SEARCH_CAP, CapacitatedGraph, _cap
+from twinwidth.oracle import SEARCH_CAP, CapacitatedGraph, _check_size
 from twinwidth.trigraph import Graph
 
 
@@ -17,18 +19,14 @@ def is_vertex_cover(g: Graph, s) -> bool:
     return all(u in s or v in s for u, v in g.edges())
 
 
-def min_connected_vertex_cover(
-    g: Graph, cap: Optional[int] = None
-) -> Optional[Tuple[int, FrozenSet[int]]]:
+def min_connected_vertex_cover(g: Graph) -> Optional[Tuple[int, FrozenSet[int]]]:
     """Optimum connected vertex cover, or None when none exists.
 
     Infeasible exactly when at least two components contain edges: a
     connected cover cannot straddle components.  Isolated vertices are
     ignored.  Size-ordered subset enumeration; fine at desk scale.
     """
-    limit = _cap(SEARCH_CAP, cap)
-    if g.n > limit:
-        raise ValueError("graph has %d vertices, search cap is %d" % (g.n, limit))
+    _check_size(g, SEARCH_CAP, "search")
     edgeful = [c for c in g.components() if any(g.adj[v] & c for v in c)]
     if len(edgeful) > 1:
         return None
@@ -92,18 +90,14 @@ def capacitated_vc_feasible(cg: CapacitatedGraph, x) -> bool:
     return True
 
 
-def min_capacitated_vc(
-    cg: CapacitatedGraph, k: Optional[int] = None, cap: Optional[int] = None
-) -> Optional[FrozenSet[int]]:
+def min_capacitated_vc(cg: CapacitatedGraph, k: Optional[int] = None) -> Optional[FrozenSet[int]]:
     """Smallest capacitated vertex cover of size at most k, or None.
 
     k = None searches all sizes, so the result (if any) is a true
     minimum.
     """
     g = cg.graph
-    limit = _cap(SEARCH_CAP, cap)
-    if g.n > limit:
-        raise ValueError("graph has %d vertices, search cap is %d" % (g.n, limit))
+    _check_size(g, SEARCH_CAP, "search")
     hi = g.n if k is None else min(k, g.n)
     order = sorted(g.vertices)
     for size in range(0, hi + 1):

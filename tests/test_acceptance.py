@@ -204,7 +204,6 @@ def test_06_reduction_equivalence():
         size, witness = min_dominating_set(
             inst.graph,
             forced_hit_parts=[set(p) for p in inst.parts],
-            cap=inst.graph.n,
             max_size=n_parts,
         )
         sat = formula_satisfiable(f)
@@ -237,8 +236,7 @@ def test_08_composition_or_semantics():
         composed = or_cross_compose(pair)
         blocks = composed.forced_parts()
         size, _ = min_dominating_set(
-            composed.graph, forced_hit_parts=blocks,
-            cap=composed.graph.n, max_size=composed.budget)
+            composed.graph, forced_hit_parts=blocks, max_size=composed.budget)
         return size is not None
 
     assert positive([yes, no])

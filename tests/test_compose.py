@@ -20,12 +20,13 @@ from twinwidth.gadgets import (
     reduce_3sat,
     validate_instance,
 )
-from twinwidth.compose import (
-    classify_positions,
-    make_dummy,
-    or_cross_compose,
-    stage2_order,
-)
+from twinwidth import compose, gadgets
+from twinwidth.compose import make_dummy, or_cross_compose, stage2_order
+
+import compose_reference as reference
+
+# p in 2..8 and even q in 2..12
+ALL_DIMS = [(p, q) for p in range(2, 9) for q in range(2, 13, 2)]
 
 
 def _singleton_instance(p, q):
@@ -42,13 +43,14 @@ def _singleton_instance(p, q):
     )
 
 
-def test_make_dummy_is_a_no_instance():
+def test_make_dummy_is_a_no_instance(monkeypatch):
     inst = make_dummy(16, 2, 2)
     validate_instance(inst)
     assert inst.graph.n == 32
     assert all(len(part) == 2 for part in inst.parts)
     # every vertex is isolated, so domination needs all of them
-    size, _ = min_dominating_set(inst.graph, cap=32)
+    monkeypatch.setenv("TWW_SIZE_CAP", "32")
+    size, _ = min_dominating_set(inst.graph)
     assert size == 32
     with pytest.raises(ValueError):
         make_dummy(15, 2, 2)
@@ -69,7 +71,7 @@ def test_validate_accepts_parts_in_any_order():
 def test_classify_positions_frozen_counts():
     def hist(p, q):
         return Counter(v if isinstance(v, str) else "path"
-                       for v in classify_positions(p, q).values())
+                       for v in reference.classify_positions(p, q).values())
 
     assert hist(2, 2) == {"blue": 14, "purple": 2}
     assert hist(2, 4) == {"blue": 28, "purple": 10, "orange": 2}
@@ -78,7 +80,7 @@ def test_classify_positions_frozen_counts():
 
 def test_stage2_order_is_a_permutation_by_class():
     for p, q in [(2, 2), (2, 4), (3, 4)]:
-        classes = classify_positions(p, q)
+        classes = reference.classify_positions(p, q)
         order = stage2_order(p, q)
         assert sorted(order) == sorted(classes)
         seen_rank = {"blue": 0, "purple": 1, "orange": 2, "path": 3}
@@ -88,6 +90,35 @@ def test_stage2_order_is_a_permutation_by_class():
         # band positions come in their snake order
         band = [classes[pt][1] for pt in order if isinstance(classes[pt], tuple)]
         assert band == sorted(band)
+
+
+def test_stage2_order_and_augmented_grid_match_reference():
+    for p, q in ALL_DIMS:
+        assert stage2_order(p, q) == reference.stage2_order(p, q), (p, q)
+        assert gadgets.augmented_snaking_grid(p, q) == reference.augmented_snaking_grid(p, q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compose_builds_each_grid_few_times(monkeypatch, k):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(gadgets, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(gadgets, name, wrapper)
+
+    for name in ("snaking_grid", "augmented_snaking_grid"):
+        counted(name)
+    assert not hasattr(compose, "snaking_grid")
+    assert not hasattr(compose, "augmented_snaking_grid")
+    or_cross_compose([make_dummy(40, 2, 4)] * k)
+    # one snaking grid per validated input plus the grid map of the
+    # schedule and of the audit; the augmented Graph is never built
+    assert k < calls["snaking_grid"] <= k + 2
+    assert calls["augmented_snaking_grid"] == 0
 
 
 def test_compose_rejects_mismatched_inputs():
@@ -132,11 +163,14 @@ def test_compose_edge_taxonomy():
         assert hi[1] == lo[1] % n_cols + 1  # deeper endpoint one column on
 
 
-def test_compose_columns_cover_real_rows():
+def test_compose_forced_parts_cover_real_columns():
     comp = or_cross_compose([_singleton_instance(2, 2)])
-    real = {v for v, (row, _) in comp.provenance.items() if row < comp.rows}
-    assert set().union(*comp.columns) == real
-    assert len(comp.columns) == comp.budget
+    blocks = comp.forced_parts()
+    assert len(blocks) == comp.budget
+    for col, block in enumerate(blocks, start=1):
+        real = {v for v in block if comp.provenance[v][0] < comp.rows}
+        assert real == {v for v, (row, c) in comp.provenance.items()
+                        if row < comp.rows and c == col}
 
 
 def test_compose_reduced_formulas():
@@ -175,8 +209,13 @@ def test_position_degree_check_survives_optimize_flag():
     # degrees the stage-2 schedule relies on; the check must fire when
     # asserts are stripped
     script = (
-        "from twinwidth import compose\n"
-        "compose.augmented_snaking_grid = lambda p, q: compose.snaking_grid(p, q).graph\n"
+        "from twinwidth import compose, gadgets\n"
+        "def snaking_only(p, q):\n"
+        "    sg = gadgets.snaking_grid(p, q)\n"
+        "    point = {v: pt for pt, v in sg.vertex_at.items()}\n"
+        "    return {pt: {point[w] for w in sg.graph.adj[v]}\n"
+        "            for pt, v in sg.vertex_at.items()}\n"
+        "compose.augmented_grid = snaking_only\n"
         "compose.or_cross_compose([compose.make_dummy(40, 2, 4)])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))

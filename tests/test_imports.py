@@ -1,4 +1,6 @@
-"""Every name a library module imports is used, and the oracles stay independent."""
+"""Every name a library module imports is used, every public name it
+defines is used by the library or the benchmark, and the oracles stay
+independent."""
 
 import ast
 import glob
@@ -9,6 +11,7 @@ import twinwidth
 PACKAGE = os.path.dirname(os.path.abspath(twinwidth.__file__))
 MODULES = sorted(p for p in glob.glob(os.path.join(PACKAGE, "*.py"))
                  if os.path.basename(p) != "__init__.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)), "bench")
 
 
 def _unused_imports(source: str):
@@ -91,3 +94,65 @@ def test_oracle_imports_only_graphs_and_sequences():
         source = fh.read()
     assert _package_imports(source) <= ORACLE_ALLOWED
     assert _attributes_used(source) & ORACLE_FORBIDDEN_ATTRS == set()
+
+
+# public names that nothing in the library or the benchmark calls, each
+# kept for a reason beyond its own unit test
+UNUSED_ALLOWED = {
+    "all_min_dominating_sets": "oracle checker: the wire optima of criterion 7",
+    "capacitated_vc_feasible": "oracle checker: certifies a capacitated cover",
+    "lift_assignment": "the reduction's forward direction, criterion 5",
+    "variable_wire": "a bare wire, the input of criterion 7",
+    "write_formula": "the formula format's writer, paired with parse_formula",
+}
+
+
+def _public_definitions(source: str):
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _references(source: str):
+    """Names read as a variable or an attribute, each top-level
+    definition's uses of its own name left out."""
+    used = set()
+    for top in ast.parse(source).body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id != own:
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and node.attr != own:
+                used.add(node.attr)
+    return used
+
+
+def test_scan_finds_unreferenced_definitions():
+    source = ("import os\nfrom .io import write_graph\n\n"
+              "def helper(x):\n    return helper(x - 1) if x else os.sep\n\n"
+              "def caller():\n    return Kept(), write_graph, mod.by_attribute\n\n"
+              "def by_attribute():\n    pass\n\n"
+              "class Kept:\n    pass\n\nclass Orphan:\n    pass\n\n"
+              "def _private():\n    pass\n")
+    unused = _public_definitions(source) - _references(source)
+    assert unused == {"helper", "caller", "Orphan"}
+
+
+def test_every_public_name_is_referenced():
+    # __init__ re-exports every public name, so it counts as no use
+    bench = glob.glob(os.path.join(BENCH, "*.py"))
+    assert bench, "no benchmark sources next to the package"
+    used = set()
+    for path in MODULES + bench:
+        with open(path, encoding="utf-8") as fh:
+            used |= _references(fh.read())
+    unused = {}
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            for name in _public_definitions(fh.read()) - used:
+                unused[name] = os.path.basename(path)
+    assert sorted("%s:%s" % (unused[name], name)
+                  for name in set(unused) - set(UNUSED_ALLOWED)) == []
+    # the allowlist only holds names that are still defined and unused
+    assert set(UNUSED_ALLOWED) <= set(unused)
+    assert all(UNUSED_ALLOWED.values())

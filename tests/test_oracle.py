@@ -158,9 +158,9 @@ def test_lower_bound_start_skips_hopeless_widths(monkeypatch):
     tried = []
     real = oracle.twinwidth_at_most
 
-    def spy(g, d, cap=None):
+    def spy(g, d):
         tried.append(d)
-        return real(g, d, cap=cap)
+        return real(g, d)
 
     monkeypatch.setattr(oracle, "twinwidth_at_most", spy)
     # every pair of C_7 leaves a red degree of at least 2 after contracting
