@@ -70,8 +70,9 @@ def make_dummy(budget: int, p: int, q: int) -> AnnotatedInstance:
     return AnnotatedInstance(g, parts, p, q, eta, witness)
 
 
-def stage2_order(p: int, q: int) -> List[Point]:
-    """Fine-grid points in contraction order: blue, purple, orange, bands.
+def stage2_order(nbrs: Dict[Point, Set[Point]]) -> List[Point]:
+    """Points of the augmented grid nbrs (gadgets.augmented_grid) in
+    contraction order: blue, purple, orange, bands.
 
     Blue and purple points come in row-major order, and the bands row
     pair by row pair, zig-zagging between the two rows column by
@@ -82,9 +83,8 @@ def stage2_order(p: int, q: int) -> List[Point]:
     AssertionError (also under python -O) unless blue points have
     augmented degree two and all others three.
     """
-    cols = fine_dims(p, q)[1]
-    nbrs = augmented_grid(p, q)
-    bands = [(r, c) for low in range(3, 3 * p - 3, 3) for c in range(2, cols)
+    rows, cols = max(nbrs)  # the top right corner
+    bands = [(r, c) for low in range(3, rows - 1, 3) for c in range(2, cols)
              for r in ((low + 1, low) if c % 2 == 0 else (low, low + 1))]
     orange = [(2, c) for c in range(4, cols - 2, 3)]
     fixed = set(bands) | set(orange)
@@ -116,9 +116,10 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
             raise ValueError("instances disagree on budget or dimensions")
         validate_instance(inst)
 
-    all_rows = list(instances) + [make_dummy(budget, p, q)]
+    dummy = make_dummy(budget, p, q)
+    all_rows = list(instances) + [dummy]
     t1 = len(all_rows)
-    cyc = hamiltonian_cycle(p, q)
+    cyc = [dummy.eta[j] for j in range(budget)]  # its classes lie along the cycle
     point_col = {pt: j + 1 for j, pt in enumerate(cyc)}
 
     # global ids: each row's vertices follow those of the rows above;
@@ -151,8 +152,8 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     # stage 2: fold rows into the bottom grid in one fixed order, whose
     # degree audit is the same for every fold; a part's bag is labelled
     # by its smallest vertex, and row 0's labels name the folded bags
-    order = stage2_order(p, q)
-    nbrs = augmented_grid(p, q)
+    nbrs = augmented_grid(p, q, cyc)
+    order = stage2_order(nbrs)
     done: Set[Point] = set()
     for pt in order:
         contracted = len(nbrs[pt] & done)

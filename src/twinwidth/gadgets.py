@@ -120,13 +120,12 @@ def hamiltonian_cycle(p: int, q: int) -> List[Point]:
     return order
 
 
-def augmented_grid(p: int, q: int) -> Dict[Point, Set[Point]]:
+def augmented_grid(p: int, q: int, cyc: List[Point]) -> Dict[Point, Set[Point]]:
     """Each fine point, in row-major order, with its neighbours in the
-    augmented grid: the snaking grid plus the hamiltonian cycle."""
+    augmented grid: the snaking grid plus cyc, hamiltonian_cycle(p, q)."""
     sg = snaking_grid(p, q)
     point = {v: pt for pt, v in sg.vertex_at.items()}
     nbrs = {pt: {point[w] for w in sg.graph.adj[v]} for pt, v in sg.vertex_at.items()}
-    cyc = hamiltonian_cycle(p, q)
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         nbrs[a].add(b)
         nbrs[b].add(a)
@@ -135,7 +134,7 @@ def augmented_grid(p: int, q: int) -> Dict[Point, Set[Point]]:
 
 def augmented_snaking_grid(p: int, q: int) -> Graph:
     """The augmented grid as a graph on the snaking grid's vertex ids."""
-    nbrs = augmented_grid(p, q)
+    nbrs = augmented_grid(p, q, hamiltonian_cycle(p, q))
     vid = {pt: v for v, pt in enumerate(nbrs, start=1)}
     return Graph(vid.values(), [(vid[a], vid[b]) for a in nbrs for b in nbrs[a]])
 

@@ -18,9 +18,10 @@ the inverse, so this module is the only place that numbers fresh ids.
 walk() is the single replay loop: replay, verify, final_trigraph and
 the dynamic programming all read their states from it.  It copies the
 start once, at the first step, and contracts that private copy in
-place from then on, so a walk costs one copy and each step touches
-only the contracted vertices' neighbourhoods.  A state it yields is
-valid until the next one is requested; replay keeps a copy of each.
+place from then on, so a walk costs one copy and each step costs
+O(deg u + deg v), with no scan of the live ids for freshness.  A state
+it yields is valid until the next one is requested; replay keeps a
+copy of each.
 
 verify() reports the maximum red degree seen in any intermediate
 trigraph (the width of the sequence), together with the first step
@@ -169,7 +170,9 @@ def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigra
     modified: the first step contracts a copy (the walk's only one),
     and every later step contracts that copy in place.  So each state
     yielded is valid only until the next one is requested, and a
-    consumer that keeps states must copy them.
+    consumer that keeps states must copy them.  Each z is fresh: the
+    sequence fixes z = n + prior + i + 1 and the start's ids stay at
+    most n + prior, so the in-place steps skip the freshness scan.
     """
     t = _start_trigraph(g, seq)
     yield t
@@ -179,7 +182,7 @@ def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigra
     t = contract(t, u, v, z)
     yield t
     for z, u, v in seq.steps[1:]:
-        yield t.contract_inplace(u, v, z)
+        yield t._merge(u, v, z)
 
 
 def replay(g: Union[Graph, Trigraph], seq: ContractionSequence) -> List[Trigraph]:
@@ -198,19 +201,20 @@ def verify(
     Red degrees are tracked incrementally: after contracting u, v into
     the fresh vertex z = n + step + 1, only z and its neighbourhood
     N(u) | N(v) - {u, v} = N(z) can change degree, so each state after
-    the start is scanned there alone.
+    the start is scanned there alone, in any order.  The violating
+    vertex is the smallest one above the bound in its state.
     """
     width, argmax = 0, seq.prior - 1
     violation: Optional[Tuple[int, int, int]] = None
     for step, t in enumerate(walk(g, seq), start=seq.prior - 1):
         z = seq.n + step + 1
         touched = t.vertices if step < seq.prior else t.black[z] | t.red[z] | {z}
-        for x in sorted(touched):
-            d = len(t.red[x])
-            if d > width:
-                width, argmax = d, step
-            if bound is not None and d > bound and violation is None:
-                violation = (step, x, d)
+        d = max([len(t.red[x]) for x in touched], default=0)
+        if d > width:
+            width, argmax = d, step
+        if bound is not None and d > bound and violation is None:
+            x = min(x for x in touched if len(t.red[x]) > bound)
+            violation = (step, x, len(t.red[x]))
     return WidthReport(width, argmax, violation)
 
 

@@ -5,12 +5,13 @@ A trigraph carries two disjoint edge sets on the same vertices: black
 into a fresh vertex z recolours the boundary: common neighbours keep a
 black edge only if both u and v saw them black, every other neighbour of
 u or v becomes a red neighbour of z.  Trigraph.contract_inplace does
-this to one trigraph in time linear in the two neighbourhoods; contract
-returns a contracted copy.  Vertices are positive integers
-and a contraction target is larger than every live id, so ids are never
-reused.  Which original vertices a contracted vertex stands for is a
-property of the contraction sequence (ContractionSequence.final_bags),
-not of the trigraph.
+this to one trigraph; contract returns a contracted copy.  A target is
+larger than every live id, so ids are never reused: both calls scan
+the live ids for that, while a sequence's replay, whose ids are fresh
+by construction, skips the scan and pays O(deg u + deg v) per step.
+Which original vertices a contracted vertex stands for is a property
+of the contraction sequence (ContractionSequence.final_bags), not of
+the trigraph.
 """
 
 from __future__ import annotations
@@ -162,7 +163,12 @@ class Trigraph:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Trigraph":
-        return cls(g.vertices, g.edges())
+        """g with every edge black, in O(n + m): Graph has checked them."""
+        t = cls.__new__(cls)
+        t.vertices = set(g.vertices)
+        t.black = {v: set(s) for v, s in g.adj.items()}
+        t.red = {v: set() for v in g.adj}
+        return t
 
     @property
     def n(self) -> int:
@@ -194,22 +200,27 @@ class Trigraph:
         Neighbours seen by exactly one of u, v become red neighbours of
         z; common neighbours stay black only when both edges were black.
         Only edges at u, v and z change, so a step costs O(deg u + deg v)
-        beyond the freshness check.  z must exceed every live id
+        beyond the O(n) freshness check.  z must exceed every live id
         (default: the next one), so each target is the largest id so far
         and no id ever comes back.  A rejected call leaves the trigraph
         as it was.  Returns the trigraph itself.
         """
         vertices = self.vertices
+        if u in vertices and v in vertices and u != v:  # else _merge rejects them
+            top = max(vertices)
+            if z is None:
+                z = top + 1
+            if z <= top:
+                raise ValueError("contraction target id %d is not fresh" % z)
+        return self._merge(u, v, z)
+
+    def _merge(self, u: int, v: int, z: int) -> "Trigraph":
+        """contract_inplace for a target z the caller knows to be fresh."""
+        vertices = self.vertices
         if u not in vertices or v not in vertices:
             raise ValueError("contract on dead or unknown vertex (%s, %s)" % (u, v))
         if u == v:
             raise ValueError("cannot contract a vertex with itself")
-        top = max(vertices)
-        if z is None:
-            z = top + 1
-        if z <= top:
-            raise ValueError("contraction target id %d is not fresh" % z)
-
         black, red = self.black, self.red
         bu, bv, ru, rv = black.pop(u), black.pop(v), red.pop(u), red.pop(v)
         black_z = bu & bv

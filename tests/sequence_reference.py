@@ -1,0 +1,43 @@
+"""The replay as it was before walk skipped the freshness scan.
+
+Kept as the differential reference for twinwidth.trigraph and
+twinwidth.sequence: the start trigraph is built from the sorted edge
+list, every step goes through the public, checked contract_inplace
+(which scans the live ids for freshness), and the width is a
+from-scratch maximum over every replayed state.
+"""
+
+from typing import Iterator, List, Optional, Union
+
+from twinwidth.sequence import ContractionSequence, WidthReport
+from twinwidth.trigraph import Graph, Trigraph
+
+
+def from_graph(g: Graph) -> Trigraph:
+    """g as a trigraph, every edge pushed through the checked constructor."""
+    return Trigraph(g.vertices, g.edges())
+
+
+def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigraph]:
+    """The start, then the state after each step, every step checked."""
+    t = g if isinstance(g, Trigraph) else from_graph(g)
+    yield t
+    t = t.copy()
+    for z, u, v in seq.steps:
+        yield t.contract_inplace(u, v, z)
+
+
+def verify(g: Union[Graph, Trigraph], seq: ContractionSequence,
+           bound: Optional[int] = None) -> WidthReport:
+    """Width, first step attaining it and first violation, read off
+    copies of all states by scanning every vertex in sorted order."""
+    states: List[Trigraph] = [t.copy() for t in walk(g, seq)]
+    width, argmax, violation = 0, seq.prior - 1, None
+    for step, t in enumerate(states, start=seq.prior - 1):
+        for x in sorted(t.vertices):
+            d = len(t.red[x])
+            if d > width:
+                width, argmax = d, step
+            if bound is not None and d > bound and violation is None:
+                violation = (step, x, d)
+    return WidthReport(width, argmax, violation)

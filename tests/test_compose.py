@@ -78,10 +78,14 @@ def test_classify_positions_frozen_counts():
     assert hist(3, 4) == {"blue": 40, "purple": 12, "orange": 2, "path": 16}
 
 
+def _stage2_order(p, q):
+    return stage2_order(gadgets.augmented_grid(p, q, hamiltonian_cycle(p, q)))
+
+
 def test_stage2_order_is_a_permutation_by_class():
     for p, q in [(2, 2), (2, 4), (3, 4)]:
         classes = reference.classify_positions(p, q)
-        order = stage2_order(p, q)
+        order = _stage2_order(p, q)
         assert sorted(order) == sorted(classes)
         seen_rank = {"blue": 0, "purple": 1, "orange": 2, "path": 3}
         ranks = [seen_rank[c if isinstance(c, str) else "path"]
@@ -94,7 +98,7 @@ def test_stage2_order_is_a_permutation_by_class():
 
 def test_stage2_order_and_augmented_grid_match_reference():
     for p, q in ALL_DIMS:
-        assert stage2_order(p, q) == reference.stage2_order(p, q), (p, q)
+        assert _stage2_order(p, q) == reference.stage2_order(p, q), (p, q)
         assert gadgets.augmented_snaking_grid(p, q) == reference.augmented_snaking_grid(p, q)
 
 
@@ -108,17 +112,21 @@ def test_compose_builds_each_grid_few_times(monkeypatch, k):
         def wrapper(*args):
             calls[name] += 1
             return real(*args)
-        monkeypatch.setattr(gadgets, name, wrapper)
+        for module in (gadgets, compose):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("snaking_grid", "augmented_snaking_grid"):
+    instances = [make_dummy(40, 2, 4)] * k
+    for name in ("snaking_grid", "hamiltonian_cycle", "augmented_grid",
+                 "augmented_snaking_grid"):
         counted(name)
     assert not hasattr(compose, "snaking_grid")
     assert not hasattr(compose, "augmented_snaking_grid")
-    or_cross_compose([make_dummy(40, 2, 4)] * k)
-    # one snaking grid per validated input plus the grid map of the
-    # schedule and of the audit; the augmented Graph is never built
-    assert k < calls["snaking_grid"] <= k + 2
-    assert calls["augmented_snaking_grid"] == 0
+    or_cross_compose(instances)
+    # one snaking grid per validated input plus the one grid map that
+    # the schedule and the audit share; one cycle, for the dummy row,
+    # which the grid map and the column map reuse
+    assert calls == {"snaking_grid": k + 1, "hamiltonian_cycle": 1, "augmented_grid": 1}
 
 
 def test_compose_rejects_mismatched_inputs():
@@ -193,7 +201,7 @@ def test_degree_audit_survives_optimize_flag():
     script = (
         "from twinwidth import compose\n"
         "order = compose.stage2_order\n"
-        "compose.stage2_order = lambda p, q: order(p, q)[::-1]\n"
+        "compose.stage2_order = lambda nbrs: order(nbrs)[::-1]\n"
         "compose.or_cross_compose([compose.make_dummy(40, 2, 4)])\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
@@ -210,7 +218,7 @@ def test_position_degree_check_survives_optimize_flag():
     # asserts are stripped
     script = (
         "from twinwidth import compose, gadgets\n"
-        "def snaking_only(p, q):\n"
+        "def snaking_only(p, q, cyc):\n"
         "    sg = gadgets.snaking_grid(p, q)\n"
         "    point = {v: pt for pt, v in sg.vertex_at.items()}\n"
         "    return {pt: {point[w] for w in sg.graph.adj[v]}\n"

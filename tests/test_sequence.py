@@ -1,10 +1,14 @@
 """Sequence validation, label merges, replay, and width measurement."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import twinwidth
 from twinwidth import sequence
 from twinwidth.trigraph import Graph, Trigraph, contract, quotient
 from twinwidth.sequence import (
@@ -20,6 +24,7 @@ from twinwidth.compose import or_cross_compose
 from twinwidth.oracle import exact_twinwidth
 
 from gen_tww1 import random_tww1
+import sequence_reference as reference
 
 
 def test_fresh_id_discipline():
@@ -263,21 +268,121 @@ def test_walk_states_equal_chain_of_pure_contractions():
         assert _state(start) == before
 
 
+def _random_graph(rng, n):
+    density = rng.choice((0.0, 0.2, 0.5, 0.9))
+    return Graph(range(1, n + 1), [(i, j) for i in range(1, n + 1)
+                                   for j in range(i + 1, n + 1) if rng.random() < density])
+
+
+def test_walk_and_verify_match_reference():
+    # the fast start trigraph, the unchecked in-place steps and the
+    # incremental width scan against the edge-list start, the checked
+    # steps and a from-scratch maximum over every replayed state
+    rng = random.Random(4410)
+    for trial in range(80):
+        n = rng.randint(1, 12)
+        g = _random_graph(rng, n) if trial % 2 else _random_trigraph(rng, n)
+        if isinstance(g, Graph):
+            t = Trigraph.from_graph(g)
+            assert _state(t) == _state(reference.from_graph(g))
+            kept = {v: set(s) for v, s in g.adj.items()}
+            for s in t.black.values():
+                s.clear()
+            assert g.adj == kept  # the black sets are copies
+        full = _random_full_sequence(rng, n)
+        states = [t.copy() for t in reference.walk(g, full)]
+        for k in sorted({0, rng.randint(0, len(full)), len(full)}):
+            prefix = ContractionSequence(n, full.steps[:k])
+            suffix = ContractionSequence(n, full.steps[k:], prior=k)
+            for start, seq in ((g, prefix), (states[k], suffix)):
+                assert ([_state(t) for t in walk(start, seq)]
+                        == [_state(t) for t in reference.walk(start, seq)])
+                for bound in (None, 0, 1, 2, 3, 5):
+                    assert verify(start, seq, bound) == reference.verify(start, seq, bound)
+
+
+def _retired_and_missing_cases():
+    """Suffixes whose second step names an id the start does not have."""
+    g = Graph.cycle(6)
+    mid = final_trigraph(g, ContractionSequence(6, [(7, 1, 2), (8, 7, 3)]))  # 4, 5, 6, 8
+    retired = ContractionSequence(6, [(9, 8, 4), (10, 9, 1)], prior=2)
+    # a start of the right size whose ids stay below the fresh ones but
+    # that lacks 7, which a suffix may name
+    other = Trigraph([2, 4, 5, 8], [(2, 4), (4, 5), (5, 8)])
+    missing = ContractionSequence(6, [(9, 8, 5), (10, 9, 7)], prior=2)
+    return [(mid, retired, "(9, 1)"), (other, missing, "(9, 7)")]
+
+
+def test_walk_rejects_ids_the_start_lacks():
+    # a suffix cannot know which ids the prior steps retired, so the
+    # in-place steps must still reject a dead or unknown id themselves
+    for start, seq, pair in _retired_and_missing_cases():
+        kept = _state(start)
+        for run in (lambda: list(walk(start, seq)), lambda: verify(start, seq),
+                    lambda: final_trigraph(start, seq), lambda: replay(start, seq)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == "contract on dead or unknown vertex %s" % pair
+        assert _state(start) == kept
+
+
+def test_walk_rejections_survive_optimize_flag():
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from test_sequence import _retired_and_missing_cases\n"
+        "from twinwidth.sequence import verify\n"
+        "from twinwidth.trigraph import Trigraph\n"
+        "for start, seq, _ in _retired_and_missing_cases():\n"
+        "    try:\n"
+        "        verify(start, seq)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "t = Trigraph([1, 2, 3], [(1, 2)])\n"
+        "t.contract_inplace(1, 2, 4)\n"
+        "for stale in (2, 4):\n"
+        "    try:\n"
+        "        t.contract_inplace(3, 4, stale)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    ) % os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "contract on dead or unknown vertex (9, 1)",
+        "contract on dead or unknown vertex (9, 7)",
+        "contraction target id 2 is not fresh",
+        "contraction target id 4 is not fresh",
+    ]
+
+
 def test_walk_copies_once(monkeypatch):
-    # one copying contract per walk; every later step is in place
+    # one copying contract per walk; every later step is in place and
+    # skips the freshness scan of the public contract_inplace
     calls = []
+    scans = []
 
     def counted(t, u, v, z=None):
         calls.append(z)
         return contract(t, u, v, z)
 
+    def scanned(t, u, v, z=None):
+        scans.append(z)
+        return checked(t, u, v, z)
+
+    checked = Trigraph.contract_inplace
     monkeypatch.setattr(sequence, "contract", counted)
+    monkeypatch.setattr(Trigraph, "contract_inplace", scanned)
     n = 30
     g = Graph.path(n)
     seq = ContractionSequence(n, [(n + 1, 1, 2)] + [(z, z - 1, z - n + 1)
                                                     for z in range(n + 2, 2 * n)])
     assert verify(g, seq).width == 1
     assert calls == [n + 1]
+    assert scans == [n + 1]
     assert len(final_trigraph(g, seq).vertices) == 1
     assert calls == [n + 1, n + 1]
     verify(g, ContractionSequence(n, []))
