@@ -69,7 +69,9 @@ def _no_prime(h: Graph) -> List[Tuple[int, int]]:
 
 
 def recognize_tww0(g: Graph) -> RecognitionResult:
-    """Cograph test with a 0-sequence witness."""
+    """Cograph test with a 0-sequence witness; g must be on 1..n."""
+    if g.vertices != set(range(1, g.n + 1)):
+        raise ValueError("recognition needs vertices 1..n; relabel first")
     try:
         pairs = _plan(g, _no_prime)
     except _TooWide:
@@ -142,7 +144,7 @@ def _plan_prime(h: Graph) -> List[Tuple[int, int]]:
 
 
 def recognize_tww1(g: Graph) -> RecognitionResult:
-    """Width-at-most-1 test; reports tww0 when the graph is a cograph."""
+    """Width-at-most-1 test on 1..n; reports tww0 for a cograph."""
     zero = recognize_tww0(g)
     if zero.verdict == "tww0":
         return zero

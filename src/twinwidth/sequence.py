@@ -15,13 +15,19 @@ labels, and a label never merged is its own vertex.  From scratch a
 bag's label is therefore its smallest original vertex.  merges() is
 the inverse, so this module is the only place that numbers fresh ids.
 
-walk() is the single replay loop: replay, verify, final_trigraph and
-the dynamic programming all read their states from it.  It copies the
-start once, at the first step, and contracts that private copy in
-place from then on, so a walk costs one copy and each step costs
-O(deg u + deg v), with no scan of the live ids for freshness.  A state
-it yields is valid until the next one is requested; replay keeps a
-copy of each.
+walk() is the single replay loop: replay, verify and the dynamic
+programming read their states from it.  It copies the start once, at
+the first step (a Graph start is a view of the graph, not a copy), and
+contracts that private copy in place from then on, so a walk costs one
+copy and each step costs O(deg u + deg v), with no scan of the live
+ids for freshness.  A state it yields is valid until the next one is
+requested; replay keeps a copy of each.
+
+final_trigraph() does not walk: contracting the bags of a partition P,
+in any order, yields the quotient by P, where two bags are joined black
+when every pair between them is, red when some pair is adjacent, and
+not at all otherwise ("Twin-width I", Bonnet, Kim, Thomassé and
+Watrigant, FOCS 2020; by induction, for a trigraph start too).
 
 verify() reports the maximum red degree seen in any intermediate
 trigraph (the width of the sequence), together with the first step
@@ -32,9 +38,9 @@ vertex, degree).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
-from .trigraph import Graph, Trigraph, contract
+from .trigraph import Graph, Trigraph, contract, quotient_by
 
 
 @dataclass(frozen=True)
@@ -146,43 +152,46 @@ class WidthReport:
         return self.violation is None
 
 
+def _check_start(vertices: Set[int], seq: ContractionSequence) -> None:
+    """Raise ValueError unless vertices can start seq: 1..n from scratch,
+    else as many as a suffix leaves, with ids prior steps could make."""
+    if seq.prior == 0 and vertices != set(range(1, seq.n + 1)):
+        raise ValueError("graph vertices must be exactly 1..%d" % seq.n)
+    if seq.prior and len(vertices) != seq.n - seq.prior:
+        raise ValueError("starting trigraph has %d vertices, suffix expects %d"
+                         % (len(vertices), seq.n - seq.prior))
+    if seq.prior and vertices and max(vertices) > seq.n + seq.prior:
+        raise ValueError("starting trigraph uses ids beyond the prior contractions")
+
+
 def _start_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
-    """g as a trigraph, checked against seq; a Trigraph is not copied."""
-    t = g if isinstance(g, Trigraph) else Trigraph.from_graph(g)
-    if seq.prior == 0:
-        if t.vertices != set(range(1, seq.n + 1)):
-            raise ValueError("graph vertices must be exactly 1..%d" % seq.n)
-    else:
-        # a suffix replays from an intermediate trigraph: right vertex
-        # count, ids within the range the prior steps could have made
-        if len(t.vertices) != seq.n - seq.prior:
-            raise ValueError("starting trigraph has %d vertices, suffix expects %d"
-                             % (len(t.vertices), seq.n - seq.prior))
-        if t.vertices and max(t.vertices) > seq.n + seq.prior:
-            raise ValueError("starting trigraph uses ids beyond the prior contractions")
+    """g as a trigraph, checked against seq and never copied: a Graph
+    becomes a read-only view whose vertex set and black sets are g's."""
+    _check_start(g.vertices, seq)
+    if isinstance(g, Trigraph):
+        return g
+    t = Trigraph.__new__(Trigraph)
+    t.vertices, t.black, t.red = g.vertices, g.adj, dict.fromkeys(g.adj, frozenset())
     return t
 
 
 def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigraph]:
     """The starting trigraph, then the trigraph after each step of seq.
 
-    The start is g itself when g is a Trigraph, and it is never
-    modified: the first step contracts a copy (the walk's only one),
-    and every later step contracts that copy in place.  So each state
-    yielded is valid only until the next one is requested, and a
-    consumer that keeps states must copy them.  Each z is fresh: the
-    sequence fixes z = n + prior + i + 1 and the start's ids stay at
-    most n + prior, so the in-place steps skip the freshness scan.
+    The start is g itself when g is a Trigraph and a view of g when g
+    is a Graph, and it is never modified: the first step contracts a
+    copy (the walk's only one), and every later step contracts that
+    copy in place.  So each state yielded is valid only until the
+    next one is requested, and a consumer that keeps states must copy
+    them.  Each z is fresh: the sequence fixes z = n + prior + i + 1
+    and the start's ids stay at most n + prior, so the in-place steps
+    skip the freshness scan.
     """
     t = _start_trigraph(g, seq)
     yield t
-    if not seq.steps:
-        return
-    z, u, v = seq.steps[0]
-    t = contract(t, u, v, z)
-    yield t
-    for z, u, v in seq.steps[1:]:
-        yield t._merge(u, v, z)
+    for i, (z, u, v) in enumerate(seq.steps):
+        t = t._merge(u, v, z) if i else contract(t, u, v, z)
+        yield t
 
 
 def replay(g: Union[Graph, Trigraph], seq: ContractionSequence) -> List[Trigraph]:
@@ -199,16 +208,16 @@ def verify(
     """Replay seq on g and measure its width.
 
     Red degrees are tracked incrementally: after contracting u, v into
-    the fresh vertex z = n + step + 1, only z and its neighbourhood
-    N(u) | N(v) - {u, v} = N(z) can change degree, so each state after
-    the start is scanned there alone, in any order.  The violating
-    vertex is the smallest one above the bound in its state.
+    the fresh vertex z = n + step + 1, only z and its red neighbours
+    change red degree (a black neighbour saw u and v black), so each
+    state after the start is scanned there alone, in any order.  The
+    violating vertex is the smallest one above the bound in its state.
     """
     width, argmax = 0, seq.prior - 1
     violation: Optional[Tuple[int, int, int]] = None
     for step, t in enumerate(walk(g, seq), start=seq.prior - 1):
         z = seq.n + step + 1
-        touched = t.vertices if step < seq.prior else t.black[z] | t.red[z] | {z}
+        touched = t.vertices if step < seq.prior else t.red[z] | {z}
         d = max([len(t.red[x]) for x in touched], default=0)
         if d > width:
             width, argmax = d, step
@@ -219,7 +228,16 @@ def verify(
 
 
 def final_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
-    """The trigraph after the last step, never g itself."""
-    for t in walk(g, seq):
-        pass
-    return t.copy() if t is g else t
+    """The trigraph after the last step, never g itself: the quotient
+    of g by the steps' bags, in O(n + m), with walk's rejections."""
+    _check_start(g.vertices, seq)
+    live = set(g.vertices)
+    for z, u, v in seq.steps:
+        if u not in live or v not in live:
+            raise ValueError("contract on dead or unknown vertex (%s, %s)" % (u, v))
+        live -= {u, v}
+        live.add(z)
+    owner = {v: v for v in live}  # start vertex -> the surviving id of its bag
+    for z, u, v in reversed(seq.steps):
+        owner[u] = owner[v] = owner.pop(z)
+    return quotient_by(g, owner)

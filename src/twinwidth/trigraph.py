@@ -16,7 +16,8 @@ the trigraph.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from collections import Counter
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 
 class Graph:
@@ -288,28 +289,31 @@ def validate_partition(ground: Set[int], parts: List[Set[int]]) -> None:
 
 
 def quotient(g: Graph, parts: List[Set[int]]) -> Trigraph:
-    """Trigraph obtained by contracting each class of parts to a point.
-
-    Between two classes the edge is black when the bipartite link is
-    complete, absent when it is empty, red otherwise.  The result does
-    not depend on any contraction order.  Class i becomes vertex i+1.
-    One pass over the edges counts the links between each pair of
-    classes.
-    """
+    """quotient_by the classes of a partition; class i becomes vertex i+1."""
     sets = [set(p) for p in parts]
     validate_partition(g.vertices, sets)
-    owner = {v: i for i, p in enumerate(sets) for v in p}
+    return quotient_by(g, {v: i + 1 for i, p in enumerate(sets) for v in p})
+
+
+def quotient_by(g: Union[Graph, Trigraph], owner: Dict[int, int]) -> Trigraph:
+    """Contract each class of a graph or trigraph g to a point; owner
+    sends every vertex to its class's id.  Two classes are joined black
+    when every pair between them is black, red when some pair is
+    adjacent, not at all otherwise, whatever the contraction order.
+    One pass over the edges counts the black links between each pair
+    of classes, a red pair being a link that is never black.
+    """
+    black, red = (g.adj, {}) if isinstance(g, Graph) else (g.black, g.red)
+    size = Counter(owner.values())
     links: Dict[Tuple[int, int], int] = {}
-    for u, i in owner.items():
-        for w in g.adj[u]:
-            j = owner[w]
-            if i < j:
-                links[i, j] = links.get((i, j), 0) + 1
-    black = []
-    red = []
+    for table, weight in ((black, 1), (red, 0)):
+        for u, near in table.items():
+            i = owner[u]
+            for w in near:
+                j = owner[w]
+                if i < j:
+                    links[i, j] = links.get((i, j), 0) + weight
+    black_edges, red_edges = [], []
     for (i, j), cnt in sorted(links.items()):
-        if cnt == len(sets[i]) * len(sets[j]):
-            black.append((i + 1, j + 1))
-        else:
-            red.append((i + 1, j + 1))
-    return Trigraph(range(1, len(sets) + 1), black, red)
+        (black_edges if cnt == size[i] * size[j] else red_edges).append((i, j))
+    return Trigraph(size, black_edges, red_edges)

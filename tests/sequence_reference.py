@@ -3,8 +3,9 @@
 Kept as the differential reference for twinwidth.trigraph and
 twinwidth.sequence: the start trigraph is built from the sorted edge
 list, every step goes through the public, checked contract_inplace
-(which scans the live ids for freshness), and the width is a
-from-scratch maximum over every replayed state.
+(which scans the live ids for freshness), the width is a from-scratch
+maximum over every replayed state, and the final trigraph is the last
+state of a walk rather than a quotient by the bags.
 """
 
 from typing import Iterator, List, Optional, Union
@@ -41,3 +42,10 @@ def verify(g: Union[Graph, Trigraph], seq: ContractionSequence,
             if bound is not None and d > bound and violation is None:
                 violation = (step, x, d)
     return WidthReport(width, argmax, violation)
+
+
+def final_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
+    """The last state of the walk, copied when it is the start itself."""
+    for t in walk(g, seq):
+        pass
+    return t.copy() if t is g else t

@@ -38,6 +38,18 @@ def test_cograph_verdicts():
     assert recognize_tww0(Graph([1, 2, 3, 4])).verdict == "tww0"
 
 
+@pytest.mark.parametrize("recognize", [recognize_tww0, recognize_tww1])
+def test_ids_other_than_one_to_n_are_rejected(recognize):
+    # witnesses number fresh ids from n + 1, so other ids cannot be
+    # contracted; the relabelled graph is recognized as usual
+    p5 = Graph([2, 5, 7, 9, 11], [(2, 5), (5, 7), (7, 9), (9, 11)])
+    with pytest.raises(ValueError, match=r"^recognition needs vertices 1\.\.n; relabel first$"):
+        recognize(p5)
+    with pytest.raises(ValueError, match="relabel first"):
+        recognize(Graph([2]))
+    assert recognize(p5.relabel_compact()[0]).verdict == recognize(Graph.path(5)).verdict
+
+
 def test_path4_is_width_one():
     res = recognize_tww1(Graph.path(4))
     assert res.verdict == "tww1"

@@ -22,6 +22,7 @@ from twinwidth.recognize import recognize_tww1
 from twinwidth.gadgets import LayoutClause, LayoutFormula, halfgraph_cycle, reduce_3sat
 from twinwidth.compose import or_cross_compose
 from twinwidth.oracle import exact_twinwidth
+from twinwidth.dpsolve import check_component_bound, min_ds_dp, min_vc_dp
 
 from gen_tww1 import random_tww1
 import sequence_reference as reference
@@ -275,9 +276,10 @@ def _random_graph(rng, n):
 
 
 def test_walk_and_verify_match_reference():
-    # the fast start trigraph, the unchecked in-place steps and the
-    # incremental width scan against the edge-list start, the checked
-    # steps and a from-scratch maximum over every replayed state
+    # the fast start trigraph, the unchecked in-place steps, the
+    # incremental width scan and the quotient final trigraph against
+    # the edge-list start, the checked steps, a from-scratch maximum
+    # over every replayed state and the last state of a walk
     rng = random.Random(4410)
     for trial in range(80):
         n = rng.randint(1, 12)
@@ -299,6 +301,9 @@ def test_walk_and_verify_match_reference():
                         == [_state(t) for t in reference.walk(start, seq)])
                 for bound in (None, 0, 1, 2, 3, 5):
                     assert verify(start, seq, bound) == reference.verify(start, seq, bound)
+                last = final_trigraph(start, seq)
+                assert last is not start
+                assert _state(last) == _state(reference.final_trigraph(start, seq))
 
 
 def _retired_and_missing_cases():
@@ -331,13 +336,14 @@ def test_walk_rejections_survive_optimize_flag():
         "import sys\n"
         "sys.path.insert(0, %r)\n"
         "from test_sequence import _retired_and_missing_cases\n"
-        "from twinwidth.sequence import verify\n"
+        "from twinwidth.sequence import final_trigraph, verify\n"
         "from twinwidth.trigraph import Trigraph\n"
-        "for start, seq, _ in _retired_and_missing_cases():\n"
-        "    try:\n"
-        "        verify(start, seq)\n"
-        "    except ValueError as exc:\n"
-        "        print(exc)\n"
+        "for run in (verify, final_trigraph):\n"
+        "    for start, seq, _ in _retired_and_missing_cases():\n"
+        "        try:\n"
+        "            run(start, seq)\n"
+        "        except ValueError as exc:\n"
+        "            print(exc)\n"
         "t = Trigraph([1, 2, 3], [(1, 2)])\n"
         "t.contract_inplace(1, 2, 4)\n"
         "for stale in (2, 4):\n"
@@ -354,6 +360,8 @@ def test_walk_rejections_survive_optimize_flag():
     assert proc.stdout.splitlines() == [
         "contract on dead or unknown vertex (9, 1)",
         "contract on dead or unknown vertex (9, 7)",
+        "contract on dead or unknown vertex (9, 1)",
+        "contract on dead or unknown vertex (9, 7)",
         "contraction target id 2 is not fresh",
         "contraction target id 4 is not fresh",
     ]
@@ -361,7 +369,8 @@ def test_walk_rejections_survive_optimize_flag():
 
 def test_walk_copies_once(monkeypatch):
     # one copying contract per walk; every later step is in place and
-    # skips the freshness scan of the public contract_inplace
+    # skips the freshness scan of the public contract_inplace, and
+    # final_trigraph, a quotient by the bags, contracts nothing
     calls = []
     scans = []
 
@@ -384,9 +393,26 @@ def test_walk_copies_once(monkeypatch):
     assert calls == [n + 1]
     assert scans == [n + 1]
     assert len(final_trigraph(g, seq).vertices) == 1
-    assert calls == [n + 1, n + 1]
+    assert calls == [n + 1]
     verify(g, ContractionSequence(n, []))
-    assert calls == [n + 1, n + 1]
+    assert calls == [n + 1]
+
+
+def test_start_graph_is_never_written():
+    # a Graph start is walked as a view that shares its vertex set and
+    # adjacency sets, so no consumer of a walk may write to it
+    rng = random.Random(5150)
+    for _ in range(40):
+        g, seq = random_tww1(rng.randint(1, 12), rng)
+        prefix = ContractionSequence(seq.n, seq.steps[:rng.randint(0, len(seq))])
+        vertices, adj = set(g.vertices), {v: set(s) for v, s in g.adj.items()}
+        # a width-1 witness keeps every red component within two vertices
+        for run in (lambda: list(walk(g, seq)), lambda: verify(g, seq, bound=1),
+                    lambda: replay(g, prefix), lambda: final_trigraph(g, prefix),
+                    lambda: check_component_bound(g, seq),
+                    lambda: min_ds_dp(g, seq, 2), lambda: min_vc_dp(g, seq, 2)):
+            run()
+            assert g.vertices == vertices and g.adj == adj
 
 
 def assert_merges_round_trip(seq):
