@@ -2,9 +2,14 @@
 
 Everything here is deliberately small and exact: iterative deepening
 for exact twin-width from the best first contraction's red degree,
-branch-and-bound for Minimum Dominating Set (with an optional
-part-transversal mode), and size-ordered subset enumeration for
-Minimum Connected and Capacitated Vertex Cover.  Those test each subset
+over partition states with a failed-state memo.  Each state builds,
+once, per-part masks of the parts it is red to and fully joined to; a
+candidate merge is then tested from those masks alone by the
+merged-part rule of "Twin-width I" (Bonnet, Kim, Thomassé & Watrigant,
+FOCS 2020), so a state of k parts costs O(k^2) plus O(1) per candidate
+merge.  Minimum Dominating Set is branch-and-bound (with an optional
+part-transversal mode); Minimum Connected and Capacitated Vertex Cover
+are size-ordered subset enumerations.  Those test each subset
 as an integer mask against per-vertex adjacency masks built once per
 graph (a cover leaves no edge outside it; connectivity is a bit
 frontier); only covers reach the augmenting-path capacity assignment.
@@ -67,7 +72,21 @@ def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
     original vertices) with a failed-state memo.  Candidate merges are
     tried in order of smallest contained vertex, so the returned
     witness is deterministic.
+
+    Each state builds, once, two masks over its part indices per part:
+    red[i], the parts part i is red to, and full[i], the parts it is
+    fully joined to.  Every state on the search path has red degree at
+    most d, so a merge of parts i and j is tested from those masks
+    alone ("Twin-width I", Bonnet, Kim, Thomassé & Watrigant, FOCS
+    2020): the merged part is red to x exactly when x was red to i or
+    to j, or x is fully joined to one of them and not adjacent to the
+    other.  A part red to i or j loses a red edge and gains at most one,
+    so only the newly red parts can rise, and they must not already sit
+    at degree d.  That is O(k^2) work per state of k parts and O(1) per
+    candidate merge; only the merges that pass build their child state.
     """
+    if d < 0:
+        raise ValueError("width bound must be non-negative, got %d" % d)
     n = g.n
     _check_tww_input(g)
     if n == 1:
@@ -78,39 +97,37 @@ def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
     # a part is (mask, union of member adjacencies, intersection of them)
     parts0 = tuple(sorted((1 << i, adjbit[i + 1], adjbit[i + 1]) for i in range(n)))
 
-    def homogeneous(a, b) -> bool:
-        return (b[0] & a[1]) == 0 or (b[0] & ~a[2]) == 0
-
-    def red_degree_ok(parts) -> bool:
-        k = len(parts)
-        deg = [0] * k
-        for i in range(k):
-            for j in range(i + 1, k):
-                if not homogeneous(parts[i], parts[j]):
-                    deg[i] += 1
-                    deg[j] += 1
-                    if deg[i] > d or deg[j] > d:
-                        return False
-        return True
-
     failed: Set[Tuple[int, ...]] = set()
 
     def search(parts) -> Optional[List[Tuple[int, int]]]:
-        if len(parts) == 1:
+        k = len(parts)
+        if k == 1:
             return []
         key = tuple(p[0] for p in parts)
         if key in failed:
             return None
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
+        red = [0] * k
+        full = [0] * k
+        for i, (_, union, inter) in enumerate(parts):
+            for j, p in enumerate(parts):
+                if p[0] & ~inter == 0:
+                    full[i] |= 1 << j
+                elif p[0] & union and j != i:
+                    red[i] |= 1 << j
+        at_cap = sum(1 << i for i in range(k) if red[i].bit_count() == d)
+        for i in range(k):
+            for j in range(i + 1, k):
+                lose = 1 << i | 1 << j
+                was = red[i] | red[j]
+                gain = (full[i] ^ full[j]) & ~was & ~lose
+                if gain & at_cap or ((was | gain) & ~lose).bit_count() > d:
+                    continue
                 a, b = parts[i], parts[j]
                 merged = (a[0] | b[0], a[1] | b[1], a[2] & b[2])
                 rest = tuple(p for t, p in enumerate(parts) if t != i and t != j)
-                nxt = tuple(sorted(rest + (merged,)))
-                if red_degree_ok(nxt):
-                    tail = search(nxt)
-                    if tail is not None:
-                        return [(a[0], b[0])] + tail
+                tail = search(tuple(sorted(rest + (merged,))))
+                if tail is not None:
+                    return [(a[0], b[0])] + tail
         failed.add(key)
         return None
 

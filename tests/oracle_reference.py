@@ -1,17 +1,92 @@
-"""The vertex-cover oracles as they were before the bitmask rewrite.
+"""Oracles as they were before their fast rewrites.
 
 Kept verbatim as the differential reference for twinwidth.oracle:
-size-ordered subset enumeration over sets, with the cover test and the
-augmenting assignment re-run on Graph.edges() for every candidate.
-Only the size check changed with the oracle's: TWW_SIZE_CAP is the
-one override, so neither function takes a per-call cap.
+
+- the vertex-cover oracles before the bitmask rewrite: size-ordered
+  subset enumeration over sets, with the cover test and the augmenting
+  assignment re-run on Graph.edges() for every candidate.  Only the
+  size check changed with the oracle's: TWW_SIZE_CAP is the one
+  override, so neither function takes a per-call cap.
+- twinwidth_at_most before the per-state red and full masks: every
+  child state is built and then rescanned pair by pair for its red
+  degrees.
 """
 
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from twinwidth.oracle import SEARCH_CAP, CapacitatedGraph, _check_size
+from twinwidth.oracle import (SEARCH_CAP, CapacitatedGraph, _check_size,
+                              _check_tww_input, _part_tables)
+from twinwidth.sequence import ContractionSequence
 from twinwidth.trigraph import Graph
+
+
+def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
+    """A witness d-sequence for g, or None when tww(g) > d.
+
+    Search over vertex-partition states (tuples of bitmasks over the
+    original vertices) with a failed-state memo.  Candidate merges are
+    tried in order of smallest contained vertex, so the returned
+    witness is deterministic.
+    """
+    n = g.n
+    _check_tww_input(g)
+    if n == 1:
+        return ContractionSequence(1, [])
+
+    order = list(range(1, n + 1))
+    adjbit = _part_tables(order, g)
+    # a part is (mask, union of member adjacencies, intersection of them)
+    parts0 = tuple(sorted((1 << i, adjbit[i + 1], adjbit[i + 1]) for i in range(n)))
+
+    def homogeneous(a, b) -> bool:
+        return (b[0] & a[1]) == 0 or (b[0] & ~a[2]) == 0
+
+    def red_degree_ok(parts) -> bool:
+        k = len(parts)
+        deg = [0] * k
+        for i in range(k):
+            for j in range(i + 1, k):
+                if not homogeneous(parts[i], parts[j]):
+                    deg[i] += 1
+                    deg[j] += 1
+                    if deg[i] > d or deg[j] > d:
+                        return False
+        return True
+
+    failed: Set[Tuple[int, ...]] = set()
+
+    def search(parts) -> Optional[List[Tuple[int, int]]]:
+        if len(parts) == 1:
+            return []
+        key = tuple(p[0] for p in parts)
+        if key in failed:
+            return None
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                a, b = parts[i], parts[j]
+                merged = (a[0] | b[0], a[1] | b[1], a[2] & b[2])
+                rest = tuple(p for t, p in enumerate(parts) if t != i and t != j)
+                nxt = tuple(sorted(rest + (merged,)))
+                if red_degree_ok(nxt):
+                    tail = search(nxt)
+                    if tail is not None:
+                        return [(a[0], b[0])] + tail
+        failed.add(key)
+        return None
+
+    merges = search(parts0)
+    if merges is None:
+        return None
+    # translate part-mask merges into (z, u, v) steps
+    ids = {1 << i: i + 1 for i in range(n)}
+    steps = []
+    nxt = n + 1
+    for ma, mb in merges:
+        steps.append((nxt, ids.pop(ma), ids.pop(mb)))
+        ids[ma | mb] = nxt
+        nxt += 1
+    return ContractionSequence(n, steps)
 
 
 def is_vertex_cover(g: Graph, s) -> bool:

@@ -7,10 +7,48 @@ import pytest
 
 from twinwidth import io
 from twinwidth.compose import make_dummy, or_cross_compose
+from twinwidth.oracle import exact_twinwidth
 from twinwidth.trigraph import Graph
 from twinwidth.sequence import ContractionSequence
 from twinwidth.gadgets import (LayoutClause, LayoutFormula, halfgraph_cycle,
                                reduce_3sat, snaking_grid)
+
+
+def _random_graph(rng, n, p):
+    return Graph(range(1, n + 1), [(i, j) for i in range(1, n + 1)
+                                   for j in range(i + 1, n + 1) if rng.random() < p])
+
+
+def _random_sequence(rng, n):
+    """A from-scratch sequence on n vertices with a random number of steps."""
+    live = list(range(1, n + 1))
+    steps = []
+    for z in range(n + 1, n + 1 + rng.randrange(n)):
+        u, v = rng.sample(live, 2)
+        live.remove(u)
+        live.remove(v)
+        live.append(z)
+        steps.append((z, u, v))
+    return ContractionSequence(n, steps)
+
+
+def _random_formula(rng, n):
+    """A layout formula whose removal ranks are valid as drawn.
+
+    Each clause of a family retires the middle of a window of three
+    consecutive live variables, so no later clause reaches inside it.
+    """
+    clauses = []
+    for sign in "+-":
+        live = list(range(1, n + 1))
+        for rank in range(1, rng.randint(0, n - 2) + 1):
+            i = rng.randrange(len(live) - 2)
+            window = live[i:i + 3]
+            del live[i + 1]
+            clauses.append(LayoutClause(sign, rank, tuple(
+                v if rng.random() < 0.5 else -v for v in window)))
+    rng.shuffle(clauses)
+    return LayoutFormula(n, clauses)
 
 
 class TestGraphFormat:
@@ -29,6 +67,13 @@ class TestGraphFormat:
         h, back = io.parse_graph(text)
         assert h == g
         assert back == caps
+
+    def test_seeded_round_trips(self):
+        rng = random.Random(5101)
+        for _ in range(40):
+            g = _random_graph(rng, rng.randint(1, 12), rng.random())
+            caps = {v: rng.randint(-2, 5) for v in g.vertices if rng.random() < 0.5}
+            assert io.parse_graph(io.write_graph(g, caps)) == (g, caps)
 
     def test_comments_and_blanks_ignored(self):
         g, _ = io.parse_graph("# header\n\ngraph 3\nedge 1 2  # inline\n\n")
@@ -66,6 +111,12 @@ class TestSequenceFormat:
         assert io.parse_sequence(text) == s
         assert io.write_sequence(io.parse_sequence(text)) == text
 
+    def test_seeded_round_trips(self):
+        rng = random.Random(5102)
+        for _ in range(40):
+            s = _random_sequence(rng, rng.randint(1, 12))
+            assert io.parse_sequence(io.write_sequence(s)) == s
+
     def test_fresh_id_diagnostic(self):
         with pytest.raises(io.ParseError,
                            match="line 2: contract creates 7, expected fresh id 6"):
@@ -96,6 +147,15 @@ class TestFormulaFormat:
         assert back == f
         assert io.write_formula(back) == text
 
+    def test_seeded_round_trips(self):
+        rng = random.Random(5103)
+        for _ in range(40):
+            f = _random_formula(rng, rng.randint(3, 9))
+            text = io.write_formula(f)
+            back = io.parse_formula(text)
+            assert back == f
+            assert io.write_formula(back) == text
+
     def test_negated_literals(self):
         f = io.parse_formula("formula 3\nclause + 1 -1 2 -3\n")
         assert f.clauses[0].literals == (-1, 2, -3)
@@ -125,6 +185,17 @@ class TestInstanceFormat:
         assert back.eta == inst.eta
         assert back.witness == inst.witness
         assert io.write_instance(back) == text
+
+    def test_seeded_round_trips(self):
+        rng = random.Random(5104)
+        instances = [reduce_3sat(_random_formula(rng, rng.randint(3, 5))).instance
+                     for _ in range(6)]
+        instances.append(make_dummy(16, 2, 2))
+        for inst in instances:
+            text = io.write_instance(inst)
+            back = io.parse_instance(text)
+            assert back == inst
+            assert io.write_instance(back) == text
 
     def test_missing_dims(self):
         with pytest.raises(io.ParseError, match="missing dims"):
@@ -223,6 +294,16 @@ class TestDeterminism:
             "reduce_3sat": "a1d8da912981e1de2d30297484f6f6974563a3227b166eb990e8d3db31bd981f",
             "or_cross_compose": "ec281d5f48f6f7000d7fa77577f36ac18b33def65d54c141e8c79cd95231cc14",
         }
+
+    def test_exact_witness_bytes_are_frozen(self):
+        # sha256 of the exact oracle's witnesses as written before its
+        # search tested merges from per-state red and full masks
+        rng = random.Random(1340)
+        h = hashlib.sha256()
+        for _ in range(40):
+            g = _random_graph(rng, rng.randint(6, 10), rng.choice([0.3, 0.5, 0.7]))
+            h.update(io.write_sequence(exact_twinwidth(g)[1]).encode())
+        assert h.hexdigest() == "767982b380c0dec4a98d866e8a75e71eec0b267df1706e7b596cad95b31da8b5"
 
 
 class TestFuzz:

@@ -138,6 +138,32 @@ def test_twinwidth_needs_compact_labels():
         exact_twinwidth(Graph([2, 3], [(2, 3)]))
 
 
+def test_negative_width_bound_is_rejected():
+    # without the check, merges that create no red edge pass any bound
+    for g in [Graph.complete(4), Graph([1])]:
+        with pytest.raises(ValueError, match="width bound must be non-negative, got -1"):
+            twinwidth_at_most(g, -1)
+
+
+def test_twinwidth_at_most_matches_reference_on_all_small_graphs():
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph(range(1, n + 1), [e for i, e in enumerate(pairs) if bits >> i & 1])
+            for d in range(n):
+                assert twinwidth_at_most(g, d) == reference.twinwidth_at_most(g, d)
+
+
+def test_twinwidth_at_most_matches_reference_around_the_width():
+    rng = random.Random(1313)
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(6, 10), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        w, _ = exact_twinwidth(g)
+        # d = -1 raises, so a width-0 graph starts at d = 0
+        for d in range(max(w - 1, 0), w + 2):
+            assert twinwidth_at_most(g, d) == reference.twinwidth_at_most(g, d)
+
+
 def _exact_twinwidth_from_zero(g):
     """exact_twinwidth as it was: deepening from d = 0."""
     for d in range(0, max(g.n, 1)):
