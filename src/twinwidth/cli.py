@@ -14,8 +14,8 @@ from typing import Optional
 from . import io
 from .compose import ComposedInstance, or_cross_compose
 from .dpsolve import min_ds_dp, min_vc_dp
-from .gadgets import (augmented_snaking_grid, halfgraph_cycle, reduce_3sat,
-                      snaking_grid, validate_instance)
+from .gadgets import (augmented_snaking_grid, fine_dims, halfgraph_cycle,
+                      reduce_3sat, snaking_grid, validate_instance)
 from .kernel import capvc_kernel, cvc_kernel_improved, cvc_kernel_quadratic
 from .oracle import CapacitatedGraph, exact_twinwidth
 from .recognize import recognize_tww1
@@ -107,7 +107,29 @@ def cmd_kernel(args) -> int:
     return 0
 
 
+# a million edges take about 2 s and 250 MB to build and write on a
+# 2-core VM; the grid families stay far below it (degree at most 3)
+GEN_EDGE_LIMIT = 10 ** 6
+
+
+def _gen_size(family: str, a: int, b: int):
+    """(vertices, edges) of gen's output, or for a grid family its vertex
+    count and 0, computed from the arguments alone."""
+    a, b = max(a, 0), max(b, 0)  # the builders reject negative sizes themselves
+    if family == "halfcycle":
+        return a * b, a * b * (b - 1) // 2
+    rows, cols = fine_dims(a, b)
+    return rows * cols, 0
+
+
 def cmd_gen(args) -> int:
+    n, m = _gen_size(args.family, args.a, args.b)
+    if n > io.MAX_HEADER:
+        raise ValueError("%s %d %d has %d vertices, above the header limit %d"
+                         % (args.family, args.a, args.b, n, io.MAX_HEADER))
+    if m > GEN_EDGE_LIMIT:
+        raise ValueError("%s %d %d has %d edges, above the limit %d"
+                         % (args.family, args.a, args.b, m, GEN_EDGE_LIMIT))
     if args.family == "snaking":
         g = snaking_grid(args.a, args.b).graph
     elif args.family == "hamcycle":

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .trigraph import Graph
+from .trigraph import Graph, quotient_by
 from .sequence import ContractionSequence, final_trigraph
 from .gadgets import (AnnotatedInstance, Point, augmented_grid, fine_dims,
                       grid_subdivision_collapse, hamiltonian_cycle,
@@ -167,13 +167,15 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     for deeper in cells[1:]:
         pairs += [(label[col], min(deeper[col])) for col in fold]
 
-    # stage 3: the single remaining grid collapses like a red grid
+    # stage 3: the single remaining grid collapses like a red grid; on
+    # the quotient relabelled by the bags' labels, its merges continue
+    # those of stages 1 and 2
     partial = ContractionSequence.from_merges(n_h, pairs)
-    t_fin = final_trigraph(h, partial)
-    vertex = {min(bag): v for v, bag in partial.final_bags().items()}
-    embedding = {vertex[label[col]]: pt for pt, col in point_col.items()}
-    tail = grid_subdivision_collapse(t_fin, embedding, n=n_h, prior=len(pairs))
-    witness = ContractionSequence(n_h, partial.steps + tail.steps)
+    t_fin = quotient_by(final_trigraph(h, partial),
+                        {v: min(bag) for v, bag in partial.final_bags().items()})
+    embedding = {label[col]: pt for pt, col in point_col.items()}
+    pairs += grid_subdivision_collapse(t_fin, embedding)
+    witness = ContractionSequence.from_merges(n_h, pairs)
     if not witness.is_full:
         raise AssertionError("composed witness is not a full sequence")
     return ComposedInstance(h, budget, t1, witness, provenance)

@@ -61,7 +61,7 @@ def min_ds_dp(g: Graph, s: ContractionSequence, c: int) -> int:
 def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
     if c < 1:
         raise ValueError("component bound must be at least 1")
-    if s.prior != 0 or s.n != g.n:
+    if s.n != g.n:
         raise ValueError("sequence must start from the original graph")
     if not s.is_full:
         raise ValueError("dynamic programming needs a full sequence")

@@ -176,26 +176,21 @@ def halfgraph_cycle(layers: int, height: int) -> Tuple[Graph, ContractionSequenc
 # ---------------------------------------------------------------------------
 # collapsing grid subdivisions
 
-def grid_subdivision_collapse(
-    t: Trigraph,
-    embedding: Dict[int, Point],
-    n: Optional[int] = None,
-    prior: int = 0,
-) -> ContractionSequence:
-    """A width-4 sequence for a trigraph drawn inside a grid.
+def grid_subdivision_collapse(t: Trigraph, embedding: Dict[int, Point]) -> List[Tuple[int, int]]:
+    """Label merges of a width-4 sequence for a trigraph drawn in a grid.
 
     embedding sends each vertex to a distinct fine-grid cell such that
-    every (black or red) edge joins neighboring cells.  The sequence
-    mimics the full red grid's collapse, merging columns left to right
+    every (black or red) edge joins neighboring cells.  The merges
+    mimic the full red grid's collapse, merging columns left to right
     (top to bottom within a column) and finishing down the last
     column; steps touching empty cells are simply skipped, and a
     sub-trigraph of the red grid can only do better.
 
-    n/prior allow emitting a suffix that continues an ongoing sequence
-    over a larger graph; by default the trigraph is taken as fresh.
     Each cell holds the label of its bag, the smallest vertex of t
-    merged into it, and ContractionSequence.from_merges numbers the
-    fresh ids.
+    merged into it, and each merge (a, b) names two bags by their
+    labels, as ContractionSequence.from_merges reads them: on a
+    trigraph whose vertices are 1..n, from_merges(n, merges) is the
+    sequence itself.
     """
     if set(embedding) != t.vertices:
         raise ValueError("embedding must cover exactly the vertices")
@@ -213,10 +208,6 @@ def grid_subdivision_collapse(
             if abs(r1 - r2) + abs(c1 - c2) != 1:
                 raise ValueError("edge (%d, %d) is not grid-adjacent" % (x, y))
 
-    if n is None:
-        n = len(t.vertices)
-        if t.vertices and max(t.vertices) > n:
-            raise ValueError("fresh collapse needs vertices 1..n; pass n and prior")
     rows = max((r for r, _ in occupied), default=1)
     cols = max((c for _, c in occupied), default=1)
 
@@ -238,7 +229,7 @@ def grid_subdivision_collapse(
             merge((r, c), (r, c + 1))
     for r in range(rows, 1, -1):
         merge((r, cols), (r - 1, cols))
-    return ContractionSequence.from_merges(n, pairs, prior)
+    return pairs
 
 
 # ---------------------------------------------------------------------------

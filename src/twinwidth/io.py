@@ -147,8 +147,6 @@ def parse_sequence(text: str) -> ContractionSequence:
 
 
 def write_sequence(s: ContractionSequence) -> str:
-    if s.prior:
-        raise ValueError("only sequences starting at the original graph serialize")
     out = ["seq %d" % s.n]
     out += ["contract %d %d %d" % step for step in s.steps]
     return "\n".join(out) + "\n"

@@ -1,19 +1,20 @@
 """Contraction sequences and their verification.
 
 A sequence for an n-vertex graph lists steps (z, u, v): contract the
-live vertices u and v into the fresh vertex z.  Fresh ids continue the
-numbering, so step i (0-based) of a sequence on 1..n must create
-z = n + i + 1.  A full sequence has n - 1 steps and ends in a single
-vertex; shorter sequences are partial and are the currency of the
-composition machinery, which reads their final bags off the steps
-(final_bags) instead of replaying them.
+live vertices u and v into the fresh vertex z.  Every sequence starts
+from the original graph on 1..n and fresh ids continue the numbering,
+so step i (0-based) creates z = n + i + 1, larger than every id before
+it.  A full sequence has n - 1 steps and ends in a single vertex;
+shorter sequences are partial and are the currency of the composition
+machinery, which reads their final bags off the steps (final_bags)
+instead of replaying them.
 
 Builders do not number fresh ids themselves: they list merges of bags
 named by labels, and from_merges numbers the steps.  A label is a
 vertex a bag started from; a merged bag keeps the smaller of its two
-labels, and a label never merged is its own vertex.  From scratch a
-bag's label is therefore its smallest original vertex.  merges() is
-the inverse, so this module is the only place that numbers fresh ids.
+labels, and a label never merged is its own vertex.  A bag's label is
+therefore its smallest original vertex.  merges() is the inverse, so
+this module is the only place that numbers fresh ids.
 
 walk() is the single replay loop: replay, verify and the dynamic
 programming read their states from it.  It copies the start once, at
@@ -47,35 +48,27 @@ from .trigraph import Graph, Trigraph, contract, quotient_by
 class ContractionSequence:
     """Steps (z, u, v) over a graph whose original vertices are 1..n.
 
-    prior > 0 marks a suffix: the sequence resumes after that many
-    earlier contractions, so its fresh ids start at n + prior + 1 and
-    it replays from the matching intermediate trigraph.  A step may
-    use any id below its fresh id that no earlier step retired: from
-    scratch that is exactly the live set, while for a suffix the ids
-    the prior steps retired are unknown here, and replay rejects them
-    because they are not vertices of the starting trigraph.
+    Step i creates z = n + i + 1 from two ids below z that no earlier
+    step retired: since the start is 1..n, that is exactly the live
+    set, so a validated sequence never names a dead or unknown id.
     """
 
     n: int
     steps: Tuple[Tuple[int, int, int], ...]
-    prior: int = 0
 
-    def __init__(self, n: int, steps, prior: int = 0):
+    def __init__(self, n: int, steps):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "steps", tuple((z, u, v) for z, u, v in steps))
-        object.__setattr__(self, "prior", prior)
         self._validate()
 
     def _validate(self) -> None:
         if self.n < 1:
             raise ValueError("sequence needs at least one vertex")
-        if not 0 <= self.prior <= self.n - 1:
-            raise ValueError("prior contraction count out of range")
-        if self.prior + len(self.steps) > self.n - 1:
+        if len(self.steps) > self.n - 1:
             raise ValueError("more steps than a full sequence allows")
         retired = set()
         for i, (z, u, v) in enumerate(self.steps):
-            expect = self.n + self.prior + i + 1
+            expect = self.n + i + 1
             if z != expect:
                 raise ValueError("step %d creates %d, expected fresh id %d" % (i, z, expect))
             if u == v or u in retired or v in retired or not 1 <= u < z or not 1 <= v < z:
@@ -83,7 +76,7 @@ class ContractionSequence:
             retired |= {u, v}
 
     @classmethod
-    def from_merges(cls, n: int, pairs, prior: int = 0) -> "ContractionSequence":
+    def from_merges(cls, n: int, pairs) -> "ContractionSequence":
         """Number the merges (a, b) of bags labelled a and b as steps.
 
         A dead or repeated label yields a retired id, which the step
@@ -91,16 +84,15 @@ class ContractionSequence:
         """
         cur: Dict[int, int] = {}  # label of a merged bag -> its vertex
         steps = []
-        for z, (a, b) in enumerate(pairs, start=n + prior + 1):
+        for z, (a, b) in enumerate(pairs, start=n + 1):
             steps.append((z, cur.pop(a, a), cur.pop(b, b)))
             cur[min(a, b)] = z
-        return cls(n, steps, prior)
+        return cls(n, steps)
 
     def merges(self) -> List[Tuple[int, int]]:
         """The steps as label merges, the inverse of from_merges.
 
-        A label is a vertex of the starting trigraph, so from scratch
-        it is the smallest original vertex of its bag.
+        A label is the smallest original vertex of its bag.
         """
         label: Dict[int, int] = {}  # vertex of a merged bag -> its label
         pairs = []
@@ -112,16 +104,13 @@ class ContractionSequence:
 
     @property
     def is_full(self) -> bool:
-        return self.prior + len(self.steps) == self.n - 1
+        return len(self.steps) == self.n - 1
 
     def final_bags(self) -> Dict[int, FrozenSet[int]]:
         """Original vertices behind each vertex left after the steps.
 
-        Bags follow from the steps alone, so no trigraph is replayed;
-        only a from-scratch sequence (prior = 0) knows its start bags.
+        Bags follow from the steps alone, so no trigraph is replayed.
         """
-        if self.prior:
-            raise ValueError("a suffix does not know the bags it starts from")
         bags = {v: frozenset([v]) for v in range(1, self.n + 1)}
         for z, u, v in self.steps:
             bags[z] = bags.pop(u) | bags.pop(v)
@@ -136,11 +125,10 @@ class WidthReport:
     """Outcome of verifying a sequence.
 
     width is the maximum red degree over all intermediate trigraphs,
-    argmax_step the first step index after which it is attained.  Step
-    indices are absolute (a suffix starting after k prior steps counts
-    from k); the starting trigraph itself is step prior - 1, so -1 for
-    a from-scratch sequence.  When a bound was requested and exceeded,
-    violation holds the first offending (step, vertex, degree).
+    argmax_step the first step index after which it is attained; the
+    starting trigraph itself is step -1.  When a bound was requested
+    and exceeded, violation holds the first offending (step, vertex,
+    degree).
     """
 
     width: int
@@ -153,15 +141,9 @@ class WidthReport:
 
 
 def _check_start(vertices: Set[int], seq: ContractionSequence) -> None:
-    """Raise ValueError unless vertices can start seq: 1..n from scratch,
-    else as many as a suffix leaves, with ids prior steps could make."""
-    if seq.prior == 0 and vertices != set(range(1, seq.n + 1)):
+    """Raise ValueError unless vertices are 1..n, where seq starts."""
+    if vertices != set(range(1, seq.n + 1)):
         raise ValueError("graph vertices must be exactly 1..%d" % seq.n)
-    if seq.prior and len(vertices) != seq.n - seq.prior:
-        raise ValueError("starting trigraph has %d vertices, suffix expects %d"
-                         % (len(vertices), seq.n - seq.prior))
-    if seq.prior and vertices and max(vertices) > seq.n + seq.prior:
-        raise ValueError("starting trigraph uses ids beyond the prior contractions")
 
 
 def _start_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
@@ -183,9 +165,8 @@ def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigra
     copy (the walk's only one), and every later step contracts that
     copy in place.  So each state yielded is valid only until the
     next one is requested, and a consumer that keeps states must copy
-    them.  Each z is fresh: the sequence fixes z = n + prior + i + 1
-    and the start's ids stay at most n + prior, so the in-place steps
-    skip the freshness scan.
+    them.  Each z is fresh: the sequence fixes z = n + i + 1 and the
+    start is 1..n, so the in-place steps skip the freshness scan.
     """
     t = _start_trigraph(g, seq)
     yield t
@@ -213,11 +194,11 @@ def verify(
     state after the start is scanned there alone, in any order.  The
     violating vertex is the smallest one above the bound in its state.
     """
-    width, argmax = 0, seq.prior - 1
+    width, argmax = 0, -1
     violation: Optional[Tuple[int, int, int]] = None
-    for step, t in enumerate(walk(g, seq), start=seq.prior - 1):
+    for step, t in enumerate(walk(g, seq), start=-1):
         z = seq.n + step + 1
-        touched = t.vertices if step < seq.prior else t.red[z] | {z}
+        touched = t.vertices if step < 0 else t.red[z] | {z}
         d = max([len(t.red[x]) for x in touched], default=0)
         if d > width:
             width, argmax = d, step
@@ -229,15 +210,9 @@ def verify(
 
 def final_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
     """The trigraph after the last step, never g itself: the quotient
-    of g by the steps' bags, in O(n + m), with walk's rejections."""
+    of g by the steps' bags, in O(n + m)."""
     _check_start(g.vertices, seq)
-    live = set(g.vertices)
-    for z, u, v in seq.steps:
-        if u not in live or v not in live:
-            raise ValueError("contract on dead or unknown vertex (%s, %s)" % (u, v))
-        live -= {u, v}
-        live.add(z)
-    owner = {v: v for v in live}  # start vertex -> the surviving id of its bag
+    owner = {v: v for v in g.vertices}  # start vertex -> the surviving id of its bag
     for z, u, v in reversed(seq.steps):
-        owner[u] = owner[v] = owner.pop(z)
+        owner[u] = owner[v] = owner.pop(z, z)
     return quotient_by(g, owner)

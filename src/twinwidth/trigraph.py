@@ -7,8 +7,9 @@ black edge only if both u and v saw them black, every other neighbour of
 u or v becomes a red neighbour of z.  Trigraph.contract_inplace does
 this to one trigraph; contract returns a contracted copy.  A target is
 larger than every live id, so ids are never reused: both calls scan
-the live ids for that, while a sequence's replay, whose ids are fresh
-by construction, skips the scan and pays O(deg u + deg v) per step.
+the live ids for that, while a sequence's replay skips the scan and
+pays O(deg u + deg v) per step, its ids being fresh by construction
+(a sequence starts from 1..n and its step i creates n + i + 1).
 Which original vertices a contracted vertex stands for is a property
 of the contraction sequence (ContractionSequence.final_bags), not of
 the trigraph.

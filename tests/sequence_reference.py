@@ -33,8 +33,8 @@ def verify(g: Union[Graph, Trigraph], seq: ContractionSequence,
     """Width, first step attaining it and first violation, read off
     copies of all states by scanning every vertex in sorted order."""
     states: List[Trigraph] = [t.copy() for t in walk(g, seq)]
-    width, argmax, violation = 0, seq.prior - 1, None
-    for step, t in enumerate(states, start=seq.prior - 1):
+    width, argmax, violation = 0, -1, None
+    for step, t in enumerate(states, start=-1):
         for x in sorted(t.vertices):
             d = len(t.red[x])
             if d > width:

@@ -157,7 +157,7 @@ def test_03_witness_suite():
             assert verify(g, seq, bound=3).ok, (layers, height)
     for p, q in [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 5)]:
         t, embedding = red_grid(p, q)
-        seq = grid_subdivision_collapse(t, embedding)
+        seq = ContractionSequence.from_merges(t.n, grid_subdivision_collapse(t, embedding))
         assert verify(t, seq, bound=4).ok, (p, q)
     instances = []
     for f in (F1, F2, F3, F4, F5):

@@ -4,6 +4,7 @@ import pytest
 
 from twinwidth import cli, compose, gadgets, io, sequence
 from twinwidth.cli import main
+from twinwidth.gadgets import augmented_snaking_grid, halfgraph_cycle, snaking_grid
 from twinwidth.sequence import verify
 from twinwidth.trigraph import Graph
 
@@ -128,6 +129,34 @@ class TestGen:
         main(["gen", "snaking", "3", "4", "--out", str(a)])
         main(["gen", "snaking", "3", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("family, a, b, what", [
+        ("snaking", 110, 110, "107584 vertices, above the header limit 100000"),
+        ("hamcycle", 110, 110, "107584 vertices, above the header limit 100000"),
+        ("halfcycle", 3, 60000, "180000 vertices, above the header limit 100000"),
+        ("halfcycle", 3, 1000, "1498500 edges, above the limit 1000000"),
+    ])
+    def test_oversized_output_is_input_error(self, workdir, capsys, monkeypatch,
+                                             family, a, b, what):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was built")
+        for name in ("snaking_grid", "augmented_snaking_grid", "halfgraph_cycle"):
+            monkeypatch.setattr(cli, name, refuse)
+        assert main(["gen", family, str(a), str(b), "--out", str(workdir / "big")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s %d %d has %s\n" % (family, a, b, what)
+        assert not (workdir / "big").exists()
+
+    def test_size_is_known_before_building(self):
+        # the sizes gen checks are those of the graphs it builds
+        for a, b in ((1, 2), (2, 2), (3, 5), (4, 4)):
+            assert cli._gen_size("snaking", a, b) == (snaking_grid(a, b).graph.n, 0)
+        for a, b in ((2, 2), (3, 4)):
+            assert cli._gen_size("hamcycle", a, b) == (augmented_snaking_grid(a, b).n, 0)
+        for a, b in ((3, 1), (4, 3), (5, 7)):
+            g, _ = halfgraph_cycle(a, b)
+            assert cli._gen_size("halfcycle", a, b) == (g.n, g.edge_count())
 
 
 class TestReductionPipeline:

@@ -8,7 +8,7 @@ import pytest
 
 import twinwidth
 from twinwidth.trigraph import Graph, Trigraph
-from twinwidth.sequence import verify
+from twinwidth.sequence import ContractionSequence, verify
 from twinwidth.oracle import all_min_dominating_sets, is_dominating_set, min_dominating_set
 from twinwidth.gadgets import (
     LayoutClause,
@@ -115,7 +115,7 @@ def test_grid_subdivision_collapse_red_grid():
     red += [(3 * (r - 1) + c, 3 * (r - 1) + c + 1) for r in range(1, 4) for c in range(1, 3)]
     t = Trigraph(range(1, 10), red_edges=red)
     embedding = {3 * (r - 1) + c: (r, c) for r in range(1, 4) for c in range(1, 4)}
-    seq = grid_subdivision_collapse(t, embedding)
+    seq = ContractionSequence.from_merges(t.n, grid_subdivision_collapse(t, embedding))
     rep = verify(Graph(range(1, 10), red), seq, bound=4)
     assert rep.ok and rep.width == 4
     assert seq.is_full
@@ -123,8 +123,8 @@ def test_grid_subdivision_collapse_red_grid():
 
 def test_grid_subdivision_collapse_path():
     g = Graph.path(5)
-    seq = grid_subdivision_collapse(Trigraph.from_graph(g), {c: (1, c) for c in range(1, 6)})
-    assert verify(g, seq, bound=2).ok
+    pairs = grid_subdivision_collapse(Trigraph.from_graph(g), {c: (1, c) for c in range(1, 6)})
+    assert verify(g, ContractionSequence.from_merges(g.n, pairs), bound=2).ok
 
 
 def test_grid_subdivision_collapse_rejects_bad_embeddings():

@@ -261,6 +261,24 @@ def test_forced_parts_respect_max_size():
     assert size is None and ds is None
 
 
+def test_forced_search_size_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+    big = Graph(range(1, oracle.FORCED_CAP + 2))
+    parts = [{v} for v in big.vertices]
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_forced_min_ds", refuse)
+        with pytest.raises(ValueError, match="graph has %d vertices, forced search cap is %d"
+                           % (oracle.FORCED_CAP + 1, oracle.FORCED_CAP)):
+            min_dominating_set(big, forced_hit_parts=parts)
+    # TWW_SIZE_CAP overrides this cap as it does every other
+    monkeypatch.setenv("TWW_SIZE_CAP", str(oracle.FORCED_CAP + 1))
+    assert min_dominating_set(big, forced_hit_parts=parts)[0] == big.n
+    monkeypatch.setenv("TWW_SIZE_CAP", "5")
+    with pytest.raises(ValueError, match="forced search cap is 5"):
+        min_dominating_set(Graph.path(6), forced_hit_parts=[{1, 6}, {2, 3, 4, 5}])
+
+
 def test_forced_parts_must_partition():
     with pytest.raises(ValueError):
         min_dominating_set(Graph.path(3), forced_hit_parts=[{1}, {2}])

@@ -46,10 +46,6 @@ def test_from_merges_numbers_label_merges():
     assert seq == ContractionSequence(4, [(5, 3, 4), (6, 1, 2), (7, 6, 5)])
     assert seq.merges() == [(3, 4), (1, 2), (1, 3)]
     assert ContractionSequence.from_merges(4, [(4, 3)]).steps == ((5, 4, 3),)
-    # a suffix numbers from n + prior + 1 and labels its starting vertices
-    tail = ContractionSequence.from_merges(5, [(7, 4), (4, 5)], prior=2)
-    assert tail == ContractionSequence(5, [(8, 7, 4), (9, 8, 5)], prior=2)
-    assert tail.merges() == [(7, 4), (4, 5)]
 
 
 @pytest.mark.parametrize("pairs", [[(1, 2), (2, 3)],  # 2 was merged away
@@ -123,30 +119,6 @@ def test_verify_needs_matching_vertex_set():
         verify(Graph([2, 3, 4], [(2, 3)]), seq)
 
 
-def test_suffix_sequences():
-    b = ContractionSequence(4, [(6, 5, 3)], prior=1)
-    assert b.prior == 1
-    assert not b.is_full
-    with pytest.raises(ValueError):
-        ContractionSequence(4, [(5, 5, 3)], prior=1)  # wrong fresh id
-    with pytest.raises(ValueError):
-        ContractionSequence(4, [(6, 5, 3), (7, 3, 4)], prior=1)  # 3 reused
-    with pytest.raises(ValueError):
-        ContractionSequence(4, [(6, 1, 2), (7, 3, 4), (8, 6, 7)], prior=1)
-
-
-def test_suffix_replay_from_intermediate():
-    g = Graph.cycle(5)
-    whole = ContractionSequence(5, [(6, 1, 2), (7, 6, 3), (8, 7, 4), (9, 8, 5)])
-    mid = replay(g, ContractionSequence(5, whole.steps[:2]))[-1]
-    tail = ContractionSequence(5, [(8, 7, 4), (9, 8, 5)], prior=2)
-    rep = verify(mid, tail)
-    assert rep.width == 2
-    assert rep.argmax_step == 1  # the starting trigraph, one step before 2
-    with pytest.raises(ValueError):
-        verify(g, tail)
-
-
 def _random_full_sequence(rng, n):
     live = list(range(1, n + 1))
     steps = []
@@ -196,8 +168,6 @@ def test_final_bags_match_replayed_bags():
             assert t.vertices == set(ids)
             assert sorted((ids[a - 1], ids[b - 1]) for a, b in q.black_edges()) == t.black_edges()
             assert sorted((ids[a - 1], ids[b - 1]) for a, b in q.red_edges()) == t.red_edges()
-    with pytest.raises(ValueError):
-        ContractionSequence(4, [(6, 5, 3)], prior=1).final_bags()
 
 
 def test_width_monotone_under_prefix():
@@ -253,20 +223,14 @@ def test_walk_states_equal_chain_of_pure_contractions():
             assert _state(chain[-1]) == _state(_reference_contract(chain[-2], u, v, z))
         before = _state(start)
         for k in sorted({0, rng.randint(0, len(full)), len(full)}):
-            # the prefix of k steps from scratch, and the suffix resumed
-            # from the chain's state after those k steps
-            prefix = ContractionSequence(n, full.steps[:k])
-            suffix = ContractionSequence(n, full.steps[k:], prior=k)
-            for g, seq, expect in ((start, prefix, chain[:k + 1]),
-                                   (chain[k], suffix, chain[k:])):
-                kept = _state(g)
-                assert [_state(t) for t in walk(g, seq)] == [_state(t) for t in expect]
-                assert [_state(t) for t in replay(g, seq)] == [_state(t) for t in expect]
-                assert _state(final_trigraph(g, seq)) == _state(expect[-1])
-                assert final_trigraph(g, seq) is not g
-                verify(g, seq, bound=1)
-                assert _state(g) == kept
-        assert _state(start) == before
+            seq = ContractionSequence(n, full.steps[:k])
+            expect = [_state(t) for t in chain[:k + 1]]
+            assert [_state(t) for t in walk(start, seq)] == expect
+            assert [_state(t) for t in replay(start, seq)] == expect
+            assert _state(final_trigraph(start, seq)) == expect[-1]
+            assert final_trigraph(start, seq) is not start
+            verify(start, seq, bound=1)
+            assert _state(start) == before
 
 
 def _random_graph(rng, n):
@@ -292,63 +256,56 @@ def test_walk_and_verify_match_reference():
                 s.clear()
             assert g.adj == kept  # the black sets are copies
         full = _random_full_sequence(rng, n)
-        states = [t.copy() for t in reference.walk(g, full)]
         for k in sorted({0, rng.randint(0, len(full)), len(full)}):
-            prefix = ContractionSequence(n, full.steps[:k])
-            suffix = ContractionSequence(n, full.steps[k:], prior=k)
-            for start, seq in ((g, prefix), (states[k], suffix)):
-                assert ([_state(t) for t in walk(start, seq)]
-                        == [_state(t) for t in reference.walk(start, seq)])
-                for bound in (None, 0, 1, 2, 3, 5):
-                    assert verify(start, seq, bound) == reference.verify(start, seq, bound)
-                last = final_trigraph(start, seq)
-                assert last is not start
-                assert _state(last) == _state(reference.final_trigraph(start, seq))
+            seq = ContractionSequence(n, full.steps[:k])
+            assert ([_state(t) for t in walk(g, seq)]
+                    == [_state(t) for t in reference.walk(g, seq)])
+            for bound in (None, 0, 1, 2, 3, 5):
+                assert verify(g, seq, bound) == reference.verify(g, seq, bound)
+            last = final_trigraph(g, seq)
+            assert last is not g
+            assert _state(last) == _state(reference.final_trigraph(g, seq))
 
 
-def _retired_and_missing_cases():
-    """Suffixes whose second step names an id the start does not have."""
-    g = Graph.cycle(6)
-    mid = final_trigraph(g, ContractionSequence(6, [(7, 1, 2), (8, 7, 3)]))  # 4, 5, 6, 8
-    retired = ContractionSequence(6, [(9, 8, 4), (10, 9, 1)], prior=2)
-    # a start of the right size whose ids stay below the fresh ones but
-    # that lacks 7, which a suffix may name
-    other = Trigraph([2, 4, 5, 8], [(2, 4), (4, 5), (5, 8)])
-    missing = ContractionSequence(6, [(9, 8, 5), (10, 9, 7)], prior=2)
-    return [(mid, retired, "(9, 1)"), (other, missing, "(9, 7)")]
+def _starts_lacking_ids():
+    """Starts for a 4-vertex sequence whose vertices are not 1..4."""
+    return [Graph([1, 2, 3], [(1, 2)]), Trigraph([1, 2, 3, 5], [(1, 5)]),
+            Graph(range(1, 6))]
 
 
 def test_walk_rejects_ids_the_start_lacks():
-    # a suffix cannot know which ids the prior steps retired, so the
-    # in-place steps must still reject a dead or unknown id themselves
-    for start, seq, pair in _retired_and_missing_cases():
-        kept = _state(start)
+    # every sequence starts from 1..n; a start with other ids is
+    # rejected before any step, and left as it was
+    seq = ContractionSequence(4, [(5, 1, 2), (6, 5, 3)])
+    for start in _starts_lacking_ids():
+        kept = set(start.vertices)
         for run in (lambda: list(walk(start, seq)), lambda: verify(start, seq),
                     lambda: final_trigraph(start, seq), lambda: replay(start, seq)):
             with pytest.raises(ValueError) as err:
                 run()
-            assert str(err.value) == "contract on dead or unknown vertex %s" % pair
-        assert _state(start) == kept
+            assert str(err.value) == "graph vertices must be exactly 1..4"
+        assert start.vertices == kept
 
 
 def test_walk_rejections_survive_optimize_flag():
     script = (
         "import sys\n"
         "sys.path.insert(0, %r)\n"
-        "from test_sequence import _retired_and_missing_cases\n"
-        "from twinwidth.sequence import final_trigraph, verify\n"
+        "from test_sequence import _starts_lacking_ids\n"
+        "from twinwidth.sequence import ContractionSequence, final_trigraph, verify\n"
         "from twinwidth.trigraph import Trigraph\n"
+        "seq = ContractionSequence(4, [(5, 1, 2)])\n"
         "for run in (verify, final_trigraph):\n"
-        "    for start, seq, _ in _retired_and_missing_cases():\n"
+        "    for start in _starts_lacking_ids():\n"
         "        try:\n"
         "            run(start, seq)\n"
         "        except ValueError as exc:\n"
         "            print(exc)\n"
         "t = Trigraph([1, 2, 3], [(1, 2)])\n"
         "t.contract_inplace(1, 2, 4)\n"
-        "for stale in (2, 4):\n"
+        "for u, v, z in ((3, 4, 2), (3, 4, 4), (1, 3, 5), (3, 7, 5)):\n"
         "    try:\n"
-        "        t.contract_inplace(3, 4, stale)\n"
+        "        t.contract_inplace(u, v, z)\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     ) % os.path.dirname(os.path.abspath(__file__))
@@ -357,13 +314,11 @@ def test_walk_rejections_survive_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "contract on dead or unknown vertex (9, 1)",
-        "contract on dead or unknown vertex (9, 7)",
-        "contract on dead or unknown vertex (9, 1)",
-        "contract on dead or unknown vertex (9, 7)",
+    assert proc.stdout.splitlines() == ["graph vertices must be exactly 1..4"] * 6 + [
         "contraction target id 2 is not fresh",
         "contraction target id 4 is not fresh",
+        "contract on dead or unknown vertex (1, 3)",
+        "contract on dead or unknown vertex (3, 7)",
     ]
 
 
@@ -416,13 +371,12 @@ def test_start_graph_is_never_written():
 
 
 def assert_merges_round_trip(seq):
-    """from_merges inverts merges(); from scratch the labels that no
-    merge retires are the smallest vertices of the final bags."""
-    assert ContractionSequence.from_merges(seq.n, seq.merges(), seq.prior) == seq
-    if not seq.prior:
-        retired = {max(pair) for pair in seq.merges()}
-        assert (set(range(1, seq.n + 1)) - retired
-                == {min(bag) for bag in seq.final_bags().values()})
+    """from_merges inverts merges(); the labels that no merge retires
+    are the smallest vertices of the final bags."""
+    assert ContractionSequence.from_merges(seq.n, seq.merges()) == seq
+    retired = {max(pair) for pair in seq.merges()}
+    assert (set(range(1, seq.n + 1)) - retired
+            == {min(bag) for bag in seq.final_bags().values()})
 
 
 def test_merges_round_trip_random_sequences():
@@ -433,7 +387,6 @@ def test_merges_round_trip_random_sequences():
         k = rng.randint(0, len(full))
         assert_merges_round_trip(full)
         assert_merges_round_trip(ContractionSequence(n, full.steps[:k]))
-        assert_merges_round_trip(ContractionSequence(n, full.steps[k:], prior=k))
     for _ in range(40):
         assert_merges_round_trip(random_tww1(rng.randint(1, 12), rng)[1])
 
