@@ -8,6 +8,7 @@ line).  Output is byte-deterministic for fixed inputs and flags.
 """
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -199,7 +200,10 @@ def cmd_pipeline(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The tww parser, built once per process: building it costs some
+    30 to 40 parses."""
     parser = argparse.ArgumentParser(
         prog="tww",
         description="Twin-width toolkit: verify witnesses, recognize low "
@@ -273,8 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the parser outlives this call: look the command up by name, so that
+    # a cmd_<name> bound after the parser was built is the one that runs
+    run = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return run(args)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ decidable from the statuses alone; each one is discharged at the
 contraction that internalizes it, while red edges keep their
 obligations inside the component tables.  Tables have at most 3^c (or
 6^c) entries, so the run time is linear in the sequence for fixed
-component bound c.
+component bound c; c above MAX_COMPONENT_BOUND is refused up front.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from .sequence import ContractionSequence, walk
 FULL, PARTIAL, NONE = 0, 1, 2
 
 Key = Tuple[Tuple[int, ...], Tuple[bool, ...]]
+
+# a component table holds at most 6^c entries (3^c for Vertex Cover):
+# 6^6 = 46656 keys of two 6-tuples take about 10 MB, and width-1
+# witnesses need c <= 2
+MAX_COMPONENT_BOUND = 6
 
 
 def check_component_bound(g: Graph, s: ContractionSequence) -> int:
@@ -61,6 +66,9 @@ def min_ds_dp(g: Graph, s: ContractionSequence, c: int) -> int:
 def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
     if c < 1:
         raise ValueError("component bound must be at least 1")
+    if c > MAX_COMPONENT_BOUND:
+        raise ValueError("component bound %d is above the cap %d (tables of up to 6^%d entries)"
+                         % (c, MAX_COMPONENT_BOUND, MAX_COMPONENT_BOUND))
     if s.n != g.n:
         raise ValueError("sequence must start from the original graph")
     if not s.is_full:

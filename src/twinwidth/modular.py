@@ -10,12 +10,32 @@ with at least two vertices the maximal modular partition is
     the quotient is prime (only trivial modules) and all-red edges play
     no role since distinct maximal modules see each other homogeneously.
 
-In the last case the maximal proper modules are read off pairwise.  When
-G and its complement are both connected, a module that is not V lies in
-exactly one maximal proper module, and these partition V (Gallai).  So u
-and v share a class exactly when the smallest module holding both is not
-V: with v the least vertex not yet placed, its class is v together with
-every unplaced u whose closure with v stops short of V.
+When G and its complement are both connected, a module other than V lies
+in exactly one maximal proper module, and these partition V (Gallai).
+They are found in two steps, after Ehrenfeucht, Gabow, McConnell &
+Sullivan, "An O(n^2) divide-and-conquer algorithm for the prime tree
+decomposition of two-structures and modular decomposition of graphs"
+(J. Algorithms, 1994); see also Habib & Paul, "A survey of the
+algorithmic aspects of modular decomposition" (2010).
+
+  1. M(G, v), the maximal modules that avoid the least vertex v, by
+     partition refinement: start from N(v) and the rest of V - {v}; a
+     pivot x splits every part without x by N(x), and the vertices of a
+     part that splits are pivots again.  Every split is forced, since a
+     module avoiding v never straddles N(x) for an x outside it, and
+     the stable partition has only modules as parts.
+  2. v's class from the forcing digraph on those parts: X -> Y when Y
+     holds a vertex telling some x in X from v (a vertex of
+     N(x) ^ N(v) - {x, v}), so any module with v and x holds Y too.
+     Each maximal proper module other than v's is a part of M(G, v)
+     that forces the whole graph, for a module meeting two classes is
+     V; a part inside v's class only forces parts inside it.  So the
+     parts that reach every part form the source strong component, each
+     of them is a class, and v's class is v with all the other parts.
+
+Parts are modules, so the relation of a part to the rest is that of its
+least member, and whether X -> Y holds reads off the quotient: Y
+separates X from v.  Both steps need O(n + m) memory.
 
 Width composes over this partition: the width of G is the larger of the
 quotient's width and the worst width among the parts.
@@ -23,8 +43,10 @@ quotient's width and the worst width among the parts.
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Set, Tuple
 
 from .trigraph import Graph, is_module, validate_partition
 
@@ -40,19 +62,79 @@ class ModularPartition:
         return all(len(p) == 1 for p in self.parts)
 
 
-def _closure(g: Graph, seed: Set[int]) -> Set[int]:
-    """Smallest module containing seed.
+def _modules_avoiding(g: Graph, v: int) -> List[Set[int]]:
+    """M(G, v): the maximal modules of g that avoid v, by refinement."""
+    near = g.adj[v]
+    parts = [p for p in (set(near), g.vertices - near - {v}) if p]
+    owner = {x: i for i, p in enumerate(parts) for x in p}
+    queue = deque(sorted(owner))
+    queued = set(owner)
+    while queue:
+        x = queue.popleft()
+        queued.discard(x)
+        home = owner[x]
+        met: Dict[int, Set[int]] = {}
+        for y in g.adj[x]:
+            i = owner.get(y, home)  # v has no part
+            if i != home:
+                met.setdefault(i, set()).add(y)
+        for i, inside in met.items():
+            part = parts[i]
+            if len(inside) == len(part):
+                continue
+            part -= inside
+            for y in inside:
+                owner[y] = len(parts)
+            parts.append(inside)
+            for y in itertools.chain(part, inside):
+                if y not in queued:
+                    queued.add(y)
+                    queue.append(y)
+    return parts
 
-    Each round absorbs every splitter at once (a vertex seeing some but
-    not all of the set): any module holding the set must hold them too.
-    """
-    mod = set(seed)
-    while True:
-        size = len(mod)
-        splitters = {w for w in g.vertices - mod if 0 < len(g.adj[w] & mod) < size}
-        if not splitters:
-            return mod
-        mod |= splitters
+
+def _search(start: int, step: Callable[[int], Set[int]], seen: Set[int]) -> Set[int]:
+    """Add to seen every part that start reaches along step; returns seen."""
+    seen.add(start)
+    stack = [start]
+    while stack:
+        for j in step(stack.pop()):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+def _classes(g: Graph, v: int, parts: List[Set[int]]) -> List[Set[int]]:
+    """The maximal proper modules, v's last, from the forcing digraph."""
+    k = len(parts)
+    owner = {x: i for i, p in enumerate(parts) for x in p}
+    # part i is linked to part j when its least member sees j's
+    link = [{owner[y] for y in g.adj[min(p)] if y != v} for p in parts]
+    by_v = {owner[y] for y in g.adj[v]}
+
+    def forced(i: int) -> Set[int]:
+        # the parts that tell part i from v
+        return (link[i] ^ by_v) - {i}
+
+    def forcing(j: int) -> Set[int]:
+        # the parts that part j tells from v; links are symmetric
+        return (set(range(k)) - link[j] if j in by_v else link[j]) - {j}
+
+    # a part that reaches every part is the last search root (part 0
+    # when it does); the parts reaching that root are the source component
+    seen: Set[int] = set()
+    root = 0
+    for i in range(k):
+        if i not in seen:
+            root = i
+            _search(i, forced, seen)
+    if root and len(_search(root, forced, set())) < k:
+        raise AssertionError("no part forces the whole graph")
+    source = _search(root, forcing, set())
+    classes = [parts[i] for i in sorted(source)]
+    classes.append({v}.union(*(parts[i] for i in range(k) if i not in source)))
+    return classes
 
 
 def maximal_modular_partition(g: Graph) -> ModularPartition:
@@ -67,23 +149,19 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
         parts = tuple(frozenset(c) for c in sorted(cocomps, key=min))
         return ModularPartition(parts, "cocomponents")
 
-    # both connected: the class of v holds every u whose closure with v is proper
-    parts_list: List[Set[int]] = []
+    # both connected: refine the modules avoiding v, then find v's class
+    v = min(g.vertices)
     covered: Set[int] = set()
-    rest = set(g.vertices)
-    while rest:
-        v = min(rest)
-        m = {v} | {u for u in rest - {v} if _closure(g, {u, v}) != g.vertices}
+    classes = _classes(g, v, _modules_avoiding(g, v))
+    for m in classes:
         if not is_module(g, m):
             raise AssertionError("grown set is not a module")
         if m & covered:
             raise AssertionError("maximal modules overlapped")
-        parts_list.append(m)
         covered |= m
-        rest -= m
     if covered != g.vertices:
         raise AssertionError("maximal modules do not cover the graph")
-    parts = tuple(frozenset(p) for p in sorted(parts_list, key=min))
+    parts = tuple(frozenset(p) for p in sorted(classes, key=min))
     validate_partition(g.vertices, [set(p) for p in parts])
     return ModularPartition(parts, "maximal")
 

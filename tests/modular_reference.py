@@ -1,9 +1,15 @@
-"""The maximal modular partition as it was before the pairwise rule.
+"""The maximal modular partition as it was before partition refinement.
 
-Kept verbatim as the differential reference for
-twinwidth.modular.maximal_modular_partition: each class is grown
-greedily from its least vertex, and the closure restarts its scan
-after every vertex it absorbs.
+Two differential references for
+twinwidth.modular.maximal_modular_partition, each kept verbatim but
+for its names:
+
+  * maximal_modular_partition, the greedy rule: each class is grown
+    from its least vertex, and the closure restarts its scan after every
+    vertex it absorbs;
+  * pairwise_maximal_modular_partition, the pairwise rule that replaced
+    it: u joins the class of v when the smallest module holding both is
+    not V, each closure absorbing all splitters of a round at once.
 """
 
 from typing import List, Set
@@ -62,6 +68,54 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
             raise AssertionError("maximal modules overlapped")
         parts_list.append(m)
         covered |= m
+    if covered != g.vertices:
+        raise AssertionError("maximal modules do not cover the graph")
+    parts = tuple(frozenset(p) for p in sorted(parts_list, key=min))
+    validate_partition(g.vertices, [set(p) for p in parts])
+    return ModularPartition(parts, "maximal")
+
+
+def _pairwise_closure(g: Graph, seed: Set[int]) -> Set[int]:
+    """Smallest module containing seed.
+
+    Each round absorbs every splitter at once (a vertex seeing some but
+    not all of the set): any module holding the set must hold them too.
+    """
+    mod = set(seed)
+    while True:
+        size = len(mod)
+        splitters = {w for w in g.vertices - mod if 0 < len(g.adj[w] & mod) < size}
+        if not splitters:
+            return mod
+        mod |= splitters
+
+
+def pairwise_maximal_modular_partition(g: Graph) -> ModularPartition:
+    if g.n <= 1:
+        raise ValueError("modular partition needs at least two vertices")
+    comps = g.components()
+    if len(comps) > 1:
+        parts = tuple(frozenset(c) for c in sorted(comps, key=min))
+        return ModularPartition(parts, "components")
+    cocomps = g.complement().components()
+    if len(cocomps) > 1:
+        parts = tuple(frozenset(c) for c in sorted(cocomps, key=min))
+        return ModularPartition(parts, "cocomponents")
+
+    # both connected: the class of v holds every u whose closure with v is proper
+    parts_list: List[Set[int]] = []
+    covered: Set[int] = set()
+    rest = set(g.vertices)
+    while rest:
+        v = min(rest)
+        m = {v} | {u for u in rest - {v} if _pairwise_closure(g, {u, v}) != g.vertices}
+        if not is_module(g, m):
+            raise AssertionError("grown set is not a module")
+        if m & covered:
+            raise AssertionError("maximal modules overlapped")
+        parts_list.append(m)
+        covered |= m
+        rest -= m
     if covered != g.vertices:
         raise AssertionError("maximal modules do not cover the graph")
     parts = tuple(frozenset(p) for p in sorted(parts_list, key=min))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from twinwidth import cli, compose, gadgets, io, sequence
+from twinwidth import cli, compose, dpsolve, gadgets, io, sequence
 from twinwidth.cli import main
 from twinwidth.gadgets import augmented_snaking_grid, halfgraph_cycle, snaking_grid
 from twinwidth.sequence import verify
@@ -101,6 +101,22 @@ class TestSolve:
                      str(workdir / "p4.graph")])
         assert code == 2
         assert "exceeds the bound" in capsys.readouterr().err
+
+    def test_bound_above_cap_is_refused_before_any_table(self, workdir, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(dpsolve, "walk", refuse)
+        cap = dpsolve.MAX_COMPONENT_BOUND
+        for problem in ("ds", "vc"):
+            code = main(["solve", "--problem", problem, "--sequence",
+                         str(workdir / "p4.seq"), "--component-bound", str(cap + 1),
+                         str(workdir / "p4.graph")])
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: component bound %d is above the cap %d (tables of up to 6^%d entries)\n" \
+                % (cap + 1, cap, cap)
 
 
 class TestGen:

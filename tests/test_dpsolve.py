@@ -7,7 +7,8 @@ import pytest
 
 from twinwidth.trigraph import Graph
 from twinwidth.sequence import ContractionSequence, replay, verify
-from twinwidth.dpsolve import min_vc_dp, min_ds_dp, check_component_bound
+from twinwidth.dpsolve import (MAX_COMPONENT_BOUND, check_component_bound, min_ds_dp,
+                               min_vc_dp)
 from twinwidth.oracle import min_dominating_set
 from twinwidth.recognize import recognize_tww1
 
@@ -142,6 +143,13 @@ class TestValidation:
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             min_vc_dp(P4, P4_SEQ, 0)
+
+    def test_bound_cap(self):
+        assert min_vc_dp(P4, P4_SEQ, MAX_COMPONENT_BOUND) == 2
+        assert min_ds_dp(P4, P4_SEQ, MAX_COMPONENT_BOUND) == 2
+        for fn in (min_vc_dp, min_ds_dp):
+            with pytest.raises(ValueError, match="above the cap"):
+                fn(P4, P4_SEQ, MAX_COMPONENT_BOUND + 1)
 
     def test_vertex_ids_must_be_one_to_n(self):
         # right vertex count, wrong ids: rejected before any step runs

@@ -1,10 +1,12 @@
 """Every name a library module imports is used, every public name it
-defines is used by the library or the benchmark, and the oracles stay
-independent."""
+defines is used by the library or the benchmark, the oracles stay
+independent, and nothing outside the standard library is needed but
+pytest."""
 
 import ast
 import glob
 import os
+import sys
 
 import twinwidth
 
@@ -12,6 +14,7 @@ PACKAGE = os.path.dirname(os.path.abspath(twinwidth.__file__))
 MODULES = sorted(p for p in glob.glob(os.path.join(PACKAGE, "*.py"))
                  if os.path.basename(p) != "__init__.py")
 BENCH = os.path.join(os.path.dirname(os.path.dirname(PACKAGE)), "bench")
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def _unused_imports(source: str):
@@ -156,3 +159,41 @@ def test_every_public_name_is_referenced():
     # the allowlist only holds names that are still defined and unused
     assert set(UNUSED_ALLOWED) <= set(unused)
     assert all(UNUSED_ALLOWED.values())
+
+
+def _top_level_imports(source: str):
+    """First components of the absolute imports anywhere in a source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_scan_finds_third_party_imports():
+    source = ("import os.path\nfrom . import io\nimport hypothesis.strategies as st\n"
+              "def f():\n    from numpy import array\n")
+    assert _top_level_imports(source) == {"os", "hypothesis", "numpy"}
+
+
+def test_only_standard_library_and_pytest_are_imported():
+    # hypothesis happens to be installed on some machines but is not a
+    # declared dependency; the tests may use pytest and the repository's
+    # own helper modules (tests/ and bench/), the library nothing else
+    sources = glob.glob(os.path.join(PACKAGE, "*.py")) + glob.glob(os.path.join(TESTS, "*.py"))
+    helpers = {os.path.splitext(os.path.basename(p))[0]
+               for p in glob.glob(os.path.join(TESTS, "*.py")) + glob.glob(os.path.join(BENCH, "*.py"))}
+    allowed = set(sys.stdlib_module_names) | {"pytest", "twinwidth"} | helpers
+    found = {}
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            for name in _top_level_imports(fh.read()) - allowed:
+                found.setdefault(name, []).append(os.path.basename(path))
+    assert found == {}
+    library = set()
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            library |= _top_level_imports(fh.read())
+    assert library <= set(sys.stdlib_module_names)

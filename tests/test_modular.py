@@ -154,10 +154,11 @@ SKELETONS = {
 }
 
 
-def _substituted(rng, size, skeleton_edges):
-    """Random graphs of 1..4 vertices put in place of the skeleton's
-    vertices, under a random labelling; returns the graph and its blocks."""
-    sizes = [rng.randint(1, 4) for _ in range(size)]
+def _substituted(rng, size, skeleton_edges, largest=4):
+    """Random graphs of 1..largest vertices put in place of the
+    skeleton's vertices, under a random labelling; returns the graph and
+    its blocks."""
+    sizes = [rng.randint(1, largest) for _ in range(size)]
     labels = list(range(1, sum(sizes) + 1))
     rng.shuffle(labels)
     blocks, at = [], 0
@@ -186,18 +187,109 @@ def test_partition_matches_reference_on_substituted_prime_graphs():
     assert big >= 250  # the prime branch really saw classes above one vertex
 
 
-def test_module_check_survives_optimize_flag():
-    # on the prime P4 a closure that stops at {1, 3} puts 1 and 3 in one
-    # class, which 4 splits; the check must fire when asserts are stripped
-    script = (
-        "from twinwidth import modular\n"
-        "from twinwidth.trigraph import Graph\n"
-        "modular._closure = lambda g, seed: set(seed) if seed == {1, 3} else set(g.vertices)\n"
-        "modular.maximal_modular_partition(Graph.path(4))\n"
-    )
+def _pairwise_agrees(g):
+    mp = maximal_modular_partition(g)
+    assert mp == reference.pairwise_maximal_modular_partition(g), sorted(g.edges())
+    return mp
+
+
+def test_partition_matches_pairwise_reference_on_all_graphs_up_to_six():
+    count = 0
+    for n in range(2, 7):
+        for g in _all_graphs(n):
+            _pairwise_agrees(g)
+            count += 1
+    assert count == 2 + 8 + 64 + 1024 + 32768
+
+
+def _nested(rng):
+    """A prime skeleton whose first block, and some others, are
+    substituted prime graphs themselves, the rest small random graphs;
+    the least label lies in the first block.  Returns the graph and its
+    top-level blocks."""
+    size, skeleton_edges = SKELETONS[rng.choice(sorted(SKELETONS))]
+    blocks = []
+    for i in range(size):
+        if i == 0 or rng.random() < 0.4:
+            inner_size, inner_edges = SKELETONS[rng.choice(sorted(SKELETONS))]
+            blocks.append(_substituted(rng, inner_size, inner_edges, largest=2)[0])
+        else:
+            blocks.append(_substituted(rng, 1, [], largest=3)[0])
+    labels = list(range(2, sum(b.n for b in blocks) + 1))
+    rng.shuffle(labels)
+    labels.insert(rng.randrange(blocks[0].n), 1)
+    at, edges, named = 0, [], []
+    for b in blocks:
+        name = dict(zip(sorted(b.vertices), labels[at:at + b.n]))
+        at += b.n
+        named.append(list(name.values()))
+        edges += [(name[u], name[v]) for u, v in b.edges()]
+    for a, b in skeleton_edges:
+        edges += [(u, v) for u in named[a - 1] for v in named[b - 1]]
+    return Graph(labels, edges), {frozenset(p) for p in named}
+
+
+def test_partition_matches_pairwise_reference_on_nested_substitutions():
+    rng = random.Random(1515)
+    for _ in range(300):
+        g, blocks = _nested(rng)
+        mp = _pairwise_agrees(g)
+        assert mp.kind == "maximal"
+        assert set(mp.parts) == blocks
+        assert len(mp.parts[0]) >= 4  # the least vertex's class is a prime graph
+
+
+def test_partition_matches_pairwise_reference_on_random_graphs():
+    rng = random.Random(1516)
+    kinds = set()
+    for _ in range(40):
+        n = rng.randint(10, 60)
+        p = rng.choice([0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9])
+        edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < p]
+        kinds.add(_pairwise_agrees(Graph(range(1, n + 1), edges)).kind)
+    assert kinds == {"components", "cocomponents", "maximal"}
+
+
+def test_paths_and_cycles_up_to_sixty():
+    # each P_n (n >= 4) and C_n (n >= 5) is prime; the reference, cubic
+    # in n and more, is run on every n up to 30 and then every tenth
+    for n in range(4, 61):
+        for g in (Graph.path(n), Graph.cycle(n)):
+            mp = (_pairwise_agrees(g) if n <= 30 or n % 10 == 0
+                  else maximal_modular_partition(g))
+            if g.n == 4 and g.edge_count() == 4:
+                assert mp.kind == "cocomponents"
+            else:
+                assert mp.kind == "maximal" and mp.is_trivial
+
+
+def _run_optimized(script):
     src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_module_check_survives_optimize_flag():
+    # on the prime P4 a class {1, 3} is split by 4; the check must fire
+    # when asserts are stripped
+    proc = _run_optimized(
+        "from twinwidth import modular\n"
+        "from twinwidth.trigraph import Graph\n"
+        "modular._classes = lambda g, v, parts: [{2}, {4}, {1, 3}]\n"
+        "modular.maximal_modular_partition(Graph.path(4))\n")
     assert proc.returncode == 1
     assert "AssertionError: grown set is not a module" in proc.stderr
+
+
+def test_forcing_check_survives_optimize_flag():
+    # parts {2, 3} and {4} of P4 are not modules: neither tells the other
+    # from 1, so no part forces the whole graph
+    proc = _run_optimized(
+        "from twinwidth import modular\n"
+        "from twinwidth.trigraph import Graph\n"
+        "modular._modules_avoiding = lambda g, v: [{2, 3}, {4}]\n"
+        "modular.maximal_modular_partition(Graph.path(4))\n")
+    assert proc.returncode == 1
+    assert "AssertionError: no part forces the whole graph" in proc.stderr

@@ -76,6 +76,16 @@ def test_prime_paths_and_cycles():
     assert recognize_tww1(Graph.cycle(7)).verdict == "above1"
 
 
+def test_verdicts_at_scale():
+    # far beyond the exact oracle: a long path has width 1 with a witness
+    # that replays, and a long cycle is a negative verdict
+    path = Graph.path(200)
+    res = recognize_tww1(path)
+    assert res.verdict == "tww1"
+    assert verify(path, res.witness, bound=1).ok
+    assert recognize_tww1(Graph.cycle(200)).verdict == "above1"
+
+
 def test_module_substitution_keeps_width_one():
     # a path of paths: substitute an inner path for one vertex
     edges = [(1, 2), (5, 6), (6, 7), (7, 8), (4, 5), (4, 6), (4, 7), (4, 8)]
