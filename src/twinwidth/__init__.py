@@ -12,6 +12,7 @@ from .sequence import (ContractionSequence, WidthReport, final_trigraph,
 from .modular import maximal_modular_partition, trace_classes
 from .oracle import (CapacitatedGraph, exact_twinwidth, twinwidth_at_most,
                      min_dominating_set, all_min_dominating_sets,
+                     dominating_transversal,
                      min_connected_vertex_cover, min_capacitated_vc)
 from .recognize import RecognitionResult, recognize_tww0, recognize_tww1
 from .kernel import (KernelInstance, cvc_kernel_quadratic,
@@ -30,7 +31,7 @@ __all__ = [
     "verify",
     "maximal_modular_partition", "trace_classes",
     "CapacitatedGraph", "exact_twinwidth", "twinwidth_at_most",
-    "min_dominating_set", "all_min_dominating_sets",
+    "min_dominating_set", "all_min_dominating_sets", "dominating_transversal",
     "min_connected_vertex_cover", "min_capacitated_vc",
     "RecognitionResult", "recognize_tww0", "recognize_tww1",
     "KernelInstance", "cvc_kernel_quadratic", "cvc_kernel_improved",

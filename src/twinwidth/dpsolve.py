@@ -94,9 +94,10 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
         olds = [u for cid in cids for u in members[cid]]
         merged = tuple(sorted(({z} | set(olds)) - {a, b}))
         if len(merged) > c:
+            # steps count from 0, as in verify
             raise ValueError(
                 "red component of %d vertices at step %d exceeds the bound %d"
-                % (len(merged), z, c))
+                % (len(merged), z - g.n - 1, c))
         # a black edge becoming internal (contracted away or turned red)
         # needs one side fully picked, now
         internal = [(a, b)] if b in black_a else []

@@ -7,9 +7,11 @@ once, per-part masks of the parts it is red to and fully joined to; a
 candidate merge is then tested from those masks alone by the
 merged-part rule of "Twin-width I" (Bonnet, Kim, Thomassé & Watrigant,
 FOCS 2020), so a state of k parts costs O(k^2) plus O(1) per candidate
-merge.  Minimum Dominating Set is branch-and-bound (with an optional
-part-transversal mode); Minimum Connected and Capacitated Vertex Cover
-are size-ordered subset enumerations.  Those test each subset
+merge.  Minimum Dominating Set is branch-and-bound;
+dominating_transversal asks the reduction's question, a dominating set
+with exactly one vertex per part, by a depth-first search over parts on
+an explicit stack.  Minimum Connected and Capacitated Vertex Cover are
+size-ordered subset enumerations.  Those test each subset
 as an integer mask against per-vertex adjacency masks built once per
 graph (a cover leaves no edge outside it; connectivity is a bit
 frontier); only covers reach the augmenting-path capacity assignment.
@@ -30,11 +32,12 @@ from .sequence import ContractionSequence
 
 TWW_CAP = 12
 SEARCH_CAP = 24
-# the forced search backtracks over parts with unit propagation, so it
-# reaches composed instances: the largest the tests hand it has 290
-# vertices, a four-row composition of 3-variable reductions has 484, and
-# compositions of 420-680 vertices, positive or negative, each took
-# under 0.25 s on a 2-core VM
+# dominating_transversal backtracks over parts with unit propagation,
+# so it reaches composed instances: a four-row composition of 3-variable
+# reductions has 484 vertices, and compositions of 420-680 vertices,
+# positive or negative, each took under 0.25 s on a 2-core VM.  Larger
+# inputs, such as the 1,228-vertex reduction of a 6-variable formula
+# (under 1 s either way), need TWW_SIZE_CAP raised.
 FORCED_CAP = 512
 
 
@@ -90,6 +93,8 @@ def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
     so only the newly red parts can rise, and they must not already sit
     at degree d.  That is O(k^2) work per state of k parts and O(1) per
     candidate merge; only the merges that pass build their child state.
+
+    search recurses once per merge, so its depth is below n <= TWW_CAP.
     """
     if d < 0:
         raise ValueError("width bound must be non-negative, got %d" % d)
@@ -179,22 +184,13 @@ def is_dominating_set(g: Graph, s) -> bool:
     return covered == g.vertices
 
 
-def min_dominating_set(
-    g: Graph,
-    forced_hit_parts: Optional[Sequence[Set[int]]] = None,
-    max_size: Optional[int] = None,
-) -> Tuple[Optional[int], Optional[FrozenSet[int]]]:
+def min_dominating_set(g: Graph) -> Tuple[int, FrozenSet[int]]:
     """Optimum dominating set size and one witness.
 
-    With forced_hit_parts the search is restricted to sets meeting
-    every part (exact on instances where every dominating set does so
-    anyway); parts whose budget is a single vertex get unit propagation
-    from vertices confined to one part.  max_size turns the search into
-    a bounded one: (None, None) means nothing within the budget.
+    Branch-and-bound over the undominated vertex with the fewest
+    dominators.  bb recurses once per chosen vertex and never chooses
+    more than n, so its depth is bounded by SEARCH_CAP.
     """
-    if forced_hit_parts is not None:
-        _check_size(g, FORCED_CAP, "forced search")
-        return _forced_min_ds(g, forced_hit_parts, max_size)
     _check_size(g, SEARCH_CAP, "search")
     if g.n == 0:
         return 0, frozenset()
@@ -250,8 +246,6 @@ def min_dominating_set(
             chosen.pop()
 
     bb(0, [])
-    if max_size is not None and best[0] > max_size:
-        return None, None
     return best[0], frozenset(order[i] for i in best_set)
 
 
@@ -265,70 +259,49 @@ def all_min_dominating_sets(g: Graph) -> List[FrozenSet[int]]:
     return out
 
 
-def _forced_min_ds(g, parts, max_size):
+def dominating_transversal(g: Graph, parts: Sequence[Set[int]]) -> Optional[FrozenSet[int]]:
+    """A dominating set with exactly one vertex in every part, or None.
+
+    This is the "yes" question of the reduction and the composition: a
+    dominating set of part-count size exists iff the formula (or one
+    composed instance) is satisfiable.  Deciding it by transversals is
+    exact only under the paper's lemma that every dominating set within
+    the budget meets every part; the search does not check that.
+
+    Depth-first over parts with an explicit stack, so no recursion grows
+    with the input.  Each node first propagates to a fixpoint: a part's
+    candidates shrink to the closed neighbourhood of any undominated
+    vertex whose remaining dominators all lie in that part, and a node
+    where some undominated vertex has no dominator left fails.  It then
+    branches on the undecided part with the fewest candidates (ties to
+    the lower index), trying its members in increasing order; the first
+    complete dominating transversal found is returned.
+    """
+    _check_size(g, FORCED_CAP, "forced search")
     sets = [set(p) for p in parts]
     validate_partition(g.vertices, sets)
-    n_parts = len(sets)
-    hi = g.n if max_size is None else min(max_size, g.n)
-    for total in range(n_parts, hi + 1):
-        extra = total - n_parts
-        if extra == 0:
-            sol = _transversal_ds(g, sets, [1] * n_parts)
-            if sol is not None:
-                return total, frozenset(sol)
-            continue
-        # distribute the extra picks over parts (small extras only)
-        for spread in itertools.combinations_with_replacement(range(n_parts), extra):
-            sizes = [1] * n_parts
-            ok = True
-            for j in spread:
-                sizes[j] += 1
-                if sizes[j] > len(sets[j]):
-                    ok = False
-            if not ok:
-                continue
-            sol = _transversal_ds(g, sets, sizes)
-            if sol is not None:
-                return total, frozenset(sol)
-    return None, None
-
-
-def _transversal_ds(g: Graph, sets: List[Set[int]], sizes: List[int]) -> Optional[Set[int]]:
-    """A dominating set using exactly sizes[j] vertices of part j, or None.
-
-    Backtracking over parts with unit propagation: a vertex whose
-    closed neighborhood lies within a single undecided unit part pins
-    that part's candidates.
-    """
     order = sorted(g.vertices)
     idx = {v: i for i, v in enumerate(order)}
-    closed = {v: (1 << idx[v]) | sum(1 << idx[u] for u in g.adj[v]) for v in order}
+    closed = [(1 << idx[v]) | sum(1 << idx[u] for u in g.adj[v]) for v in order]
     full = (1 << len(order)) - 1
-    part_of = {}
+    part_mask = [sum(1 << idx[v] for v in p) for p in sets]
+    part_of = [0] * len(order)
     for j, p in enumerate(sets):
         for v in p:
-            part_of[v] = j
-    part_mask = [sum(1 << idx[v] for v in p) for p in sets]
+            part_of[idx[v]] = j
 
     cand = list(part_mask)
-    # static propagation from confined vertices into unit parts
-    for v in order:
-        j = part_of[v]
-        if sizes[j] == 1 and closed[v] & ~part_mask[j] == 0:
-            cand[j] &= closed[v]
-            if cand[j] == 0:
-                return None
+    # static propagation from vertices confined to their own part; a
+    # part left with no candidate has the fewest and fails the root
+    for i, c in enumerate(closed):
+        j = part_of[i]
+        if c & ~part_mask[j] == 0:
+            cand[j] &= c
 
-    def bits(m):
-        while m:
-            b = m & -m
-            yield b.bit_length() - 1
-            m &= m - 1
-
-    def solve(cand, dominated, undecided, picked):
-        if not undecided:
-            return list(picked) if dominated == full else None
-        # propagate to fixpoint
+    def propagate(cand, dominated, undecided):
+        # every dominator left for an undominated vertex lies in an
+        # undecided part; when they all lie in one part, that part's
+        # pick must dominate the vertex
         cand = list(cand)
         changed = True
         while changed:
@@ -337,33 +310,44 @@ def _transversal_ds(g: Graph, sets: List[Set[int]], sizes: List[int]) -> Optiona
             for j in undecided:
                 avail |= cand[j]
             need = full & ~dominated
-            for i in bits(need):
-                reach = closed[order[i]] & avail
+            while need:
+                low = need & -need
+                need ^= low
+                c = closed[low.bit_length() - 1]
+                reach = c & avail
                 if reach == 0:
                     return None
-                homes = {part_of[order[b]] for b in bits(reach)}
-                if len(homes) == 1:
-                    j = homes.pop()
-                    if j in undecided and sizes[j] == 1 and cand[j] & ~closed[order[i]]:
-                        cand[j] &= closed[order[i]]
-                        if cand[j] == 0:
-                            return None
-                        changed = True
-        # MRV part selection
-        j = min(undecided, key=lambda j: (bin(cand[j]).count("1"), j))
-        rest = [x for x in undecided if x != j]
-        members = sorted(order[b] for b in bits(cand[j]))
-        for combo in itertools.combinations(members, sizes[j]):
-            got = dominated
-            for v in combo:
-                got |= closed[v]
-            res = solve(cand, got, rest, picked + list(combo))
-            if res is not None:
-                return res
-        return None
+                j = part_of[(reach & -reach).bit_length() - 1]
+                if reach & ~part_mask[j] == 0 and cand[j] & ~c:
+                    cand[j] &= c
+                    changed = True
+        return cand
 
-    res = solve(cand, 0, list(range(len(sets))), [])
-    return set(res) if res is not None else None
+    # a node is (candidates, dominated mask, undecided parts, picks as
+    # nested (vertex, earlier picks) pairs)
+    stack = [(cand, 0, list(range(len(sets))), None)]
+    while stack:
+        cand, dominated, undecided, picked = stack.pop()
+        if not undecided:
+            # propagation left the last part only candidates that
+            # dominate every vertex still undominated
+            out = []
+            while picked is not None:
+                v, picked = picked
+                out.append(v)
+            return frozenset(out)
+        cand = propagate(cand, dominated, undecided)
+        if cand is None:
+            continue
+        j = min(undecided, key=lambda j: (cand[j].bit_count(), j))
+        rest = [x for x in undecided if x != j]
+        # pushed from the highest, the members pop in increasing order
+        m = cand[j]
+        while m:
+            i = m.bit_length() - 1
+            m ^= 1 << i
+            stack.append((cand, dominated | closed[i], rest, (order[i], picked)))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +407,8 @@ def _assign(cg: CapacitatedGraph, edges: List[Tuple[int, int]], x: Set[int]) -> 
     """Kuhn-style augmenting assignment of edges to endpoints in the cover x.
 
     Negative capacities (legal bookkeeping in the kernel rules) count
-    as zero.
+    as zero.  augment recurses once per newly visited cover vertex, so
+    its depth is at most |x|.
     """
     cap = {v: max(0, cg.cap[v]) for v in x}
     load: Dict[int, List[Tuple[int, int]]] = {v: [] for v in x}
@@ -449,7 +434,11 @@ def _assign(cg: CapacitatedGraph, edges: List[Tuple[int, int]], x: Set[int]) -> 
 
 
 def capacitated_vc_feasible(cg: CapacitatedGraph, x) -> bool:
-    """Can every edge be assigned to a covering endpoint within capacity?"""
+    """Can every edge be assigned to a covering endpoint within capacity?
+
+    No size cap applies here, so nothing but |x| bounds the depth of
+    the assignment's recursion.
+    """
     x = set(x)
     return is_vertex_cover(cg.graph, x) and _assign(cg, list(cg.graph.edges()), x)
 

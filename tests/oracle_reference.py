@@ -10,13 +10,17 @@ Kept verbatim as the differential reference for twinwidth.oracle:
 - twinwidth_at_most before the per-state red and full masks: every
   child state is built and then rescanned pair by pair for its red
   degrees.
+
+dominating_transversals is no old code but the plain definition that
+dominating_transversal searches: every pick of one vertex per part,
+kept when it dominates.
 """
 
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from twinwidth.oracle import (SEARCH_CAP, CapacitatedGraph, _check_size,
-                              _check_tww_input, _part_tables)
+                              _check_tww_input, _part_tables, is_dominating_set)
 from twinwidth.sequence import ContractionSequence
 from twinwidth.trigraph import Graph
 
@@ -180,3 +184,9 @@ def min_capacitated_vc(cg: CapacitatedGraph, k: Optional[int] = None) -> Optiona
             if capacitated_vc_feasible(cg, combo):
                 return frozenset(combo)
     return None
+
+
+def dominating_transversals(g: Graph, parts) -> List[FrozenSet[int]]:
+    """Every dominating set with exactly one vertex in every part."""
+    return [frozenset(pick) for pick in itertools.product(*(sorted(p) for p in parts))
+            if is_dominating_set(g, pick)]

@@ -13,9 +13,9 @@ import time
 
 from twinwidth.trigraph import Graph, Trigraph, contract
 from twinwidth.sequence import ContractionSequence, replay, verify
-from twinwidth.oracle import (CapacitatedGraph, exact_twinwidth,
-                              is_dominating_set, min_dominating_set,
-                              all_min_dominating_sets,
+from twinwidth.oracle import (CapacitatedGraph, dominating_transversal,
+                              exact_twinwidth, is_dominating_set,
+                              min_dominating_set, all_min_dominating_sets,
                               min_connected_vertex_cover, min_capacitated_vc)
 from twinwidth.recognize import recognize_tww1
 from twinwidth.kernel import (capvc_kernel, cvc_kernel_improved,
@@ -200,16 +200,11 @@ def test_06_reduction_equivalence():
     for f in (empty, F1, F2, F3, F4, negated):
         red = reduce_3sat(f)
         inst = red.instance
-        n_parts = inst.part_count
-        size, witness = min_dominating_set(
-            inst.graph,
-            forced_hit_parts=[set(p) for p in inst.parts],
-            max_size=n_parts,
-        )
+        witness = dominating_transversal(inst.graph, inst.parts)
         sat = formula_satisfiable(f)
-        assert sat == (size is not None), f.clauses
-        if size is not None:
-            assert size == n_parts
+        assert sat == (witness is not None), f.clauses
+        if witness is not None:
+            assert len(witness) == inst.part_count
             assert is_dominating_set(inst.graph, witness)
 
 
@@ -234,10 +229,7 @@ def test_08_composition_or_semantics():
 
     def positive(pair):
         composed = or_cross_compose(pair)
-        blocks = composed.forced_parts()
-        size, _ = min_dominating_set(
-            composed.graph, forced_hit_parts=blocks, max_size=composed.budget)
-        return size is not None
+        return dominating_transversal(composed.graph, composed.forced_parts()) is not None
 
     assert positive([yes, no])
     assert not positive([no, no])

@@ -1,16 +1,12 @@
 """OR-composition: dummy rows, position schedule, and OR-semantics."""
 
-import os
-import subprocess
-import sys
 from collections import Counter
 
 import pytest
 
-import twinwidth
 from twinwidth.trigraph import Graph
 from twinwidth.sequence import ContractionSequence, verify
-from twinwidth.oracle import min_dominating_set
+from twinwidth.oracle import dominating_transversal, min_dominating_set
 from twinwidth.gadgets import (
     AnnotatedInstance,
     LayoutClause,
@@ -149,15 +145,13 @@ def test_compose_or_semantics_synthetic():
     assert len(blocks) == n
     assert sorted(map(len, blocks)) == [5] * n
     assert set().union(*blocks) == set(pos.graph.vertices)
-    size, ds = min_dominating_set(pos.graph, forced_hit_parts=blocks, max_size=n)
-    assert size == n
-    assert all(len(set(ds) & b) == 1 for b in blocks)
+    ds = dominating_transversal(pos.graph, blocks)
+    assert len(ds) == n
+    assert all(len(ds & b) == 1 for b in blocks)
 
     neg = or_cross_compose([no, no])
     assert verify(neg.graph, neg.witness, bound=4).ok
-    size, _ = min_dominating_set(neg.graph, forced_hit_parts=neg.forced_parts(),
-                                 max_size=n)
-    assert size is None
+    assert dominating_transversal(neg.graph, neg.forced_parts()) is None
 
 
 def test_compose_edge_taxonomy():
@@ -190,12 +184,10 @@ def test_compose_reduced_formulas():
     assert rep.ok and rep.width == 4
     assert comp.witness.is_full
     # both formulas are satisfiable, so the composition is positive
-    size, _ = min_dominating_set(comp.graph, forced_hit_parts=comp.forced_parts(),
-                                 max_size=comp.budget)
-    assert size == comp.budget
+    assert len(dominating_transversal(comp.graph, comp.forced_parts())) == comp.budget
 
 
-def test_degree_audit_survives_optimize_flag():
+def test_degree_audit_survives_optimize_flag(run_optimized):
     # contracting the stage-2 positions in reverse order breaks the
     # audit; the check must still fire when asserts are stripped
     script = (
@@ -204,15 +196,12 @@ def test_degree_audit_survives_optimize_flag():
         "compose.stage2_order = lambda nbrs: order(nbrs)[::-1]\n"
         "compose.or_cross_compose([compose.make_dummy(40, 2, 4)])\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized(script)
     assert proc.returncode == 1
     assert "AssertionError: degree audit failed at (2, 7): C=0 P=3" in proc.stderr
 
 
-def test_position_degree_check_survives_optimize_flag():
+def test_position_degree_check_survives_optimize_flag(run_optimized):
     # without the hamiltonian cycle edges the grid positions lose the
     # degrees the stage-2 schedule relies on; the check must fire when
     # asserts are stripped
@@ -226,10 +215,7 @@ def test_position_degree_check_survives_optimize_flag():
         "compose.augmented_grid = snaking_only\n"
         "compose.or_cross_compose([compose.make_dummy(40, 2, 4)])\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized(script)
     assert proc.returncode == 1
     assert "AssertionError: position (2, 2) has degree 0" in proc.stderr
 

@@ -128,6 +128,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="exceeds the bound"):
             min_ds_dp(P4, P4_SEQ, 1)
 
+    def test_bound_violation_names_the_step(self):
+        # steps count from 0, as tww verify reports them: P3's first
+        # contraction already leaves a red edge
+        p3 = Graph([1, 2, 3], [(1, 2), (2, 3)])
+        s = ContractionSequence(3, [(4, 1, 2), (5, 4, 3)])
+        for fn in (min_vc_dp, min_ds_dp):
+            with pytest.raises(ValueError) as err:
+                fn(p3, s, 1)
+            assert str(err.value) == "red component of 2 vertices at step 0 exceeds the bound 1"
+
     def test_partial_sequence_rejected(self):
         s = ContractionSequence(4, [(5, 1, 2)])
         with pytest.raises(ValueError, match="full sequence"):

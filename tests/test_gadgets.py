@@ -1,15 +1,11 @@
 """Generators: snaking grids, half-graph cycles, and the 3-SAT reduction."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
-import twinwidth
 from twinwidth.trigraph import Graph, Trigraph
 from twinwidth.sequence import ContractionSequence, verify
-from twinwidth.oracle import all_min_dominating_sets, is_dominating_set, min_dominating_set
+from twinwidth.oracle import (all_min_dominating_sets, dominating_transversal, is_dominating_set,
+                              min_dominating_set)
 from twinwidth.gadgets import (
     LayoutClause,
     LayoutFormula,
@@ -25,6 +21,8 @@ from twinwidth.gadgets import (
     validate_instance,
     variable_wire,
 )
+
+from test_acceptance import formula_satisfiable
 
 
 def test_fine_dims():
@@ -211,6 +209,44 @@ def test_reduce_3sat_layout_details():
     assert red2.gadgets[1, column_of(2)].kind == "clause"
 
 
+def _six_variable_formula(last):
+    """A greedy search's n = 6 layout formula, its last lower clause given.
+
+    With (-1, 3, -6) it is unsatisfiable; with (1, 3, -6) it is
+    satisfiable and has the same shape, so the two reduce to graphs of
+    one size."""
+    upper = [(1, 2, 3), (-3, 4, -5), (-3, 5, -6), (-1, 3, 6)]
+    lower = [(-3, -4, -5), (-3, 5, 6), (1, -2, 3), last]
+    return LayoutFormula(6, [LayoutClause("+", r, lits) for r, lits in enumerate(upper, 1)]
+                         + [LayoutClause("-", r, lits) for r, lits in enumerate(lower, 1)])
+
+
+def test_reduction_no_side_on_unsatisfiable_formula(monkeypatch):
+    """The reduction's "only if": an unsatisfiable formula's reduction has
+    no dominating set with one vertex per part, and flipping one clause
+    to a satisfiable formula brings one back.
+
+    The transversal search answers "is there a dominating set of
+    part-count size" only under the paper's lemma that every dominating
+    set within that budget meets every part.  At 1,228 vertices the lemma
+    cannot be brute-forced, so this checks the transversal question."""
+    # the reductions have 1,228 vertices; the forced search's cap is 512
+    monkeypatch.setenv("TWW_SIZE_CAP", "1228")
+    for last, sat in (((-1, 3, -6), False), ((1, 3, -6), True)):
+        f = _six_variable_formula(last)
+        assert formula_satisfiable(f) == sat
+        inst = reduce_3sat(f).instance
+        validate_instance(inst)
+        assert (inst.graph.n, inst.part_count) == (1228, 400)
+        ds = dominating_transversal(inst.graph, inst.parts)
+        if not sat:
+            assert ds is None
+            continue
+        assert len(ds) == inst.part_count
+        assert is_dominating_set(inst.graph, ds)
+        assert all(len(ds & part) == 1 for part in inst.parts)
+
+
 def test_lift_assignment_padding_defaults_true():
     red = reduce_3sat(F1)
     full = lift_assignment(red, {1: True, 2: True, 3: True})
@@ -248,7 +284,7 @@ def test_validate_instance_rejects_single_row_grid():
         validate_instance(inst)
 
 
-def test_cycle_check_survives_optimize_flag():
+def test_cycle_check_survives_optimize_flag(run_optimized):
     # an odd fine column count leaves the comb's end column without its
     # second neighbor; the check must fire when asserts are stripped
     script = (
@@ -256,9 +292,6 @@ def test_cycle_check_survives_optimize_flag():
         "gadgets.fine_dims = lambda s, t: (3 * (s - 1) + 1, 3 * (t - 1) + 2)\n"
         "gadgets.hamiltonian_cycle(2, 4)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized(script)
     assert proc.returncode == 1
     assert "AssertionError: cycle edges are not 2-regular" in proc.stderr

@@ -104,6 +104,8 @@ def test_oracle_imports_only_graphs_and_sequences():
 UNUSED_ALLOWED = {
     "all_min_dominating_sets": "oracle checker: the wire optima of criterion 7",
     "capacitated_vc_feasible": "oracle checker: certifies a capacitated cover",
+    "dominating_transversal": "oracle checker: the reduction's and the composition's"
+                              " yes question, criteria 6 and 8",
     "lift_assignment": "the reduction's forward direction, criterion 5",
     "variable_wire": "a bare wire, the input of criterion 7",
     "write_formula": "the formula format's writer, paired with parse_formula",

@@ -1,13 +1,9 @@
 """Kernelization rules: worked examples, fixpoints, and safeness."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import kernel_reference as reference
-import twinwidth
 from twinwidth.trigraph import Graph
 from twinwidth.modular import trace_classes
 from twinwidth.oracle import (
@@ -175,7 +171,7 @@ def test_kernels_preserve_answers_spot_check():
             assert cap_before == cap_after, (k, sorted(g.edges()), caps)
 
 
-def test_size_accounting_survives_optimize_flag():
+def test_size_accounting_survives_optimize_flag(run_optimized):
     # three leaves share the trace {1} of a one-vertex cover, one more
     # than rule 3 leaves; the check must fire when asserts are stripped
     script = (
@@ -184,10 +180,7 @@ def test_size_accounting_survives_optimize_flag():
         "g = Graph([1, 2, 3, 4], [(1, 2), (1, 3), (1, 4)])\n"
         "_check_size_accounting(g, {1}, {1}, 3)\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_optimized(script)
     assert proc.returncode == 1
     assert "AssertionError: rule 3 fixpoint violated" in proc.stderr
 

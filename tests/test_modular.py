@@ -1,15 +1,11 @@
 """Modular decomposition and quotients."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 import modular_reference as reference
-import twinwidth
 from twinwidth.trigraph import Graph, is_module, quotient
 from twinwidth.modular import (
     ModularPartition,
@@ -264,17 +260,10 @@ def test_paths_and_cycles_up_to_sixty():
                 assert mp.kind == "maximal" and mp.is_trivial
 
 
-def _run_optimized(script):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
-def test_module_check_survives_optimize_flag():
+def test_module_check_survives_optimize_flag(run_optimized):
     # on the prime P4 a class {1, 3} is split by 4; the check must fire
     # when asserts are stripped
-    proc = _run_optimized(
+    proc = run_optimized(
         "from twinwidth import modular\n"
         "from twinwidth.trigraph import Graph\n"
         "modular._classes = lambda g, v, parts: [{2}, {4}, {1, 3}]\n"
@@ -283,10 +272,10 @@ def test_module_check_survives_optimize_flag():
     assert "AssertionError: grown set is not a module" in proc.stderr
 
 
-def test_forcing_check_survives_optimize_flag():
+def test_forcing_check_survives_optimize_flag(run_optimized):
     # parts {2, 3} and {4} of P4 are not modules: neither tells the other
     # from 1, so no part forces the whole graph
-    proc = _run_optimized(
+    proc = run_optimized(
         "from twinwidth import modular\n"
         "from twinwidth.trigraph import Graph\n"
         "modular._modules_avoiding = lambda g, v: [{2, 3}, {4}]\n"

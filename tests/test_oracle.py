@@ -19,6 +19,7 @@ from twinwidth.oracle import (
     CapacitatedGraph,
     all_min_dominating_sets,
     capacitated_vc_feasible,
+    dominating_transversal,
     exact_twinwidth,
     is_dominating_set,
     is_vertex_cover,
@@ -237,28 +238,50 @@ def test_all_min_dominating_sets():
 
 
 def test_forced_parts_transversal():
-    size, ds = min_dominating_set(Graph.cycle(6),
-                                  forced_hit_parts=[{1, 2}, {3, 4}, {5, 6}])
-    assert size == 3
+    ds = dominating_transversal(Graph.cycle(6), [{1, 2}, {3, 4}, {5, 6}])
+    assert len(ds) == 3
     assert is_dominating_set(Graph.cycle(6), ds)
     for part in ({1, 2}, {3, 4}, {5, 6}):
-        assert len(ds & part) >= 1
+        assert len(ds & part) == 1
+    # P6 is dominated by {2, 5} only among pairs, and that pair misses {1, 6}
+    assert dominating_transversal(Graph.path(6), [{1, 6}, {2, 3, 4, 5}]) is None
+    assert dominating_transversal(Graph([], []), []) == frozenset()
 
 
-def test_forced_parts_may_need_extra_picks():
-    g = Graph.path(6)
-    assert min_dominating_set(g)[0] == 2
-    size, ds = min_dominating_set(g, forced_hit_parts=[{1, 6}, {2, 3, 4, 5}])
-    assert size == 3
-    assert is_dominating_set(g, ds)
-    assert ds & {1, 6}
+def _random_partition(rng, vertices):
+    k = rng.randint(1, len(vertices))
+    label = {v: rng.randrange(k) for v in vertices}
+    parts = [{v for v in vertices if label[v] == c} for c in range(k)]
+    return [p for p in parts if p]
 
 
-def test_forced_parts_respect_max_size():
-    g = Graph.path(6)
-    size, ds = min_dominating_set(g, forced_hit_parts=[{1, 6}, {2, 3, 4, 5}],
-                                  max_size=2)
-    assert size is None and ds is None
+def test_transversal_matches_product_reference():
+    rng = random.Random(1616)
+    found = 0
+    for _ in range(600):
+        g = _random_graph(rng, rng.randint(1, 9), rng.random())
+        parts = _random_partition(rng, sorted(g.vertices))
+        ds = dominating_transversal(g, parts)
+        every = reference.dominating_transversals(g, parts)
+        if ds is None:
+            assert every == [], (sorted(g.edges()), parts)
+        else:
+            assert ds in every, (sorted(g.edges()), parts)
+            found += 1
+    assert 0 < found < 600
+
+
+def test_transversal_search_does_not_recurse(run_optimized):
+    # 300 singleton parts stack 300 decisions, far past a limit of 100
+    proc = run_optimized(
+        "import sys\n"
+        "from twinwidth.oracle import dominating_transversal\n"
+        "from twinwidth.trigraph import Graph\n"
+        "g = Graph(range(1, 301))\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(len(dominating_transversal(g, [{v} for v in g.vertices])))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "300\n"
 
 
 def test_forced_search_size_cap(monkeypatch):
@@ -267,21 +290,21 @@ def test_forced_search_size_cap(monkeypatch):
     big = Graph(range(1, oracle.FORCED_CAP + 2))
     parts = [{v} for v in big.vertices]
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_forced_min_ds", refuse)
+        m.setattr(oracle, "validate_partition", refuse)
         with pytest.raises(ValueError, match="graph has %d vertices, forced search cap is %d"
                            % (oracle.FORCED_CAP + 1, oracle.FORCED_CAP)):
-            min_dominating_set(big, forced_hit_parts=parts)
+            dominating_transversal(big, parts)
     # TWW_SIZE_CAP overrides this cap as it does every other
     monkeypatch.setenv("TWW_SIZE_CAP", str(oracle.FORCED_CAP + 1))
-    assert min_dominating_set(big, forced_hit_parts=parts)[0] == big.n
+    assert len(dominating_transversal(big, parts)) == big.n
     monkeypatch.setenv("TWW_SIZE_CAP", "5")
     with pytest.raises(ValueError, match="forced search cap is 5"):
-        min_dominating_set(Graph.path(6), forced_hit_parts=[{1, 6}, {2, 3, 4, 5}])
+        dominating_transversal(Graph.path(6), [{1, 6}, {2, 3, 4, 5}])
 
 
 def test_forced_parts_must_partition():
     with pytest.raises(ValueError):
-        min_dominating_set(Graph.path(3), forced_hit_parts=[{1}, {2}])
+        dominating_transversal(Graph.path(3), [{1}, {2}])
 
 
 # ---------------------------------------------------------------------------

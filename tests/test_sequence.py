@@ -1,14 +1,10 @@
 """Sequence validation, label merges, replay, and width measurement."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-import twinwidth
 from twinwidth import sequence
 from twinwidth.trigraph import Graph, Trigraph, contract, quotient
 from twinwidth.sequence import (
@@ -287,10 +283,8 @@ def test_walk_rejects_ids_the_start_lacks():
         assert start.vertices == kept
 
 
-def test_walk_rejections_survive_optimize_flag():
+def test_walk_rejections_survive_optimize_flag(run_optimized):
     script = (
-        "import sys\n"
-        "sys.path.insert(0, %r)\n"
         "from test_sequence import _starts_lacking_ids\n"
         "from twinwidth.sequence import ContractionSequence, final_trigraph, verify\n"
         "from twinwidth.trigraph import Trigraph\n"
@@ -308,11 +302,8 @@ def test_walk_rejections_survive_optimize_flag():
         "        t.contract_inplace(u, v, z)\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n"
-    ) % os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    )
+    proc = run_optimized(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["graph vertices must be exactly 1..4"] * 6 + [
         "contraction target id 2 is not fresh",
