@@ -13,10 +13,13 @@ leaving the remaining fine points isolated:
   * rows r and r+1 with r congruent to 0 mod 3 are joined vertically
     in the remaining columns.
 
-The 3-SAT reduction places one gadget per fine point of such a grid:
-variable wires snake along clause rows, every unoccupied point gets an
-isolated dummy vertex, and the whole graph contracts part by part to
-the grid quotient with red degree at most 4.
+_snake writes this pattern, and nothing else does: the grid graph,
+its augmentation and instance validation all read it.  The 3-SAT
+reduction places one gadget per fine point of such a grid: variable
+wires follow the snake's edges along clause rows, each clause links to
+its snake neighbours, every unoccupied point gets an isolated dummy
+vertex, and the whole graph contracts part by part to the grid quotient
+with red degree at most 4.
 """
 
 from __future__ import annotations
@@ -47,30 +50,36 @@ def fine_dims(s: int, t: int) -> Tuple[int, int]:
     return 3 * (s - 1) + 1, 3 * (t - 1) + 1
 
 
+def _link(adj: Dict[Point, Set[Point]], a: Point, b: Point) -> None:
+    adj[a].add(b)
+    adj[b].add(a)
+
+
+def _snake(rows: int, cols: int) -> Dict[Point, Set[Point]]:
+    """Each point of the fine rows x cols grid, in row-major order, with
+    its neighbours on the snake: the one place its edges are written."""
+    snake: Dict[Point, Set[Point]] = {(r, c): set() for r in range(1, rows + 1)
+                                      for c in range(1, cols + 1)}
+    edges = [((1, c), (1, c + 1)) for c in range(1, cols)]
+    edges += [((r, c), (r + 1, c)) for c in range(1, cols + 1, 3) for r in range(1, rows)]
+    edges += [((r, c), (r, c + 1)) for r in range(4, rows + 1, 3) for c in range(1, cols, 2)]
+    edges += [((r, c), (r, c + 1)) for r in range(3, rows + 1, 3) for c in range(2, cols, 2)]
+    edges += [((r, c), (r + 1, c)) for r in range(3, rows, 3)
+              for c in range(1, cols + 1) if c % 3 != 1]
+    for a, b in edges:
+        _link(snake, a, b)
+    return snake
+
+
 def snaking_grid(s: int, t: int) -> SnakingGrid:
     """The snaking grid; s = 1 degenerates to a single full row."""
     if s < 1 or t < 2:
         raise ValueError("snaking grid needs s >= 1 and t >= 2")
     rows, cols = fine_dims(s, t)
-    vertex_at = {(r, c): (r - 1) * cols + c
-                 for r in range(1, rows + 1) for c in range(1, cols + 1)}
-    edges = []
-    for c in range(1, cols):
-        edges.append((vertex_at[1, c], vertex_at[1, c + 1]))
-    for c in range(1, cols + 1, 3):
-        for r in range(1, rows):
-            edges.append((vertex_at[r, c], vertex_at[r + 1, c]))
-    for r in range(4, rows + 1, 3):
-        for c in range(1, cols, 2):
-            edges.append((vertex_at[r, c], vertex_at[r, c + 1]))
-    for r in range(3, rows + 1, 3):
-        for c in range(2, cols, 2):
-            edges.append((vertex_at[r, c], vertex_at[r, c + 1]))
-        if r < rows:
-            for c in range(1, cols + 1):
-                if c % 3 != 1:
-                    edges.append((vertex_at[r, c], vertex_at[r + 1, c]))
-    g = Graph(range(1, rows * cols + 1), set(edges))
+    snake = _snake(rows, cols)
+    vertex_at = {pt: v for v, pt in enumerate(snake, start=1)}
+    g = Graph(vertex_at.values(), [(v, vertex_at[b]) for a, v in vertex_at.items()
+                                   for b in snake[a]])
     return SnakingGrid(s, t, rows, cols, g, vertex_at)
 
 
@@ -90,22 +99,17 @@ def hamiltonian_cycle(p: int, q: int) -> List[Point]:
     adj: Dict[Point, Set[Point]] = {(r, c): set()
                                     for r in range(1, rows + 1)
                                     for c in range(1, cols + 1)}
-
-    def link(a: Point, b: Point) -> None:
-        adj[a].add(b)
-        adj[b].add(a)
-
     for c in range(1, cols):
-        link((1, c), (1, c + 1))
+        _link(adj, (1, c), (1, c + 1))
     for c in (1, cols):
-        link((1, c), (2, c))
+        _link(adj, (1, c), (2, c))
     for r in range(2, rows):
         for c in range(1, cols + 1):
-            link((r, c), (r + 1, c))
+            _link(adj, (r, c), (r + 1, c))
     for c in range(1, cols, 2):
-        link((rows, c), (rows, c + 1))
+        _link(adj, (rows, c), (rows, c + 1))
     for c in range(2, cols - 1, 2):
-        link((2, c), (2, c + 1))
+        _link(adj, (2, c), (2, c + 1))
 
     if any(len(nb) != 2 for nb in adj.values()):
         raise AssertionError("cycle edges are not 2-regular")
@@ -122,13 +126,10 @@ def hamiltonian_cycle(p: int, q: int) -> List[Point]:
 
 def augmented_grid(p: int, q: int, cyc: List[Point]) -> Dict[Point, Set[Point]]:
     """Each fine point, in row-major order, with its neighbours in the
-    augmented grid: the snaking grid plus cyc, hamiltonian_cycle(p, q)."""
-    sg = snaking_grid(p, q)
-    point = {v: pt for pt, v in sg.vertex_at.items()}
-    nbrs = {pt: {point[w] for w in sg.graph.adj[v]} for pt, v in sg.vertex_at.items()}
+    augmented grid: the snake plus cyc, hamiltonian_cycle(p, q)."""
+    nbrs = _snake(*fine_dims(p, q))
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+        _link(nbrs, a, b)
     return nbrs
 
 
@@ -263,16 +264,16 @@ def validate_instance(inst: AnnotatedInstance) -> None:
         raise ValueError("instance dimensions must have q even")
     if inst.p < 2:
         raise ValueError("instance dimensions must have p >= 2")
-    sg = snaking_grid(inst.p, inst.q)
+    if inst.q < 2:
+        raise ValueError("instance dimensions must have q >= 2")
+    snake = _snake(*fine_dims(inst.p, inst.q))
     points = set(inst.eta.values())
     if set(inst.eta) != set(range(len(inst.parts))) or len(points) != len(inst.eta) \
-            or points != set(sg.vertex_at):
+            or points != set(snake):
         raise ValueError("eta must map the parts onto the fine grid points bijectively")
     quot = quotient(inst.graph, [set(p) for p in inst.parts])
     for a, b in quot.total_graph().edges():
-        u = sg.vertex_at[inst.eta[a - 1]]
-        v = sg.vertex_at[inst.eta[b - 1]]
-        if not sg.graph.has_edge(u, v):
+        if inst.eta[b - 1] not in snake[inst.eta[a - 1]]:
             raise ValueError("quotient is not a subgraph of the snaking grid")
     rep = verify(inst.graph, inst.witness, bound=4)
     if not rep.ok:
@@ -296,10 +297,6 @@ class LayoutClause:
     @property
     def variables(self) -> Tuple[int, int, int]:
         return tuple(abs(l) for l in self.literals)
-
-    @property
-    def middle(self) -> int:
-        return abs(self.literals[1])
 
 
 @dataclass(frozen=True)
@@ -389,29 +386,37 @@ def column_of(variable: int) -> int:
     return 3 * (variable - 1) + 1
 
 
+def _wire_edges(mem: Dict[str, int], parent: Optional[Dict[str, int]]) -> List[Tuple[int, int]]:
+    """A wire gadget's edges: the triangle top, bot, d and, below a
+    parent, the pendants t, f crossed to the parent's bot and top."""
+    edges = [(mem["top"], mem["bot"]), (mem["top"], mem["d"]), (mem["bot"], mem["d"])]
+    if parent is not None:
+        edges += [(mem["top"], mem["t"]), (mem["bot"], mem["f"]),
+                  (parent["top"], mem["f"]), (parent["bot"], mem["t"])]
+    return edges
+
+
 def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
     """Build the Dominating Set instance with its grid annotation.
 
     One gadget per fine point of the (m+1) x n' snaking grid (n' the
     variable count padded to even): initial triangles on the variable
     row, bull-shaped wire gadgets snaking out to the clause positions,
-    a two-vertex gadget per clause, isolated dummies elsewhere.  The
-    witness contracts parts to single vertices with red degree at
-    most 4.
+    a two-vertex gadget per clause, isolated dummies elsewhere.  Every
+    wire step and clause link is an edge of the snake.  The witness
+    contracts parts to single vertices with red degree at most 4.
     """
     n_pad = f.n if f.n % 2 == 0 else f.n + 1
     minus = f.signed("-")
     plus = f.signed("+")
     m = len(plus) + len(minus)
-    rows = 3 * m + 1
-    cols = 3 * n_pad - 2
+    snake = _snake(*fine_dims(m + 1, n_pad))
     vrow = 3 * len(minus) + 1
 
     occ: Dict[Point, PlacedGadget] = {}
 
     def place(pt: Point, kind: str, variable=None, parent=None) -> PlacedGadget:
-        r, c = pt
-        if not (1 <= r <= rows and 1 <= c <= cols):
+        if pt not in snake:
             raise ValueError("gadget placed outside the grid at %r" % (pt,))
         if pt in occ:
             raise ValueError("wire collision at %r" % (pt,))
@@ -439,33 +444,30 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
                 place((nxt, c), "regular", v, parent=(tips[v, d], c))
             tips[v, d] = nxt
 
-    def walk(v: int, row: int, target: Point, rightward: bool) -> None:
-        """Snake v's wire along rows (row, row-1) until target is placed."""
-        cur = (row, column_of(v))
-        if cur not in occ or occ[cur].variable != v:
-            raise AssertionError("wire of variable %d does not reach %r" % (v, cur))
-        while True:
-            r, c = cur
-            if rightward:
-                if r == row:
-                    nxt = (row, c + 1) if (row == 1 or c % 2 == 1) else (row - 1, c)
-                else:
-                    nxt = (row - 1, c + 1) if c % 2 == 0 else (row, c)
-            else:
-                if r == row:
-                    nxt = (row, c - 1) if (row == 1 or c % 2 == 0) else (row - 1, c)
-                else:
-                    nxt = (row - 1, c - 1) if c % 2 == 1 else (row, c)
-            if nxt in occ:
-                here = occ[nxt]
-                if here.variable != v or here.kind not in ("initial", "regular"):
-                    raise ValueError("wire collision at %r" % (nxt,))
-                cur = nxt
-                continue
-            place(nxt, "regular", v, parent=cur)
-            if nxt == target:
-                return
-            cur = nxt
+    def walk(v: int, row: int, target: Point) -> None:
+        """Lay v's wire from its trunk tip in row to target, along the
+        snake's path through rows row - 1 and row."""
+        start = (row, column_of(v))
+        if start not in occ or occ[start].variable != v:
+            raise AssertionError("wire of variable %d does not reach %r" % (v, start))
+        # breadth first from the target, stopping at the tip: each point
+        # reached maps to its next step towards the target
+        ahead = {target: target}
+        queue = [target]
+        for pt in queue:
+            if pt == start:
+                break
+            for nb in snake[pt]:
+                if nb not in ahead and row - 1 <= nb[0] <= row:
+                    ahead[nb] = pt
+                    queue.append(nb)
+        pt = start
+        while pt != target:
+            parent, pt = pt, ahead[pt]
+            if pt not in occ:
+                place(pt, "regular", v, parent=parent)
+            elif occ[pt].variable != v or occ[pt].kind not in ("initial", "regular"):
+                raise ValueError("wire collision at %r" % (pt,))
 
     links: List[Tuple[Point, Point, int]] = []  # clause point, gadget point, literal
 
@@ -476,74 +478,53 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
             lo, mid, hi = cl.variables
             cm = column_of(mid)
             pc = (nominal - 1, cm) if sign == "+" else (nominal, cm)
-            extend_trunk(mid, up, pc[0] - 1 if sign == "+" else pc[0] + 1)
-            mid_link = (pc[0] - 1, cm) if sign == "+" else (pc[0] + 1, cm)
-            if sign == "+":
-                if cm % 2 == 0:
-                    lo_link, hi_link = (nominal, cm), (nominal - 1, cm + 1)
-                else:
-                    lo_link, hi_link = (nominal - 1, cm - 1), (nominal, cm)
-            elif nominal == 1:
-                # bottom row: no row below, all horizontals available
-                lo_link, hi_link = (1, cm - 1), (1, cm + 1)
-            else:
-                if cm % 2 == 0:
-                    lo_link, hi_link = (nominal, cm - 1), (nominal - 1, cm)
-                else:
-                    lo_link, hi_link = (nominal - 1, cm), (nominal, cm + 1)
+            # the clause point's snake neighbours: the middle trunk's
+            # end, and the outer links, left and right
+            mid_link = (pc[0] - up, cm)
+            lo_link, hi_link = sorted(snake[pc] - {mid_link}, key=lambda pt: pt[1])
+            extend_trunk(mid, up, mid_link[0])
             place(pc, "clause")
             for var, link in ((lo, lo_link), (hi, hi_link)):
                 extend_trunk(var, up, nominal)
-                walk(var, nominal, link, rightward=var < mid)
-            for var, link, lit in ((lo, lo_link, cl.literals[0]),
-                                   (mid, mid_link, cl.literals[1]),
-                                   (hi, hi_link, cl.literals[2])):
+                walk(var, nominal, link)
+            for var, link, lit in zip(cl.variables, (lo_link, mid_link, hi_link), cl.literals):
                 if occ[link].variable != var:
                     raise AssertionError("clause link %r is off the wire of %d" % (link, var))
                 links.append((pc, link, lit))
 
-    for r in range(1, rows + 1):
-        for c in range(1, cols + 1):
-            if (r, c) not in occ:
-                place((r, c), "dummy")
+    for pt in snake:
+        if pt not in occ:
+            place(pt, "dummy")
 
     # vertex ids, parts, and eta in row-major point order
     edges: List[Tuple[int, int]] = []
     parts: List[FrozenSet[int]] = []
     eta: Dict[int, Point] = {}
     nxt_id = 1
-    order = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
-    for pt in order:
+    for pt in snake:
         gadget = occ[pt]
         for name in _MEMBERS[gadget.kind]:
             gadget.members[name] = nxt_id
             nxt_id += 1
-        mem = gadget.members
-        if gadget.kind in ("initial", "regular"):
-            edges += [(mem["top"], mem["bot"]), (mem["top"], mem["d"]),
-                      (mem["bot"], mem["d"])]
-        if gadget.kind == "regular":
-            edges += [(mem["top"], mem["t"]), (mem["bot"], mem["f"])]
         eta[len(parts)] = pt
-        parts.append(frozenset(mem.values()))
-    for pt in order:
+        parts.append(frozenset(gadget.members.values()))
+    for pt in snake:
         gadget = occ[pt]
-        if gadget.parent is not None:
-            par = occ[gadget.parent].members
-            edges += [(par["top"], gadget.members["f"]),
-                      (par["bot"], gadget.members["t"])]
+        if gadget.kind in ("initial", "regular"):
+            parent = None if gadget.parent is None else occ[gadget.parent].members
+            edges += _wire_edges(gadget.members, parent)
     for pc, link, lit in links:
         end = occ[link].members["top" if lit > 0 else "bot"]
         edges.append((occ[pc].members["c"], end))
 
     g = Graph(range(1, nxt_id), edges)
-    witness = _quotient_witness(g, occ, order)
+    witness = _quotient_witness(g, occ, snake)
     inst = AnnotatedInstance(g, tuple(parts), m + 1, n_pad, eta, witness)
     return ReducedFormula(inst, occ, f, vrow)
 
 
 def _quotient_witness(g: Graph, occ: Dict[Point, PlacedGadget],
-                      order: List[Point]) -> ContractionSequence:
+                      order: Iterable[Point]) -> ContractionSequence:
     """Contract every part to one vertex, red degree at most 4.
 
     Wire gadgets linked to at most two other wire gadgets go first
@@ -622,16 +603,11 @@ def variable_wire(parents: Sequence[Optional[int]]) -> Wire:
     gadgets: List[Dict[str, int]] = []
     edges = []
     nxt = 1
-    for i, par in enumerate(parents):
-        names = ("top", "bot", "d") if i == 0 else ("top", "bot", "d", "t", "f")
+    for par in parents:
+        names = _MEMBERS["initial" if par is None else "regular"]
         mem = {name: nxt + k for k, name in enumerate(names)}
         nxt += len(names)
-        edges += [(mem["top"], mem["bot"]), (mem["top"], mem["d"]),
-                  (mem["bot"], mem["d"])]
-        if i > 0:
-            edges += [(mem["top"], mem["t"]), (mem["bot"], mem["f"]),
-                      (gadgets[par]["top"], mem["f"]),
-                      (gadgets[par]["bot"], mem["t"])]
+        edges += _wire_edges(mem, None if par is None else gadgets[par])
         gadgets.append(mem)
     g = Graph(range(1, nxt), edges)
     parts = tuple(frozenset(mem.values()) for mem in gadgets)

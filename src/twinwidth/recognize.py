@@ -1,9 +1,9 @@
 """Recognition of twin-width 0 and twin-width at most 1.
 
-Width 0 is the cograph case: recurse along the maximal modular
-partition and fail as soon as a level has both the graph and its
-complement connected.  Width 1 recurses the same way (width composes
-over modules with the quotient) and handles the prime quotients with a
+Width 0 is the cograph case: walk down the maximal modular partitions
+and fail as soon as a level has both the graph and its complement
+connected.  Width 1 walks the same way (width composes over modules
+with the quotient) and handles the prime quotients with a
 deterministic driver: guess the first contraction among pairs creating
 exactly one red edge, then repeatedly either perform a safe
 contraction (one that results in the trigraph minus a vertex) or
@@ -33,48 +33,51 @@ class RecognitionResult:
     witness: Optional[ContractionSequence] = None
 
 
-class _TooWide(Exception):
-    pass
+Plan = List[Tuple[int, int]]
 
 
-def _plan(g: Graph, prime: Callable[[Graph], List[Tuple[int, int]]]) -> List[Tuple[int, int]]:
-    """Merge pairs for g along its maximal modular partitions, or _TooWide.
+def _plan(g: Graph, prime: Callable[[Graph], Optional[Plan]]) -> Optional[Plan]:
+    """Merge pairs for g along its maximal modular partitions, or None.
 
     Series and parallel levels chain their modules; prime(h) plans each
-    prime quotient h or raises _TooWide.  The quotient goes first, so a
-    level that fails stops before its modules are planned.
+    prime quotient h or returns None.  The modules wait on one stack,
+    each induced from g when its turn comes, and the last child goes
+    first: read back in reverse, the saved plans put every module's
+    pairs before its parent's quotient.  A level's quotient is planned
+    before its modules, so a level that fails stops the walk there.
     """
     if g.n == 1:
         return []
-    mp = maximal_modular_partition(g)
-    if mp.kind == "maximal" and mp.is_trivial:
-        return prime(g)
-    reps = [min(p) for p in mp.parts]
-    if mp.kind == "maximal":
-        # adjacency between modules is uniform, so any representatives carry it
-        edges = [(a, b) for a, b in itertools.combinations(reps, 2) if g.has_edge(a, b)]
-        top = prime(Graph(reps, edges))
-    else:
-        # reps come sorted; the accumulating bag keeps the smallest label
-        top = [(reps[0], r) for r in reps[1:]]
-    pairs = []
-    for part in mp.parts:
-        pairs += _plan(g.induced(part), prime)
-    return pairs + top
-
-
-def _no_prime(h: Graph) -> List[Tuple[int, int]]:
-    """Width 0: a prime graph (four or more vertices) has width at least 1."""
-    raise _TooWide
+    saved = []
+    todo = [g.vertices]
+    while todo:
+        part = todo.pop()
+        h = g if part is g.vertices else g.induced(part)
+        mp = maximal_modular_partition(h)
+        reps = [min(p) for p in mp.parts]
+        if mp.kind == "maximal" and mp.is_trivial:
+            top = prime(h)
+        elif mp.kind == "maximal":
+            # adjacency between modules is uniform, so any representatives carry it
+            edges = [(a, b) for a, b in itertools.combinations(reps, 2) if g.has_edge(a, b)]
+            top = prime(Graph(reps, edges))
+        else:
+            # reps come sorted; the accumulating bag keeps the smallest label
+            top = [(reps[0], r) for r in reps[1:]]
+        if top is None:
+            return None
+        saved.append(top)
+        todo += [p for p in mp.parts if len(p) > 1]
+    return [pair for top in reversed(saved) for pair in top]
 
 
 def recognize_tww0(g: Graph) -> RecognitionResult:
-    """Cograph test with a 0-sequence witness; g must be on 1..n."""
+    """Cograph test with a 0-sequence witness; g must be on 1..n.  A
+    prime graph (four or more vertices) has width at least 1."""
     if g.vertices != set(range(1, g.n + 1)):
         raise ValueError("recognition needs vertices 1..n; relabel first")
-    try:
-        pairs = _plan(g, _no_prime)
-    except _TooWide:
+    pairs = _plan(g, lambda h: None)
+    if pairs is None:
         return RecognitionResult("above0")
     return RecognitionResult("tww0", ContractionSequence.from_merges(g.n, pairs))
 
@@ -106,31 +109,30 @@ def _contraction_is_deletion(t: Trigraph, w: int, partner: int) -> bool:
             and t.neighbors(w) - {partner} <= t.neighbors(partner))
 
 
-def _drive(t0: Trigraph, labels: Dict[int, int], u: int, v: int) -> Optional[List[Tuple[int, int]]]:
+def _drive(t0: Trigraph, labels: Dict[int, int], u: int, v: int) -> Optional[Plan]:
     """Extend the guessed first contraction of a prime graph to the end."""
     label = dict(labels)
     pairs = [(label[u], label[v])]
     # t0 serves every guess, so the first step copies it; the rest
-    # contract that copy in place
-    t = contract(t0, u, v)
-    label[max(t.vertices)] = min(label[u], label[v])
+    # merge that copy in place, each into the next fresh id
+    z = max(t0.vertices) + 1
+    t = contract(t0, u, v, z)
+    label[z] = min(label[u], label[v])
     while len(t.vertices) > 1:
         reds = t.red_edges()
         if len(reds) != 1:
             return None
         safe = safe_contractions(t)
-        if safe:
-            w, partner = safe[0]
-        else:
-            w, partner = reds[0]
-        t.contract_inplace(w, partner)
-        label[max(t.vertices)] = min(label[w], label[partner])
+        w, partner = safe[0] if safe else reds[0]
+        z += 1
+        t._merge(w, partner, z)
+        label[z] = min(label[w], label[partner])
         pairs.append((label[w], label[partner]))
     return pairs
 
 
-def _plan_prime(h: Graph) -> List[Tuple[int, int]]:
-    """1-sequence plan for a prime graph (at least four vertices), or _TooWide."""
+def _plan_prime(h: Graph) -> Optional[Plan]:
+    """1-sequence plan for a prime graph (at least four vertices), or None."""
     verts = sorted(h.vertices)
     t0 = Trigraph.from_graph(h)
     labels = {x: x for x in h.vertices}
@@ -140,7 +142,7 @@ def _plan_prime(h: Graph) -> List[Tuple[int, int]]:
         pairs = _drive(t0, labels, u, v)
         if pairs is not None:
             return pairs
-    raise _TooWide
+    return None
 
 
 def recognize_tww1(g: Graph) -> RecognitionResult:
@@ -148,9 +150,8 @@ def recognize_tww1(g: Graph) -> RecognitionResult:
     zero = recognize_tww0(g)
     if zero.verdict == "tww0":
         return zero
-    try:
-        pairs = _plan(g, _plan_prime)
-    except _TooWide:
+    pairs = _plan(g, _plan_prime)
+    if pairs is None:
         return RecognitionResult("above1")
     seq = ContractionSequence.from_merges(g.n, pairs)
     for t in replay(g, seq):

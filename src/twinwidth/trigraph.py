@@ -87,7 +87,9 @@ class Graph:
         keep = set(keep)
         if not keep <= self.vertices:
             raise ValueError("induced set is not a subset of the vertices")
-        return Graph(keep, [(u, v) for u, v in self.edges() if u in keep and v in keep])
+        # the edges within keep in self.edges() order, from keep's adjacency alone
+        return Graph(keep, [(u, v) for u in sorted(keep)
+                            for v in sorted(self.adj[u] & keep) if u < v])
 
     def without(self, drop: Iterable[int]) -> "Graph":
         return self.induced(self.vertices - set(drop))

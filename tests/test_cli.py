@@ -312,6 +312,14 @@ class TestKernel:
         assert g.n == 5
         assert set(back) == g.vertices
 
+    def test_cvc2_rejects_capacities(self, workdir, capsys):
+        caps = "".join("cap %d 1\n" % v for v in range(1, 7))
+        (workdir / "star.cap").write_text(self.STAR6 + caps)
+        code = main(["kernel", "--problem", "cvc2", "--k", "2", str(workdir / "star.cap")])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: capacities only make sense for --problem capvc\n")
+
     def test_capvc_requires_capacities(self, workdir, capsys):
         (workdir / "star.graph").write_text(self.STAR6)
         code = main(["kernel", "--problem", "capvc", "--k", "2",

@@ -113,16 +113,16 @@ def test_compose_builds_each_grid_few_times(monkeypatch, k):
                 monkeypatch.setattr(module, name, wrapper)
 
     instances = [make_dummy(40, 2, 4)] * k
-    for name in ("snaking_grid", "hamiltonian_cycle", "augmented_grid",
+    for name in ("_snake", "snaking_grid", "hamiltonian_cycle", "augmented_grid",
                  "augmented_snaking_grid"):
         counted(name)
     assert not hasattr(compose, "snaking_grid")
     assert not hasattr(compose, "augmented_snaking_grid")
     or_cross_compose(instances)
-    # one snaking grid per validated input plus the one grid map that
-    # the schedule and the audit share; one cycle, for the dummy row,
-    # which the grid map and the column map reuse
-    assert calls == {"snaking_grid": k + 1, "hamiltonian_cycle": 1, "augmented_grid": 1}
+    # one snake per validated input plus the one grid map that the
+    # schedule and the audit share; one cycle, for the dummy row, which
+    # the grid map and the column map reuse
+    assert calls == {"_snake": k + 1, "hamiltonian_cycle": 1, "augmented_grid": 1}
 
 
 def test_compose_rejects_mismatched_inputs():

@@ -1,5 +1,7 @@
 """Generators: snaking grids, half-graph cycles, and the 3-SAT reduction."""
 
+from dataclasses import replace
+
 import pytest
 
 from twinwidth.trigraph import Graph, Trigraph
@@ -134,6 +136,25 @@ def test_grid_subdivision_collapse_rejects_bad_embeddings():
         grid_subdivision_collapse(Trigraph.from_graph(g), {1: (1, 1), 2: (2, 2)})
     with pytest.raises(ValueError):
         grid_subdivision_collapse(Trigraph.from_graph(g), {1: (1, 1), 2: (1, 1)})
+
+
+def test_grid_subdivision_collapse_skips_empty_cells():
+    # 1 alone at the bottom left, 2 above 3 in the right column: the
+    # merges out of the empty cells (3, 1) and (2, 1) are skipped, and 1
+    # moves into the empty cell (1, 2) before the last column folds
+    g = Graph([1, 2, 3], [(2, 3)])
+    embedding = {1: (1, 1), 2: (2, 2), 3: (3, 2)}
+    pairs = grid_subdivision_collapse(Trigraph.from_graph(g), embedding)
+    assert pairs == [(3, 2), (2, 1)]
+    assert ContractionSequence.from_merges(g.n, pairs).is_full
+
+
+def test_grid_subdivision_collapse_rejects_bad_cells():
+    one = Trigraph.from_graph(Graph([1]))
+    with pytest.raises(ValueError, match="cells are 1-based"):
+        grid_subdivision_collapse(one, {1: (0, 1)})
+    with pytest.raises(ValueError, match="must cover exactly the vertices"):
+        grid_subdivision_collapse(one, {1: (1, 1), 2: (1, 2)})
 
 
 def test_layout_formula_validation():
@@ -281,6 +302,49 @@ def test_validate_instance_rejects_single_row_grid():
     inst = reduce_3sat(LayoutFormula(2, [])).instance
     assert inst.p == 1
     with pytest.raises(ValueError, match="p >= 2"):
+        validate_instance(inst)
+
+
+def test_validate_instance_rejects_each_broken_precondition():
+    red = reduce_3sat(F5)
+    inst = red.instance
+    validate_instance(inst)
+    g = inst.graph
+    dummies = [pt for pt, gadget in red.gadgets.items() if gadget.kind == "dummy"]
+
+    def joined(a, b):
+        """inst with an edge between the dummies at points a and b."""
+        ends = (red.gadgets[a].members["z"], red.gadgets[b].members["z"])
+        return replace(inst, graph=Graph(g.vertices, list(g.edges()) + [ends]))
+
+    def rejects(broken, message):
+        with pytest.raises(ValueError, match=message):
+            validate_instance(broken)
+
+    rejects(replace(inst, q=inst.q + 1), "instance dimensions must have q even")
+    rejects(replace(inst, eta={**inst.eta, 1: inst.eta[0]}),
+            "eta must map the parts onto the fine grid points bijectively")
+    # two dummies that are not neighbours on the snake, joined
+    a = dummies[0]
+    far = next(b for b in dummies if abs(a[0] - b[0]) + abs(a[1] - b[1]) > 1)
+    rejects(joined(a, far), "quotient is not a subgraph of the snaking grid")
+    # one bag swallowing the vertices in id order soon sees five red neighbours
+    chain = ContractionSequence.from_merges(g.n, [(1, v) for v in range(2, g.n + 1)])
+    rejects(replace(inst, witness=chain), "witness exceeds red degree 4 at step")
+    short = ContractionSequence.from_merges(g.n, inst.witness.merges()[:-1])
+    rejects(replace(inst, witness=short), "witness does not end at the declared partition")
+    # two dummies that are neighbours on the snake, joined: neither
+    # singleton part keeps a vertex whose neighbours stay inside it
+    sg = snaking_grid(inst.p, inst.q)
+    a, b = next((a, b) for a in dummies for b in dummies
+                if sg.graph.has_edge(sg.vertex_at[a], sg.vertex_at[b]))
+    rejects(joined(a, b), "a part lacks a vertex confined to it")
+
+
+def test_validate_instance_rejects_grid_without_columns():
+    # q = 0 is even but leaves no fine column: the grid would be empty
+    inst = replace(reduce_3sat(F5).instance, q=0)
+    with pytest.raises(ValueError, match="q >= 2"):
         validate_instance(inst)
 
 

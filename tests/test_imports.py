@@ -46,6 +46,27 @@ def test_library_has_no_unused_imports():
     assert found == []
 
 
+def _asserts(source: str):
+    """Lines of the assert statements in a source: python -O strips them."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_scan_finds_assert_statements():
+    source = ("def f(x):\n    assert x, 'gone under -O'\n    if not x:\n"
+              "        raise AssertionError('kept under -O')\nassert f\n")
+    assert _asserts(source) == [2, 5]
+
+
+def test_library_has_no_assert_statements():
+    # the library's checks must hold under python -O, so they raise
+    found = []
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            found += ["%s:%d" % (os.path.basename(path), line) for line in _asserts(fh.read())]
+    assert found == []
+
+
 # the oracles are the independent ground truth: within the package they
 # may lean on graphs and sequences only, never on the code they check
 ORACLE_ALLOWED = {"trigraph", "sequence"}

@@ -138,6 +138,10 @@ class TestSequenceFormat:
             io.parse_sequence("seq 4\ncontract 5 1 2\ncontract 6 1 3\n")
 
 
+    def test_empty_file(self):
+        with pytest.raises(io.ParseError, match="empty sequence file"):
+            io.parse_sequence("# nothing\n")
+
 class TestFormulaFormat:
     def test_round_trip(self):
         f = LayoutFormula(5, [
@@ -175,6 +179,10 @@ class TestFormulaFormat:
         with pytest.raises(ValueError, match="ranks"):
             io.parse_formula("formula 3\nclause + 2 1 2 3\n")
 
+
+    def test_empty_file(self):
+        with pytest.raises(io.ParseError, match="empty formula file"):
+            io.parse_formula("# nothing\n")
 
 class TestInstanceFormat:
     def test_round_trip_on_reduction_output(self):
@@ -223,6 +231,10 @@ class TestInstanceFormat:
         with pytest.raises(io.ParseError, match="eta must cover"):
             io.parse_instance(text)
 
+
+    def test_empty_file(self):
+        with pytest.raises(io.ParseError, match="empty instance file"):
+            io.parse_instance("# nothing\n")
 
 @pytest.fixture
 def no_allocation(monkeypatch):
@@ -307,6 +319,17 @@ class TestDeterminism:
             g = _random_graph(rng, rng.randint(6, 10), rng.choice([0.3, 0.5, 0.7]))
             h.update(io.write_sequence(exact_twinwidth(g)[1]).encode())
         assert h.hexdigest() == "767982b380c0dec4a98d866e8a75e71eec0b267df1706e7b596cad95b31da8b5"
+
+    def test_reduction_bytes_are_frozen(self):
+        # sha256 of 60 seeded reductions, as written when the wires
+        # still stepped by row and column parity instead of following
+        # the snake's edges
+        rng = random.Random(1717)
+        h = hashlib.sha256()
+        for _ in range(60):
+            f = _random_formula(rng, rng.randint(3, 9))
+            h.update(io.write_instance(reduce_3sat(f).instance).encode())
+        assert h.hexdigest() == "18dc42e3f35136fc85a99fe5d44bd8149340e2f1cb14f9afa130bcbd5b865720"
 
     def test_composition_witness_bytes_are_frozen(self):
         # sha256 of the composed witnesses of 10 seeded compositions of

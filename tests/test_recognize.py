@@ -86,6 +86,22 @@ def test_verdicts_at_scale():
     assert recognize_tww1(Graph.cycle(200)).verdict == "above1"
 
 
+def test_deep_modular_tree_does_not_recurse(run_optimized):
+    # a threshold graph (even i sees every j < i) nests its modules about
+    # one level per vertex, far past a recursion limit of 200
+    proc = run_optimized(
+        "import sys\n"
+        "from twinwidth.recognize import recognize_tww1\n"
+        "from twinwidth.sequence import verify\n"
+        "from twinwidth.trigraph import Graph\n"
+        "g = Graph(range(1, 251), [(j, i) for i in range(2, 251, 2) for j in range(1, i)])\n"
+        "sys.setrecursionlimit(200)\n"
+        "res = recognize_tww1(g)\n"
+        "print(res.verdict, verify(g, res.witness, bound=0).ok)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "tww0 True\n"
+
+
 def test_module_substitution_keeps_width_one():
     # a path of paths: substitute an inner path for one vertex
     edges = [(1, 2), (5, 6), (6, 7), (7, 8), (4, 5), (4, 6), (4, 7), (4, 8)]

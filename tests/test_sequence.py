@@ -36,6 +36,11 @@ def test_fresh_id_discipline():
         ContractionSequence(0, [])
 
 
+def test_more_steps_than_a_full_sequence_is_rejected():
+    with pytest.raises(ValueError, match="more steps than a full sequence allows"):
+        ContractionSequence(2, [(3, 1, 2), (4, 3, 1)])
+
+
 def test_from_merges_numbers_label_merges():
     # the merged bag keeps the smaller label; an unmerged label is its vertex
     seq = ContractionSequence.from_merges(4, [(3, 4), (1, 2), (1, 3)])

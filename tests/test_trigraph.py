@@ -52,6 +52,22 @@ def test_induced_without_complement():
     assert list(c.edges()) == [(1, 3), (1, 4), (2, 4)]
 
 
+def test_induced_matches_edge_filter_reference():
+    # the reference filters every edge of g; induced reads only the kept
+    # vertices' adjacency, adding the same edges in the same order, so
+    # even the adjacency sets iterate alike
+    rng = random.Random(1717)
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        g = Graph(range(1, n + 1), [e for e in itertools.combinations(range(1, n + 1), 2)
+                                    if rng.random() < 0.4])
+        keep = set(rng.sample(sorted(g.vertices), rng.randint(1, n)))
+        ref = Graph(keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
+        h = g.induced(keep)
+        assert h == ref
+        assert {v: list(h.adj[v]) for v in keep} == {v: list(ref.adj[v]) for v in keep}
+
+
 def test_components_and_relabel():
     g = Graph([1, 2, 5, 7, 9], [(5, 7), (9, 7)])
     assert g.components() == [{1}, {2}, {5, 7, 9}]
