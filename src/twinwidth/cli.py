@@ -214,17 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", "--bound", type=int, required=True)
     p.add_argument("graph")
     p.add_argument("sequence")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exact", help="exact twin-width by branch and bound")
     p.add_argument("graph")
     p.add_argument("--witness", help="write an optimal sequence here")
-    p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("recognize", help="decide twin-width 0, 1, or above")
     p.add_argument("graph")
     p.add_argument("--witness", help="write the certifying sequence here")
-    p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("kernel", help="kernelize a vertex cover variant")
     p.add_argument("--problem", choices=("cvc2", "cvc15", "capvc"), required=True)
@@ -232,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--out", help="reduced graph file (default stdout)")
     p.add_argument("--trace", help="write rule applications here")
-    p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("gen", help="generate a named graph family")
     p.add_argument("family", choices=("snaking", "halfcycle", "hamcycle"))
@@ -240,46 +236,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", type=int, help="columns / height")
     p.add_argument("--out", help="graph file (default stdout)")
     p.add_argument("--witness", help="halfcycle only: write its 3-sequence here")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("reduce3sat", help="planar 3-SAT to Dominating Set")
     p.add_argument("formula")
     p.add_argument("--out", help="instance file (default stdout)")
-    p.set_defaults(func=cmd_reduce3sat)
 
     p = sub.add_parser("compose", help="OR-cross-composition of annotated instances")
     p.add_argument("instances", nargs="+")
     p.add_argument("--out", required=True, help="composed graph file")
     p.add_argument("--witness", required=True, help="composed sequence file")
     p.add_argument("--provenance", help="vertex origin tags")
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("solve", help="DS/VC along a bounded-red-component sequence")
     p.add_argument("--problem", choices=("ds", "vc"), required=True)
     p.add_argument("--sequence", required=True)
     p.add_argument("--component-bound", type=int, required=True)
     p.add_argument("graph")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("validate-instance", help="check an annotated instance file")
     p.add_argument("instance")
-    p.set_defaults(func=cmd_validate_instance)
 
     p = sub.add_parser("pipeline", help="reduce3sat every formula, compose, verify")
     p.add_argument("formulas", nargs="+")
     p.add_argument("--out", help="composed graph file")
     p.add_argument("--witness", help="composed sequence file")
     p.add_argument("--provenance", help="vertex origin tags")
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the parser outlives this call: look the command up by name, so that
-    # a cmd_<name> bound after the parser was built is the one that runs
-    run = globals()[args.func.__name__]
+    # look the command up by name at call time, so that a cmd_<name>
+    # bound after the parser was built is the one that runs
+    run = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return run(args)
     except (OSError, ValueError) as exc:

@@ -86,40 +86,24 @@ def snaking_grid(s: int, t: int) -> SnakingGrid:
 def hamiltonian_cycle(p: int, q: int) -> List[Point]:
     """Fine-grid points in the order of the comb-shaped hamiltonian cycle.
 
-    The cycle follows the full bottom row, climbs the outer columns,
-    and zig-zags through the teeth; it exists only for even q (the
-    fine column count is then even).  Together with the snaking grid
-    it forms the augmented grid with maximum degree 3.
+    The order has a closed form: the bottom row from left to right, then
+    every column from the right, alternately up and down through rows
+    2..rows, ending at (2, 1) next to the start.  The cycle closes only
+    for even q (the fine column count is then even).  Together with the
+    snaking grid it forms the augmented grid with maximum degree 3.
     """
     if p < 2 or q < 2:
         raise ValueError("hamiltonian cycle needs p, q >= 2")
     if q % 2:
         raise ValueError("hamiltonian cycle needs q even")
     rows, cols = fine_dims(p, q)
-    adj: Dict[Point, Set[Point]] = {(r, c): set()
-                                    for r in range(1, rows + 1)
-                                    for c in range(1, cols + 1)}
-    for c in range(1, cols):
-        _link(adj, (1, c), (1, c + 1))
-    for c in (1, cols):
-        _link(adj, (1, c), (2, c))
-    for r in range(2, rows):
-        for c in range(1, cols + 1):
-            _link(adj, (r, c), (r + 1, c))
-    for c in range(1, cols, 2):
-        _link(adj, (rows, c), (rows, c + 1))
-    for c in range(2, cols - 1, 2):
-        _link(adj, (2, c), (2, c + 1))
-
-    if any(len(nb) != 2 for nb in adj.values()):
-        raise AssertionError("cycle edges are not 2-regular")
-    order = [(1, 1), (1, 2)]
-    while len(order) < rows * cols:
-        nxt = sorted(adj[order[-1]] - {order[-2]})
-        if len(nxt) != 1:
-            raise AssertionError("cycle is not hamiltonian")
-        order.append(nxt[0])
-    if order[0] not in adj[order[-1]]:
+    order = [(1, c) for c in range(1, cols + 1)]
+    for c in range(cols, 0, -1):
+        climb = range(2, rows + 1) if (cols - c) % 2 == 0 else range(rows, 1, -1)
+        order += [(r, c) for r in climb]
+    if len(set(order)) != rows * cols or any(
+            abs(r1 - r2) + abs(c1 - c2) != 1
+            for (r1, c1), (r2, c2) in zip(order, order[1:] + order[:1])):
         raise AssertionError("cycle does not close")
     return order
 
@@ -402,9 +386,12 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
     One gadget per fine point of the (m+1) x n' snaking grid (n' the
     variable count padded to even): initial triangles on the variable
     row, bull-shaped wire gadgets snaking out to the clause positions,
-    a two-vertex gadget per clause, isolated dummies elsewhere.  Every
-    wire step and clause link is an edge of the snake.  The witness
-    contracts parts to single vertices with red degree at most 4.
+    a two-vertex gadget per clause, isolated dummies elsewhere.  One
+    snake walk, lay, grows every wire: a trunk straight along its
+    variable's column, then a branch through the clause's two rows to
+    the clause's snake neighbour.  Every wire step and clause link is
+    an edge of the snake.  The witness contracts parts to single
+    vertices with red degree at most 4.
     """
     n_pad = f.n if f.n % 2 == 0 else f.n + 1
     minus = f.signed("-")
@@ -429,28 +416,10 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
     for v in range(1, n_pad + 1):
         place((vrow, column_of(v)), "initial", v)
 
-    # trunk tips per variable and side: +1 grows upward, -1 downward
-    tips = {(v, d): vrow for v in range(1, n_pad + 1) for d in (1, -1)}
-
-    def extend_trunk(v: int, d: int, row: int) -> None:
-        c = column_of(v)
-        while (d > 0 and tips[v, d] < row) or (d < 0 and tips[v, d] > row):
-            nxt = tips[v, d] + d
-            # a branch may already have dipped onto this point; adopt it
-            if (nxt, c) in occ:
-                if occ[nxt, c].variable != v:
-                    raise ValueError("wire collision at %r" % ((nxt, c),))
-            else:
-                place((nxt, c), "regular", v, parent=(tips[v, d], c))
-            tips[v, d] = nxt
-
-    def walk(v: int, row: int, target: Point) -> None:
-        """Lay v's wire from its trunk tip in row to target, along the
-        snake's path through rows row - 1 and row."""
-        start = (row, column_of(v))
-        if start not in occ or occ[start].variable != v:
-            raise AssertionError("wire of variable %d does not reach %r" % (v, start))
-        # breadth first from the target, stopping at the tip: each point
+    def lay(v: int, start: Point, target: Point, band: Sequence[int]) -> None:
+        """Lay v's wire from start, a point on it, to target along the
+        snake's shortest path through rows band[0]..band[1]."""
+        # breadth first from the target, stopping at start: each point
         # reached maps to its next step towards the target
         ahead = {target: target}
         queue = [target]
@@ -458,7 +427,7 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
             if pt == start:
                 break
             for nb in snake[pt]:
-                if nb not in ahead and row - 1 <= nb[0] <= row:
+                if nb not in ahead and band[0] <= nb[0] <= band[1]:
                     ahead[nb] = pt
                     queue.append(nb)
         pt = start
@@ -466,8 +435,11 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
             parent, pt = pt, ahead[pt]
             if pt not in occ:
                 place(pt, "regular", v, parent=parent)
-            elif occ[pt].variable != v or occ[pt].kind not in ("initial", "regular"):
+            elif occ[pt].variable != v:
                 raise ValueError("wire collision at %r" % (pt,))
+
+    # trunk tips per variable and side: +1 grows upward, -1 downward
+    tips = {(v, d): (vrow, column_of(v)) for v in range(1, n_pad + 1) for d in (1, -1)}
 
     links: List[Tuple[Point, Point, int]] = []  # clause point, gadget point, literal
 
@@ -482,11 +454,13 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
             # end, and the outer links, left and right
             mid_link = (pc[0] - up, cm)
             lo_link, hi_link = sorted(snake[pc] - {mid_link}, key=lambda pt: pt[1])
-            extend_trunk(mid, up, mid_link[0])
             place(pc, "clause")
+            # a trunk's column is the only shortest path inside its band
+            for var, row in ((mid, mid_link[0]), (lo, nominal), (hi, nominal)):
+                tip, tips[var, up] = tips[var, up], (row, column_of(var))
+                lay(var, tip, tips[var, up], sorted((tip[0], row)))
             for var, link in ((lo, lo_link), (hi, hi_link)):
-                extend_trunk(var, up, nominal)
-                walk(var, nominal, link)
+                lay(var, tips[var, up], link, (nominal - 1, nominal))
             for var, link, lit in zip(cl.variables, (lo_link, mid_link, hi_link), cl.literals):
                 if occ[link].variable != var:
                     raise AssertionError("clause link %r is off the wire of %d" % (link, var))

@@ -69,6 +69,8 @@ def _part_tables(order: List[int], g: Graph) -> Dict[int, int]:
 
 
 def _check_tww_input(g: Graph) -> None:
+    if g.n == 0:
+        raise ValueError("twin-width needs at least one vertex")
     _check_size(g, TWW_CAP, "twin-width")
     if g.vertices != set(range(1, g.n + 1)):
         raise ValueError("twinwidth_at_most needs vertices 1..n; relabel first")
@@ -100,9 +102,6 @@ def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
         raise ValueError("width bound must be non-negative, got %d" % d)
     n = g.n
     _check_tww_input(g)
-    if n == 1:
-        return ContractionSequence(1, [])
-
     order = list(range(1, n + 1))
     adjbit = _part_tables(order, g)
     # a part is (mask, union of member adjacencies, intersection of them)
@@ -166,7 +165,7 @@ def exact_twinwidth(g: Graph) -> Tuple[int, ContractionSequence]:
     adj = _part_tables(list(range(1, g.n + 1)), g)
     lower = min((bin((adj[u] ^ adj[v]) & ~((1 << u - 1) | (1 << v - 1))).count("1")
                  for u, v in itertools.combinations(adj, 2)), default=0)
-    for d in range(lower, max(g.n, 1)):
+    for d in range(lower, g.n):
         seq = twinwidth_at_most(g, d)
         if seq is not None:
             return d, seq

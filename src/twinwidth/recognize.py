@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .trigraph import Graph, Trigraph, contract
 from .sequence import ContractionSequence, replay
@@ -74,6 +74,8 @@ def _plan(g: Graph, prime: Callable[[Graph], Optional[Plan]]) -> Optional[Plan]:
 def recognize_tww0(g: Graph) -> RecognitionResult:
     """Cograph test with a 0-sequence witness; g must be on 1..n.  A
     prime graph (four or more vertices) has width at least 1."""
+    if g.n == 0:
+        raise ValueError("recognition needs at least one vertex")
     if g.vertices != set(range(1, g.n + 1)):
         raise ValueError("recognition needs vertices 1..n; relabel first")
     pairs = _plan(g, lambda h: None)
@@ -109,15 +111,14 @@ def _contraction_is_deletion(t: Trigraph, w: int, partner: int) -> bool:
             and t.neighbors(w) - {partner} <= t.neighbors(partner))
 
 
-def _drive(t0: Trigraph, labels: Dict[int, int], u: int, v: int) -> Optional[Plan]:
+def _drive(t0: Trigraph, u: int, v: int) -> Optional[Plan]:
     """Extend the guessed first contraction of a prime graph to the end."""
-    label = dict(labels)
-    pairs = [(label[u], label[v])]
+    pairs = [(u, v)]
     # t0 serves every guess, so the first step copies it; the rest
     # merge that copy in place, each into the next fresh id
     z = max(t0.vertices) + 1
     t = contract(t0, u, v, z)
-    label[z] = min(label[u], label[v])
+    label = {z: min(u, v)}  # merged bags only: a vertex is its own label
     while len(t.vertices) > 1:
         reds = t.red_edges()
         if len(reds) != 1:
@@ -126,8 +127,8 @@ def _drive(t0: Trigraph, labels: Dict[int, int], u: int, v: int) -> Optional[Pla
         w, partner = safe[0] if safe else reds[0]
         z += 1
         t._merge(w, partner, z)
-        label[z] = min(label[w], label[partner])
-        pairs.append((label[w], label[partner]))
+        pairs.append((label.get(w, w), label.get(partner, partner)))
+        label[z] = min(pairs[-1])
     return pairs
 
 
@@ -135,11 +136,10 @@ def _plan_prime(h: Graph) -> Optional[Plan]:
     """1-sequence plan for a prime graph (at least four vertices), or None."""
     verts = sorted(h.vertices)
     t0 = Trigraph.from_graph(h)
-    labels = {x: x for x in h.vertices}
     for u, v in itertools.combinations(verts, 2):
         if len((h.adj[u] ^ h.adj[v]) - {u, v}) != 1:
             continue
-        pairs = _drive(t0, labels, u, v)
+        pairs = _drive(t0, u, v)
         if pairs is not None:
             return pairs
     return None

@@ -14,7 +14,9 @@ named by labels, and from_merges numbers the steps.  A label is a
 vertex a bag started from; a merged bag keeps the smaller of its two
 labels, and a label never merged is its own vertex.  A bag's label is
 therefore its smallest original vertex.  merges() is the inverse, so
-this module is the only place that numbers fresh ids.
+this module numbers the fresh ids of every witness the package builds.
+The exact oracle alone numbers its own, to stay independent of the code
+it checks.
 
 walk() is the single replay loop: replay, verify and the dynamic
 programming read their states from it.  It copies the start once, at

@@ -24,6 +24,7 @@ from twinwidth.gadgets import (
     variable_wire,
 )
 
+import gadgets_reference as reference
 from test_acceptance import formula_satisfiable
 
 
@@ -81,6 +82,13 @@ def test_hamiltonian_cycle_covers_grid():
     assert len(cyc) == rows * cols
     assert len(set(cyc)) == len(cyc)
     assert cyc[0] == (1, 1) and cyc[1] == (1, 2)
+
+
+def test_hamiltonian_cycle_matches_reference():
+    # the closed form against the old walk of the cycle's 2-regular edges
+    for p in range(2, 9):
+        for q in range(2, 15, 2):
+            assert hamiltonian_cycle(p, q) == reference.hamiltonian_cycle(p, q), (p, q)
 
 
 def test_hamiltonian_cycle_needs_even_q():
@@ -358,4 +366,4 @@ def test_cycle_check_survives_optimize_flag(run_optimized):
     )
     proc = run_optimized(script)
     assert proc.returncode == 1
-    assert "AssertionError: cycle edges are not 2-regular" in proc.stderr
+    assert "AssertionError: cycle does not close" in proc.stderr

@@ -150,6 +150,9 @@ def _references(source: str):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and node.attr != own:
                 used.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_parser":
+                # cli.main runs a subcommand's cmd_<name>, looked up by name
+                used.add("cmd_" + node.args[0].value.replace("-", "_"))
     return used
 
 
@@ -162,6 +165,14 @@ def test_scan_finds_unreferenced_definitions():
               "def _private():\n    pass\n")
     unused = _public_definitions(source) - _references(source)
     assert unused == {"helper", "caller", "Orphan"}
+
+
+def test_scan_reaches_commands_through_their_subcommand():
+    source = ("def cmd_validate_instance(args):\n    pass\n\n"
+              "def cmd_orphan(args):\n    pass\n\n"
+              "def build(sub):\n    sub.add_parser(\"validate-instance\")\n")
+    unused = _public_definitions(source) - _references(source)
+    assert unused == {"cmd_orphan", "build"}
 
 
 def test_every_public_name_is_referenced():

@@ -139,6 +139,14 @@ def test_twinwidth_needs_compact_labels():
         exact_twinwidth(Graph([2, 3], [(2, 3)]))
 
 
+def test_empty_graph_is_rejected():
+    # no contraction sequence exists on zero vertices, so neither call
+    # may answer: None would claim a width above 0
+    for call in (lambda g: twinwidth_at_most(g, 0), exact_twinwidth):
+        with pytest.raises(ValueError, match="^twin-width needs at least one vertex$"):
+            call(Graph([]))
+
+
 def test_negative_width_bound_is_rejected():
     # without the check, merges that create no red edge pass any bound
     for g in [Graph.complete(4), Graph([1])]:

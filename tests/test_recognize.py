@@ -50,6 +50,12 @@ def test_ids_other_than_one_to_n_are_rejected(recognize):
     assert recognize(p5.relabel_compact()[0]).verdict == recognize(Graph.path(5)).verdict
 
 
+@pytest.mark.parametrize("recognize", [recognize_tww0, recognize_tww1])
+def test_empty_graph_is_rejected(recognize):
+    with pytest.raises(ValueError, match="^recognition needs at least one vertex$"):
+        recognize(Graph([]))
+
+
 def test_path4_is_width_one():
     res = recognize_tww1(Graph.path(4))
     assert res.verdict == "tww1"
