@@ -392,6 +392,14 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
     the clause's snake neighbour.  Every wire step and clause link is
     an edge of the snake.  The witness contracts parts to single
     vertices with red degree at most 4.
+
+    The two "wire collision" raises fire only on formulas that skipped
+    LayoutFormula's validation (a reused middle, a repeated rank; the
+    tests build both).  The "clause link ... is off the wire" check
+    cannot fire at all while lay keeps its contract: every lay ends at
+    its target on v's wire or raises, and each link is such a target
+    (the middle trunk's tip is mid_link), so the check only guards
+    later edits of lay.
     """
     n_pad = f.n if f.n % 2 == 0 else f.n + 1
     minus = f.signed("-")

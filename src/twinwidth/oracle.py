@@ -10,11 +10,16 @@ FOCS 2020), so a state of k parts costs O(k^2) plus O(1) per candidate
 merge.  Minimum Dominating Set is branch-and-bound;
 dominating_transversal asks the reduction's question, a dominating set
 with exactly one vertex per part, by a depth-first search over parts on
-an explicit stack.  Minimum Connected and Capacitated Vertex Cover are
-size-ordered subset enumerations.  Those test each subset
-as an integer mask against per-vertex adjacency masks built once per
-graph (a cover leaves no edge outside it; connectivity is a bit
-frontier); only covers reach the augmenting-path capacity assignment.
+an explicit stack.  Minimum Connected and Capacitated Vertex Cover go
+size by size through _covers_of_size, a depth-first include/exclude
+search over per-vertex adjacency masks on an explicit stack: excluding
+a vertex forces its neighbours in, and a branch dies once its chosen
+and forced vertices exceed the size.  It visits only covers and yields
+them in itertools.combinations order, so each oracle's first hit is
+the plain subset enumeration's.  Connectivity is a bit frontier.  A
+capacitated cover reaches the augmenting-path assignment only when
+its rooms min(max(0, cap), deg) sum to |E| or more, and the assignment
+too runs on an explicit stack.
 Sizes are capped; exceeding a cap is an error rather than silent
 slowness.  TWW_SIZE_CAP in the environment overrides every cap at once;
 it is the only way to change them.
@@ -25,7 +30,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .trigraph import Graph, validate_partition
 from .sequence import ContractionSequence
@@ -350,28 +355,47 @@ def dominating_transversal(g: Graph, parts: Sequence[Set[int]]) -> Optional[Froz
 
 
 # ---------------------------------------------------------------------------
-# connected and capacitated vertex cover (nbr: vertex bit -> neighbour mask)
+# connected and capacitated vertex cover (nbr[i]: the i-th vertex's neighbour mask)
 
 def is_vertex_cover(g: Graph, s) -> bool:
     s = set(s)
     return all(u in s or v in s for u, v in g.edges())
 
 
-def _covers(nbr: Dict[int, int], out: int) -> bool:
-    m = out
-    while m:
-        low = m & -m
-        if nbr[low] & out:
-            return False
-        m ^= low
-    return True
+def _covers_of_size(nbr: List[int], n: int, k: int) -> Iterator[int]:
+    """Every vertex cover of exactly k of the vertices 0..n-1, as a
+    mask, in itertools.combinations order; nbr[i] is i's neighbour mask.
+
+    Depth first over the indices on an explicit stack, include before
+    exclude, so the covers come in lexicographic order of their index
+    tuples.  Excluding a vertex forces its neighbours in.  A branch dies
+    when its chosen vertices plus the forced ones still undecided exceed
+    k, or when too few vertices remain to reach k.  With k chosen, the
+    undecided rest is excluded, which covers exactly when none of it is
+    forced and no edge lies inside it (no edge's lower end is >= i); the
+    prunes only save work, this test alone decides what is yielded.
+    """
+    last = max((i for i in range(n) if nbr[i] >> i + 1), default=-1)
+    stack = [(0, 0, 0, 0)]  # next index, chosen mask and count, forced mask
+    while stack:
+        i, s, c, forced = stack.pop()
+        if c + (forced & ~s).bit_count() > k or c + n - i < k:
+            continue
+        if c == k:
+            if i > last and not forced & ~s:
+                yield s
+            continue
+        bit = 1 << i
+        if not forced & bit:
+            stack.append((i + 1, s, c, forced | nbr[i]))
+        stack.append((i + 1, s | bit, c + 1, forced))
 
 
-def _connected(nbr: Dict[int, int], s: int) -> bool:
+def _connected(nbr: List[int], s: int) -> bool:
     seen = frontier = s & -s
     while frontier:
         low = frontier & -frontier
-        new = nbr[low] & s & ~seen
+        new = nbr[low.bit_length() - 1] & s & ~seen
         seen |= new
         frontier ^= low | new
     return seen == s
@@ -382,8 +406,9 @@ def min_connected_vertex_cover(g: Graph) -> Optional[Tuple[int, FrozenSet[int]]]
 
     Infeasible exactly when at least two components contain edges: a
     connected cover cannot straddle components.  Isolated vertices are
-    ignored.  Size-ordered subset enumeration with bitmask cover and
-    connectivity tests; the first hit in combinations order is returned.
+    ignored.  Size by size, _covers_of_size lists the covers of the
+    edgeful component in combinations order and the first connected
+    one (a bit frontier over the masks) is returned.
     """
     _check_size(g, SEARCH_CAP, "search")
     edgeful = [c for c in g.components() if any(g.adj[v] & c for v in c)]
@@ -392,12 +417,10 @@ def min_connected_vertex_cover(g: Graph) -> Optional[Tuple[int, FrozenSet[int]]]
     if not edgeful:
         return 0, frozenset()
     comp = sorted(edgeful[0])
-    nbr = {1 << i: m for i, m in enumerate(_part_tables(comp, g).values())}
-    full = (1 << len(comp)) - 1
+    nbr = list(_part_tables(comp, g).values())
     for k in range(1, len(comp) + 1):
-        for combo in itertools.combinations(nbr, k):
-            s = sum(combo)
-            if _covers(nbr, full & ~s) and _connected(nbr, s):
+        for s in _covers_of_size(nbr, len(comp), k):
+            if _connected(nbr, s):
                 return k, frozenset(v for i, v in enumerate(comp) if s >> i & 1)
     raise AssertionError("unreachable: the whole component is a connected cover")
 
@@ -406,37 +429,55 @@ def _assign(cg: CapacitatedGraph, edges: List[Tuple[int, int]], x: Set[int]) -> 
     """Kuhn-style augmenting assignment of edges to endpoints in the cover x.
 
     Negative capacities (legal bookkeeping in the kernel rules) count
-    as zero.  augment recurses once per newly visited cover vertex, so
-    its depth is at most |x|.
+    as zero.  Each edge is placed by a depth-first augmenting-path
+    search on an explicit stack: an endpoint in x with room takes it,
+    or one of the endpoint's edges moves on, each cover vertex visited
+    once per edge.  Endpoints go in increasing order and their edges in
+    load order, so the verdicts are those of the recursive search.
     """
     cap = {v: max(0, cg.cap[v]) for v in x}
     load: Dict[int, List[Tuple[int, int]]] = {v: [] for v in x}
 
-    def augment(e: Tuple[int, int], visited: Set[int]) -> bool:
+    def moves(e: Tuple[int, int], visited: Set[int]) -> Iterator[Tuple[int, int]]:
+        # (w, -1): e fits at w; (w, i): e takes load[w][i] if that moves on
         for w in sorted(set(e) & x):
-            if w in visited:
-                continue
-            visited.add(w)
-            if len(load[w]) < cap[w]:
-                load[w].append(e)
-                return True
-            for i, e2 in enumerate(load[w]):
-                if augment(e2, visited):
-                    load[w][i] = e
-                    return True
-        return False
+            if w not in visited:
+                visited.add(w)
+                if len(load[w]) < cap[w]:
+                    yield w, -1
+                else:
+                    for i in range(len(load[w])):
+                        yield w, i
 
     for e in edges:
-        if not augment(e, set()):
-            return False
+        visited: Set[int] = set()
+        stack = [(e, moves(e, visited))]
+        taken: List[Tuple[int, int]] = []  # the slot each frame below the top tries
+        while True:
+            f, it = stack[-1]
+            step = next(it, None)
+            if step is None:
+                stack.pop()
+                if not stack:
+                    return False
+                taken.pop()
+            elif step[1] < 0:
+                load[step[0]].append(f)
+                for (moved, _), (w, i) in zip(stack, taken):
+                    load[w][i] = moved
+                break
+            else:
+                taken.append(step)
+                f = load[step[0]][step[1]]
+                stack.append((f, moves(f, visited)))
     return True
 
 
 def capacitated_vc_feasible(cg: CapacitatedGraph, x) -> bool:
     """Can every edge be assigned to a covering endpoint within capacity?
 
-    No size cap applies here, so nothing but |x| bounds the depth of
-    the assignment's recursion.
+    No size cap applies here; the assignment keeps its search on an
+    explicit stack, so no input size bounds it by the recursion limit.
     """
     x = set(x)
     return is_vertex_cover(cg.graph, x) and _assign(cg, list(cg.graph.edges()), x)
@@ -446,21 +487,27 @@ def min_capacitated_vc(cg: CapacitatedGraph, k: Optional[int] = None) -> Optiona
     """Smallest capacitated vertex cover of size at most k, or None.
 
     k = None searches all sizes, so the result (if any) is a true
-    minimum.  Non-covers are rejected by the masks before the
-    assignment runs.
+    minimum.  A vertex carries at most room(v) = min(max(0, cap v),
+    deg v) edges, so a cover whose rooms sum below |E| cannot be
+    assigned, and a size whose largest rooms sum below |E| is skipped
+    whole.  Only the covers of _covers_of_size that pass this bound,
+    in combinations order, reach the assignment.
     """
     g = cg.graph
     _check_size(g, SEARCH_CAP, "search")
     hi = g.n if k is None else min(k, g.n)
     order = sorted(g.vertices)
-    nbr = {1 << i: m for i, m in enumerate(_part_tables(order, g).values())}
-    full = (1 << g.n) - 1
+    nbr = list(_part_tables(order, g).values())
+    room = [min(max(0, cg.cap[v]), len(g.adj[v])) for v in order]
+    best = sorted(room, reverse=True)
     edges = list(g.edges())
     for size in range(0, hi + 1):
-        for combo in itertools.combinations(nbr, size):
-            s = sum(combo)
-            if _covers(nbr, full & ~s):
-                x = {v for i, v in enumerate(order) if s >> i & 1}
-                if _assign(cg, edges, x):
-                    return frozenset(x)
+        if sum(best[:size]) < len(edges):
+            continue
+        for s in _covers_of_size(nbr, g.n, size):
+            if sum(r for i, r in enumerate(room) if s >> i & 1) < len(edges):
+                continue
+            x = {v for i, v in enumerate(order) if s >> i & 1}
+            if _assign(cg, edges, x):
+                return frozenset(x)
     return None

@@ -3,10 +3,15 @@
 Kept verbatim as the differential reference for twinwidth.oracle:
 
 - the vertex-cover oracles before the bitmask rewrite: size-ordered
-  subset enumeration over sets, with the cover test and the augmenting
-  assignment re-run on Graph.edges() for every candidate.  Only the
-  size check changed with the oracle's: TWW_SIZE_CAP is the one
-  override, so neither function takes a per-call cap.
+  subset enumeration over sets with itertools.combinations, with the
+  cover test and the recursive augmenting assignment re-run on
+  Graph.edges() for every candidate.  The oracles now search only
+  covers, include before exclude, skip covers and sizes whose rooms
+  min(max(0, cap), deg) sum below |E|, and assign on an explicit
+  stack; they must still return these functions' values and witness
+  sets, the first hit in combinations order.  Only the size check
+  changed with the oracle's: TWW_SIZE_CAP is the one override, so
+  neither function takes a per-call cap.
 - twinwidth_at_most before the per-state red and full masks: every
   child state is built and then rescanned pair by pair for its red
   degrees.

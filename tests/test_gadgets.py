@@ -185,6 +185,27 @@ def test_layout_formula_validation():
                       LayoutClause("-", 1, (2, 4, 5))])
 
 
+def _unvalidated(n, clauses):
+    """A LayoutFormula that skipped its constructor's validation."""
+    f = object.__new__(LayoutFormula)
+    object.__setattr__(f, "n", n)
+    object.__setattr__(f, "clauses", tuple(clauses))
+    return f
+
+
+@pytest.mark.parametrize("ranks,where", [((1, 2), "lay"), ((1, 1), "place")])
+def test_reduction_catches_wire_collisions(ranks, where):
+    # validation rejects both formulas: the middle 2 reused at rank 2
+    # sends the second clause's wire of 2 into the first clause's
+    # point, and two rank-1 clauses over one middle share a clause point
+    f = _unvalidated(3, [LayoutClause("+", r, (1, 2, 3)) for r in ranks])
+    with pytest.raises(ValueError):
+        LayoutFormula(f.n, f.clauses)
+    with pytest.raises(ValueError, match=r"wire collision at \(3, 4\)") as err:
+        reduce_3sat(f)
+    assert err.traceback[-1].name == where
+
+
 F1 = LayoutFormula(3, [LayoutClause("+", 1, (1, 2, -3))])
 F2 = LayoutFormula(3, [LayoutClause("-", 1, (1, 2, -3))])
 F3 = LayoutFormula(4, [LayoutClause("+", 1, (-1, 3, 4)),

@@ -5,8 +5,10 @@ enumeration of all full contraction sequences, so the rest of the
 suite can lean on it.
 """
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -436,3 +438,113 @@ def test_vc_oracles_match_reference():
         for _ in range(3):
             x = {v for v in g.vertices if rng.random() < 0.7}
             assert capacitated_vc_feasible(cg, x) == reference.capacitated_vc_feasible(cg, x)
+
+
+def _hub_graph(rng):
+    """1 to 4 hubs and leaves drawn from a small pool of hub sets, n in
+    8..14, relabelled at random: the twin-rich shape of a kernel input."""
+    hubs = rng.randint(1, 4)
+    n = rng.randint(8, 14)
+    edges = [e for e in itertools.combinations(range(1, hubs + 1), 2) if rng.random() < 0.5]
+    pool = [[h for h in range(1, hubs + 1) if rng.random() < 0.5] for _ in range(3)]
+    for leaf in range(hubs + 1, n + 1):
+        edges += [(h, leaf) for h in rng.choice(pool)]
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    return Graph(labels, [(labels[u - 1], labels[v - 1]) for u, v in edges])
+
+
+def test_vc_oracles_match_reference_on_hub_graphs():
+    """Both oracles against the reference on kernel-shaped inputs,
+    capacities in -1..4, every budget None and 0..7.  The reference
+    returns the first feasible cover in size order, so its answer under
+    budget k is its unbudgeted answer when that has at most k vertices
+    and None otherwise: one reference call per graph gives all nine."""
+    rng = random.Random(6061)
+    found = {"cvc": 0, "capvc": 0, "no capvc": 0}
+    for _ in range(25):
+        g = _hub_graph(rng)
+        cvc = min_connected_vertex_cover(g)
+        assert cvc == reference.min_connected_vertex_cover(g), sorted(g.edges())
+        found["cvc"] += cvc is not None and cvc[0] > 1
+        cg = CapacitatedGraph(g, {v: rng.randint(-1, 4) for v in sorted(g.vertices)})
+        best = reference.min_capacitated_vc(cg)
+        found["no capvc" if best is None else "capvc"] += 1
+        for k in [None] + list(range(8)):
+            want = best if best is None or k is None or len(best) <= k else None
+            assert min_capacitated_vc(cg, k) == want, (k, sorted(g.edges()), cg.cap)
+    assert min(found.values()) >= 5, found
+
+
+def test_capacitated_assignment_does_not_recurse(run_optimized):
+    # on a path with cap 1 everywhere but vertex 1, every edge's
+    # augmenting path walks back towards vertex 1: 300 frames deep
+    proc = run_optimized(
+        "import sys\n"
+        "from twinwidth.oracle import CapacitatedGraph, capacitated_vc_feasible\n"
+        "from twinwidth.trigraph import Graph\n"
+        "g = Graph.path(300)\n"
+        "cap = {v: 1 for v in g.vertices}\n"
+        "cap[1] = 0\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(capacitated_vc_feasible(CapacitatedGraph(g, cap), g.vertices))\n"
+        "cap[300] = 0\n"
+        "print(capacitated_vc_feasible(CapacitatedGraph(g, cap), g.vertices))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\nFalse\n"
+
+
+def _budget_inputs():
+    """The fixed set of the work budget: connected G(n, 0.35) with n in
+    8..12 and capacities 0..3, as the benchmark's kernel checks draw
+    them, and hub graphs with capacities -1..4."""
+    rng = random.Random(3131)
+    out = []
+    while len(out) < 30:
+        g = _random_graph(rng, rng.randint(8, 12), 0.35)
+        if g.is_connected():
+            out.append(CapacitatedGraph(g, {v: rng.randint(0, 3) for v in sorted(g.vertices)}))
+    for _ in range(30):
+        g = _hub_graph(rng)
+        out.append(CapacitatedGraph(g, {v: rng.randint(-1, 4) for v in sorted(g.vertices)}))
+    return out
+
+
+def test_vc_oracles_work_budget(monkeypatch):
+    """Counted work, no timing: the assignment calls and the cover
+    search's nodes (pops of its stack, counted by a line tracer) over a
+    fixed seeded set stay within the counts recorded when the search
+    gained its prunes.  Dropping the room bound breaks the first,
+    dropping the forced-vertex prune the second."""
+    assigns = [0]
+    assign = oracle._assign
+
+    def counted(*args):
+        assigns[0] += 1
+        return assign(*args)
+
+    monkeypatch.setattr(oracle, "_assign", counted)
+    code = oracle._covers_of_size.__code__
+    lines, first = inspect.getsourcelines(code)
+    pops = {first + i for i, line in enumerate(lines) if "stack.pop()" in line}
+    assert len(pops) == 1
+    nodes = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in pops:
+            nodes[0] += 1
+        return local
+
+    inputs = _budget_inputs()
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        for cg in inputs:
+            min_connected_vertex_cover(cg.graph)
+            min_capacitated_vc(cg)
+            for k in range(1, 7):
+                min_capacitated_vc(cg, k)
+    finally:
+        sys.settrace(old)
+    assert assigns[0] <= 223, assigns
+    assert nodes[0] <= 20986, nodes
