@@ -10,6 +10,9 @@ with at least two vertices the maximal modular partition is
     the quotient is prime (only trivial modules) and all-red edges play
     no role since distinct maximal modules see each other homogeneously.
 
+series_parallel_split gives the first two cases alone, which is all a
+cograph test needs.
+
 When G and its complement are both connected, a module other than V lies
 in exactly one maximal proper module, and these partition V (Gallai).
 They are found in two steps, after Ehrenfeucht, Gabow, McConnell &
@@ -46,7 +49,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .trigraph import Graph, is_module, validate_partition
 
@@ -137,7 +140,17 @@ def _classes(g: Graph, v: int, parts: List[Set[int]]) -> List[Set[int]]:
     return classes
 
 
-def maximal_modular_partition(g: Graph) -> ModularPartition:
+def series_parallel_split(g: Graph) -> Optional[ModularPartition]:
+    """The components of g, else its co-components, else None.
+
+    A parallel level splits into components and a series level into
+    co-components; None means g and its complement are both connected,
+    so the maximal modular partition is made of the maximal proper
+    modules.  Cographs are exactly the graphs whose every induced
+    subgraph on two or more vertices splits (Corneil, Perl & Stewart,
+    "A linear recognition algorithm for cographs", SIAM J. Comput.
+    1985).
+    """
     if g.n <= 1:
         raise ValueError("modular partition needs at least two vertices")
     comps = g.components()
@@ -148,6 +161,13 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     if len(cocomps) > 1:
         parts = tuple(frozenset(c) for c in sorted(cocomps, key=min))
         return ModularPartition(parts, "cocomponents")
+    return None
+
+
+def maximal_modular_partition(g: Graph) -> ModularPartition:
+    split = series_parallel_split(g)
+    if split is not None:
+        return split
 
     # both connected: refine the modules avoiding v, then find v's class
     v = min(g.vertices)

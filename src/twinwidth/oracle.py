@@ -491,7 +491,10 @@ def min_capacitated_vc(cg: CapacitatedGraph, k: Optional[int] = None) -> Optiona
     deg v) edges, so a cover whose rooms sum below |E| cannot be
     assigned, and a size whose largest rooms sum below |E| is skipped
     whole.  Only the covers of _covers_of_size that pass this bound,
-    in combinations order, reach the assignment.
+    in combinations order, reach the assignment.  Before the second
+    assignment, one assignment on all of V asks whether any cover can
+    be assigned, for a cover that can stays assignable when it grows;
+    when none can, the search stops there with None.
     """
     g = cg.graph
     _check_size(g, SEARCH_CAP, "search")
@@ -501,6 +504,7 @@ def min_capacitated_vc(cg: CapacitatedGraph, k: Optional[int] = None) -> Optiona
     room = [min(max(0, cg.cap[v]), len(g.adj[v])) for v in order]
     best = sorted(room, reverse=True)
     edges = list(g.edges())
+    attempts = 0
     for size in range(0, hi + 1):
         if sum(best[:size]) < len(edges):
             continue
@@ -508,6 +512,9 @@ def min_capacitated_vc(cg: CapacitatedGraph, k: Optional[int] = None) -> Optiona
             if sum(r for i, r in enumerate(room) if s >> i & 1) < len(edges):
                 continue
             x = {v for i, v in enumerate(order) if s >> i & 1}
+            if attempts == 1 and not _assign(cg, edges, g.vertices):
+                return None
+            attempts += 1
             if _assign(cg, edges, x):
                 return frozenset(x)
     return None

@@ -1,15 +1,17 @@
 """Recognition of twin-width 0 and twin-width at most 1.
 
-Width 0 is the cograph case: walk down the maximal modular partitions
-and fail as soon as a level has both the graph and its complement
-connected.  Width 1 walks the same way (width composes over modules
-with the quotient) and handles the prime quotients with a
-deterministic driver: guess the first contraction among pairs creating
-exactly one red edge, then repeatedly either perform a safe
-contraction (one that results in the trigraph minus a vertex) or
-contract the unique red edge.  A prime graph of width 1 keeps exactly
-one red edge in every intermediate trigraph, so the driver never needs
-to branch after the initial guess.
+Width 0 is the cograph case: walk down the series and parallel splits
+(co-components and components) and fail as soon as a level has both
+the graph and its complement connected, before any maximal proper
+module is built (Corneil, Perl & Stewart, 1985).  Width 1 walks the
+maximal modular partitions (width composes over modules with the
+quotient) and handles the prime quotients with a deterministic
+driver: guess the first contraction among pairs creating exactly one
+red edge, then repeatedly either perform a safe contraction (one that
+results in the trigraph minus a vertex) or contract the unique red
+edge.  A prime graph of width 1 keeps exactly one red edge in every
+intermediate trigraph, so the driver never needs to branch after the
+initial guess.
 
 Plans are built as (label, label) merge pairs, where a bag is labelled
 by its smallest original vertex, and ContractionSequence.from_merges
@@ -24,7 +26,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .trigraph import Graph, Trigraph, contract
 from .sequence import ContractionSequence, replay
-from .modular import maximal_modular_partition
+from .modular import maximal_modular_partition, series_parallel_split
 
 
 @dataclass(frozen=True)
@@ -36,15 +38,17 @@ class RecognitionResult:
 Plan = List[Tuple[int, int]]
 
 
-def _plan(g: Graph, prime: Callable[[Graph], Optional[Plan]]) -> Optional[Plan]:
+def _plan(g: Graph, prime: Optional[Callable[[Graph], Optional[Plan]]]) -> Optional[Plan]:
     """Merge pairs for g along its maximal modular partitions, or None.
 
     Series and parallel levels chain their modules; prime(h) plans each
-    prime quotient h or returns None.  The modules wait on one stack,
-    each induced from g when its turn comes, and the last child goes
-    first: read back in reverse, the saved plans put every module's
-    pairs before its parent's quotient.  A level's quotient is planned
-    before its modules, so a level that fails stops the walk there.
+    prime quotient h or returns None.  prime=None plans width 0: each
+    level asks only for its series/parallel split, and a level without
+    one fails at once.  The modules wait on one stack, each induced
+    from g when its turn comes, and the last child goes first: read
+    back in reverse, the saved plans put every module's pairs before
+    its parent's quotient.  A level's quotient is planned before its
+    modules, so a level that fails stops the walk there.
     """
     if g.n == 1:
         return []
@@ -53,7 +57,9 @@ def _plan(g: Graph, prime: Callable[[Graph], Optional[Plan]]) -> Optional[Plan]:
     while todo:
         part = todo.pop()
         h = g if part is g.vertices else g.induced(part)
-        mp = maximal_modular_partition(h)
+        mp = series_parallel_split(h) if prime is None else maximal_modular_partition(h)
+        if mp is None:
+            return None
         reps = [min(p) for p in mp.parts]
         if mp.kind == "maximal" and mp.is_trivial:
             top = prime(h)
@@ -78,7 +84,7 @@ def recognize_tww0(g: Graph) -> RecognitionResult:
         raise ValueError("recognition needs at least one vertex")
     if g.vertices != set(range(1, g.n + 1)):
         raise ValueError("recognition needs vertices 1..n; relabel first")
-    pairs = _plan(g, lambda h: None)
+    pairs = _plan(g, None)
     if pairs is None:
         return RecognitionResult("above0")
     return RecognitionResult("tww0", ContractionSequence.from_merges(g.n, pairs))
@@ -146,7 +152,12 @@ def _plan_prime(h: Graph) -> Optional[Plan]:
 
 
 def recognize_tww1(g: Graph) -> RecognitionResult:
-    """Width-at-most-1 test on 1..n; reports tww0 for a cograph."""
+    """Width-at-most-1 test on 1..n; reports tww0 for a cograph.
+
+    The width-0 walk runs first and builds no maximal proper module, so
+    the width-1 walk that follows a failed one repeats only the cheap
+    split tests of the levels above the first prime one.
+    """
     zero = recognize_tww0(g)
     if zero.verdict == "tww0":
         return zero

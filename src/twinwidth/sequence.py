@@ -193,20 +193,28 @@ def verify(
     Red degrees are tracked incrementally: after contracting u, v into
     the fresh vertex z = n + step + 1, only z and its red neighbours
     change red degree (a black neighbour saw u and v black), so each
-    state after the start is scanned there alone, in any order.  The
-    violating vertex is the smallest one above the bound in its state.
+    state after the start is scanned there alone, in any order, with no
+    set built.  The violating vertex is the smallest one above the
+    bound in its state; the touched set is built only to find it.
     """
     width, argmax = 0, -1
     violation: Optional[Tuple[int, int, int]] = None
     for step, t in enumerate(walk(g, seq), start=-1):
+        red = t.red
         z = seq.n + step + 1
-        touched = t.vertices if step < 0 else t.red[z] | {z}
-        d = max([len(t.red[x]) for x in touched], default=0)
+        if step < 0:
+            d = max([len(red[x]) for x in t.vertices], default=0)
+        else:
+            d = len(red[z])
+            for x in red[z]:
+                if len(red[x]) > d:
+                    d = len(red[x])
         if d > width:
             width, argmax = d, step
         if bound is not None and d > bound and violation is None:
-            x = min(x for x in touched if len(t.red[x]) > bound)
-            violation = (step, x, len(t.red[x]))
+            touched = t.vertices if step < 0 else red[z] | {z}
+            x = min(x for x in touched if len(red[x]) > bound)
+            violation = (step, x, len(red[x]))
     return WidthReport(width, argmax, violation)
 
 

@@ -83,21 +83,46 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(s) for s in self.adj.values()) // 2
 
+    @classmethod
+    def _of(cls, vertices: Set[int], adj: Dict[int, Set[int]]) -> "Graph":
+        """A graph on ready-made adjacency sets, without any check."""
+        g = cls.__new__(cls)
+        g.vertices, g.adj = vertices, adj
+        return g
+
     def induced(self, keep: Iterable[int]) -> "Graph":
+        """The subgraph on keep, a subset of the vertices.
+
+        Each adjacency set is built directly from this graph's, with no
+        per-edge check: its edges are a subset of a valid graph's, so no
+        loop or unknown endpoint can arise.  Members go in increasing
+        order, the order edge-by-edge insertion in edges() order would
+        use, and the vertex set is copied as the constructor copies it,
+        so every set iterates as before.
+        """
         keep = set(keep)
         if not keep <= self.vertices:
             raise ValueError("induced set is not a subset of the vertices")
-        # the edges within keep in self.edges() order, from keep's adjacency alone
-        return Graph(keep, [(u, v) for u in sorted(keep)
-                            for v in sorted(self.adj[u] & keep) if u < v])
+        vertices, adj = set(keep), self.adj
+        return Graph._of(vertices, {v: set(sorted(adj[v] & keep)) for v in vertices})
 
     def without(self, drop: Iterable[int]) -> "Graph":
         return self.induced(self.vertices - set(drop))
 
     def complement(self) -> "Graph":
-        vs = sorted(self.vertices)
-        edges = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:] if v not in self.adj[u]]
-        return Graph(vs, edges)
+        """The graph joining exactly the distinct non-adjacent pairs.
+
+        Adjacency sets are built directly, as in induced: the edges are
+        non-edges between distinct vertices of a valid graph, so no loop
+        or unknown endpoint can arise, and members go in increasing
+        order.
+        """
+        vertices, adj = set(sorted(self.vertices)), {}
+        for v in vertices:
+            far = self.vertices - self.adj[v]
+            far.discard(v)
+            adj[v] = set(sorted(far))
+        return Graph._of(vertices, adj)
 
     def components(self) -> List[Set[int]]:
         seen: Set[int] = set()

@@ -514,8 +514,9 @@ def test_vc_oracles_work_budget(monkeypatch):
     """Counted work, no timing: the assignment calls and the cover
     search's nodes (pops of its stack, counted by a line tracer) over a
     fixed seeded set stay within the counts recorded when the search
-    gained its prunes.  Dropping the room bound breaks the first,
-    dropping the forced-vertex prune the second."""
+    gained its prunes and its infeasibility check on all of V.
+    Dropping the room bound or that check breaks the first, dropping
+    the forced-vertex prune the second."""
     assigns = [0]
     assign = oracle._assign
 
@@ -546,5 +547,5 @@ def test_vc_oracles_work_budget(monkeypatch):
                 min_capacitated_vc(cg, k)
     finally:
         sys.settrace(old)
-    assert assigns[0] <= 223, assigns
-    assert nodes[0] <= 20986, nodes
+    assert assigns[0] <= 108, assigns
+    assert nodes[0] <= 16868, nodes

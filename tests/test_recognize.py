@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import recognize_reference as reference
+from twinwidth import modular
 from twinwidth.trigraph import Graph, Trigraph, contract
 from twinwidth.sequence import replay, verify
 from twinwidth.oracle import exact_twinwidth
@@ -183,3 +185,92 @@ def test_agreement_with_oracle_on_random_graphs():
         assert (r1.verdict != "above1") == (d <= 1)
         if r1.witness is not None:
             _check_witness(g, r1, d)
+
+
+def _all_graphs(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(range(1, n + 1), [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def _cotree_edges(vertices, rng):
+    """A random cograph on vertices: a union or a join of two random halves."""
+    if len(vertices) == 1:
+        return []
+    cut = rng.randint(1, len(vertices) - 1)
+    left, right = vertices[:cut], vertices[cut:]
+    edges = _cotree_edges(left, rng) + _cotree_edges(right, rng)
+    if rng.random() < 0.5:
+        edges += [(a, b) for a in left for b in right]
+    return edges
+
+
+def _seeded_graphs(seed, count):
+    """Random, threshold and cotree graphs on up to 40 vertices, each
+    under a random labelling, some with one random edge flipped so that
+    cographs turn prime deep in their tree."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(2, 40)
+        shape = i % 3
+        if shape == 0:
+            p = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9])
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < p]
+        elif shape == 1:
+            # vertex i sees every j < i when i is picked
+            picked = [i for i in range(2, n + 1) if rng.random() < 0.5]
+            edges = [(j, i) for i in picked for j in range(1, i)]
+        else:
+            edges = _cotree_edges(list(range(1, n + 1)), rng)
+        name = list(range(1, n + 1))
+        rng.shuffle(name)
+        edges = {frozenset((name[a - 1], name[b - 1])) for a, b in edges}
+        if n >= 4 and rng.random() < 0.5:
+            edges ^= {frozenset(rng.sample(range(1, n + 1), 2))}
+        out.append(Graph(range(1, n + 1), [tuple(e) for e in edges]))
+    return out
+
+
+def _same(a, b):
+    return a.verdict == b.verdict and (a.witness and a.witness.steps) == (b.witness and b.witness.steps)
+
+
+def test_width0_walk_matches_reference_on_all_graphs_up_to_six():
+    # the split-only walk against the walk that built every level's full
+    # maximal modular partition: verdicts and witness steps agree
+    for n in range(1, 7):
+        for g in _all_graphs(n):
+            assert _same(recognize_tww0(g), reference.recognize_tww0(g)), sorted(g.edges())
+
+
+def test_recognition_matches_reference_on_seeded_graphs():
+    for n in range(1, 6):
+        for g in _all_graphs(n):
+            assert _same(recognize_tww1(g), reference.recognize_tww1(g)), sorted(g.edges())
+    verdicts = set()
+    for g in _seeded_graphs(2020, 240):
+        zero, one = recognize_tww0(g), recognize_tww1(g)
+        assert _same(zero, reference.recognize_tww0(g)), sorted(g.edges())
+        assert _same(one, reference.recognize_tww1(g)), sorted(g.edges())
+        verdicts |= {zero.verdict, one.verdict}
+    assert verdicts == {"tww0", "above0", "tww1", "above1"}
+
+
+def test_width0_builds_no_maximal_proper_module(monkeypatch):
+    # counted, not timed: on non-cographs the width-0 walk stops at the
+    # first level without a split, before refining any module
+    refined = [0]
+    modules_avoiding = modular._modules_avoiding
+
+    def counted(*args):
+        refined[0] += 1
+        return modules_avoiding(*args)
+
+    monkeypatch.setattr(modular, "_modules_avoiding", counted)
+    graphs = [g for g in _seeded_graphs(2121, 90) if recognize_tww0(g).verdict == "above0"]
+    assert len(graphs) >= 30
+    assert refined[0] == 0
+    for g in graphs:
+        recognize_tww1(g)
+    assert refined[0] >= len(graphs)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import trigraph_reference as reference
 from twinwidth.trigraph import (
     Graph,
     Trigraph,
@@ -66,6 +67,67 @@ def test_induced_matches_edge_filter_reference():
         h = g.induced(keep)
         assert h == ref
         assert {v: list(h.adj[v]) for v in keep} == {v: list(ref.adj[v]) for v in keep}
+
+
+def _order(g):
+    """Everything a caller could observe of a graph's iteration order."""
+    return list(g.vertices), list(g.adj), [list(g.adj[v]) for v in g.adj]
+
+
+def _seeded_graphs(seed, count):
+    # ids drawn from 1..120, so that sets of ints collide and their
+    # iteration order depends on how they were filled
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 40)
+        ids = rng.sample(range(1, 121), n)
+        p = rng.choice([0.1, 0.3, 0.5, 0.8])
+        yield rng, Graph(ids, [e for e in itertools.combinations(ids, 2) if rng.random() < p])
+
+
+def test_induced_and_complement_match_edge_by_edge_reference():
+    for rng, g in _seeded_graphs(4040, 600):
+        keep = rng.sample(sorted(g.vertices), rng.randint(0, g.n))
+        for h, ref in ((g.induced(keep), reference.induced(g, keep)),
+                       (g.complement(), reference.complement(g))):
+            assert h == ref
+            assert _order(h) == _order(ref)
+    with pytest.raises(ValueError, match="not a subset"):
+        Graph.path(3).induced([1, 4])
+
+
+def test_induced_and_complement_add_no_edge_one_at_a_time(monkeypatch):
+    # counted guard: the copies fill their adjacency sets directly
+    added = [0]
+    add_edge = Graph._add_edge
+
+    def counted(self, u, v):
+        added[0] += 1
+        add_edge(self, u, v)
+
+    monkeypatch.setattr(Graph, "_add_edge", counted)
+    graphs = [g for _, g in _seeded_graphs(4141, 40)]
+    assert added[0] > 0
+    added[0] = 0
+    for g in graphs:
+        g.induced(sorted(g.vertices)[::2])
+        g.without(sorted(g.vertices)[:1])
+        g.complement()
+    assert added[0] == 0
+
+
+def test_induced_and_complement_share_no_set_with_the_parent():
+    for _, g in _seeded_graphs(4242, 40):
+        if g.n < 2:
+            continue
+        before = {v: set(s) for v, s in g.adj.items()}
+        vertices = set(g.vertices)
+        for h in (g.induced(g.vertices), g.complement()):
+            for v in h.adj:
+                h.adj[v].add(-v)
+            h.vertices.add(0)
+            h.adj[0] = set()
+            assert g.adj == before and g.vertices == vertices
 
 
 def test_components_and_relabel():
