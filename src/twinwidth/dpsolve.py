@@ -13,14 +13,28 @@ contraction that internalizes it, while red edges keep their
 obligations inside the component tables.  Tables have at most 3^c (or
 6^c) entries, so the run time is linear in the sequence for fixed
 component bound c; c above MAX_COMPONENT_BOUND is refused up front.
+
+Each step is compiled once, before its tables are combined: the
+positions of the joined components' vertices in their concatenated
+keys, z's slot after them, the index list that takes the merged key,
+and the black edges and domination links as index pairs and lists.
+A combination then concatenates the component keys, tests those
+indices and takes its key by indexing, with no dict per combination.
+
+check_component_bound searches every red component of the start once
+and, after each step, z's component alone: a contraction only merges
+red components, so no other component of a state is new.  That is at
+most n + c(n - 1) red sets for the bound c it returns, O(n c + m)
+with the walk.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Sequence, Set, Tuple, Union
 
-from .trigraph import Graph
+from .trigraph import Graph, Trigraph
 from .sequence import ContractionSequence, walk
 
 FULL, PARTIAL, NONE = 0, 1, 2
@@ -33,24 +47,45 @@ Key = Tuple[Tuple[int, ...], Tuple[bool, ...]]
 MAX_COMPONENT_BOUND = 6
 
 
-def check_component_bound(g: Graph, s: ContractionSequence) -> int:
-    """Largest red component over all states of the replay."""
-    best = 0
-    for t in walk(g, s):
-        seen = set()
-        for v in t.vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                for y in t.red[stack.pop()]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
+def check_component_bound(g: Union[Graph, Trigraph], s: ContractionSequence) -> int:
+    """Largest red component over all states of the replay.
+
+    A contraction of a and b into z only merges red components: every
+    red edge at a or b moves to z, and every red edge it creates ends
+    at z, while the edges among the other vertices stay as they were.
+    So each component of a state either was a component of the state
+    before, untouched, or is z's, which absorbs those of a, b and of
+    z's new red neighbours.  One full search of the start (a Trigraph
+    start may already carry red edges) followed by a search of z's
+    component after each step therefore sees the largest component of
+    every state: at most n + c(n - 1) red sets for the bound c it
+    returns, O(n c + m) with the walk, against O(n^2) for a full
+    search of every state.
+    """
+    states = walk(g, s)
+    t = next(states)
+    best, seen = 0, set()
+    for v in t.vertices:
+        if v not in seen:
+            comp = _red_component(t.red, v)
             seen |= comp
             best = max(best, len(comp))
+    for (z, _, _), t in zip(s.steps, states):
+        best = max(best, len(_red_component(t.red, z)))
     return best
+
+
+def _red_component(red: Dict[int, Set[int]], v: int) -> Set[int]:
+    """The vertices joined to v by red paths."""
+    comp = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for y in red[x]:
+            if y not in comp:
+                comp.add(y)
+                stack.append(y)
+    return comp
 
 
 def min_vc_dp(g: Graph, s: ContractionSequence, c: int) -> int:
@@ -76,6 +111,7 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
 
     states = walk(g, s)
     t = next(states)
+    worst = g.n + 1  # above every solution size
     comp: Dict[int, int] = {v: v for v in t.vertices}
     members: Dict[int, Tuple[int, ...]] = {v: (v,) for v in t.vertices}
     # a picked singleton dominates itself; partial never applies
@@ -98,10 +134,18 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
             raise ValueError(
                 "red component of %d vertices at step %d exceeds the bound %d"
                 % (len(merged), z - g.n - 1, c))
+        # the step compiled once: a combination of the components' keys,
+        # concatenated in cids order, puts u at pos[u], and z's entry
+        # goes after them
+        pos = {u: i for i, u in enumerate(olds)}
+        pos[z] = len(olds)
+        ia, ib = pos[a], pos[b]
+        take = _picker([pos[v] for v in merged])
         # a black edge becoming internal (contracted away or turned red)
         # needs one side fully picked, now
         internal = [(a, b)] if b in black_a else []
         internal += [(x, w) for x, bx in before for w in bx & new_red]
+        internal = [(pos[x], pos[w]) for x, w in internal]
         # any picked black neighbour inside the joined components
         # dominates the whole bag; a member other than a and b had its
         # present black edges there plus those to a and b
@@ -109,28 +153,26 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
         links = [(x, bx & inside) for x, bx in before]
         links += [(u, t.black[u] & inside | {x for x, bx in before if u in bx})
                   for u in olds if u != a and u != b]
+        links = [(pos[u], [pos[w] for w in ws]) for u, ws in links if ws]
 
         joint: Dict[Key, int] = {}
         for combo in itertools.product(*(tables[cid].items() for cid in cids)):
-            status: Dict[int, int] = {}
-            dom: Dict[int, bool] = {}
-            size = 0
-            for ((sts, doms), val), cid in zip(combo, cids):
+            st, dm, size = (), (), 0
+            for (sts, doms), val in combo:
+                st += sts
+                dm += doms
                 size += val
-                status.update(zip(members[cid], sts))
-                dom.update(zip(members[cid], doms))
-
             if dominating:
+                dm = list(dm)
                 for u, ws in links:
-                    if not dom[u]:
-                        dom[u] = any(status[w] != NONE for w in ws)
-                dom[z] = dom[a] and dom[b]
-            elif any(FULL not in (status[x], status[w]) for x, w in internal):
+                    if not dm[u]:
+                        dm[u] = any(st[w] != NONE for w in ws)
+                dm.append(dm[ia] and dm[ib])
+                dm = take(dm)
+            elif any(st[x] != FULL and st[w] != FULL for x, w in internal):
                 continue
-            status[z] = status[a] if status[a] == status[b] else PARTIAL
-            key = (tuple(status[v] for v in merged),
-                   tuple(dom[v] for v in merged) if dominating else ())
-            if size < joint.get(key, g.n + 1):
+            key = (take(st + ((st[ia] if st[ia] == st[ib] else PARTIAL),)), dm)
+            if size < joint.get(key, worst):
                 joint[key] = size
 
         for cid in cids:
@@ -142,3 +184,11 @@ def _solve(g: Graph, s: ContractionSequence, c: int, dominating: bool) -> int:
 
     (table,) = tables.values()
     return min(v for (_, doms), v in table.items() if all(doms))
+
+
+def _picker(idx: List[int]) -> Callable[[Sequence], tuple]:
+    """The function taking the tuple of a sequence's entries at idx."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)

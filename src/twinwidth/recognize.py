@@ -97,10 +97,10 @@ def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
     result coincides with the induced subtrigraph on V minus w, the
     merged vertex playing the endpoint's role.
     """
-    reds = t.red_edges()
-    if len(reds) != 1:
+    edge = t.lone_red_edge()
+    if edge is None:
         raise ValueError("safe contractions are defined for exactly one red edge")
-    a, b = reds[0]
+    a, b = edge
     out = []
     for w in sorted(t.vertices - {a, b}):
         for partner in (a, b):
@@ -126,11 +126,11 @@ def _drive(t0: Trigraph, u: int, v: int) -> Optional[Plan]:
     t = contract(t0, u, v, z)
     label = {z: min(u, v)}  # merged bags only: a vertex is its own label
     while len(t.vertices) > 1:
-        reds = t.red_edges()
-        if len(reds) != 1:
+        edge = t.lone_red_edge()
+        if edge is None:
             return None
         safe = safe_contractions(t)
-        w, partner = safe[0] if safe else reds[0]
+        w, partner = safe[0] if safe else edge
         z += 1
         t._merge(w, partner, z)
         pairs.append((label.get(w, w), label.get(partner, partner)))
@@ -166,6 +166,6 @@ def recognize_tww1(g: Graph) -> RecognitionResult:
         return RecognitionResult("above1")
     seq = ContractionSequence.from_merges(g.n, pairs)
     for t in replay(g, seq):
-        if len(t.red_edges()) > 1:
+        if any(t.red.values()) and t.lone_red_edge() is None:
             raise AssertionError("recognition produced a bad witness")
     return RecognitionResult("tww1", seq)

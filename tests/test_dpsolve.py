@@ -1,11 +1,15 @@
 """Tests for the bounded-red-component dynamic programming solvers."""
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
-from twinwidth.trigraph import Graph
+import dpsolve_reference as reference
+from twinwidth import dpsolve
+from twinwidth.trigraph import Graph, Trigraph
 from twinwidth.sequence import ContractionSequence, replay, verify
 from twinwidth.dpsolve import (MAX_COMPONENT_BOUND, check_component_bound, min_ds_dp,
                                min_vc_dp)
@@ -67,6 +71,15 @@ def _largest_red_component(t):
     return max(sizes.values())
 
 
+def _random_full_sequence(n, rng):
+    live, steps = list(range(1, n + 1)), []
+    for z in range(n + 1, 2 * n):
+        u, v = rng.sample(live, 2)
+        live = [x for x in live if x not in (u, v)] + [z]
+        steps.append((z, u, v))
+    return ContractionSequence(n, steps)
+
+
 def test_component_bound_matches_replay_on_random_sequences():
     rng = random.Random(3120)
     for _ in range(80):
@@ -74,12 +87,7 @@ def test_component_bound_matches_replay_on_random_sequences():
         edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
                  if rng.random() < rng.choice([0.3, 0.6])]
         g = Graph(range(1, n + 1), edges)
-        live, steps = list(range(1, n + 1)), []
-        for z in range(n + 1, 2 * n):
-            u, v = rng.sample(live, 2)
-            live = [x for x in live if x not in (u, v)] + [z]
-            steps.append((z, u, v))
-        s = ContractionSequence(n, steps)
+        s = _random_full_sequence(n, rng)
         expect = max(_largest_red_component(t) for t in replay(g, s))
         assert check_component_bound(g, s) == expect
 
@@ -237,3 +245,95 @@ class TestRandomisedEquivalence:
             c = max(2, check_component_bound(g, seq), check_component_bound(g, other))
             assert min_ds_dp(g, seq, c) == min_ds_dp(g, other, c)
             assert min_vc_dp(g, seq, c) == min_vc_dp(g, other, c)
+
+
+def _differential_inputs():
+    """Seeded starts with full sequences: random graphs under random
+    sequences of any width, gen_tww1 graphs with their witnesses, and
+    trigraphs that already carry red edges."""
+    rng = random.Random(2121)
+    out = []
+    for _ in range(120):
+        n = rng.randint(1, 11)
+        g = Graph(range(1, n + 1), [p for p in itertools.combinations(range(1, n + 1), 2)
+                                    if rng.random() < rng.choice([0.2, 0.5])])
+        out.append((g, _random_full_sequence(n, rng)))
+    for _ in range(120):
+        out.append(random_tww1(rng.randint(1, 14), rng))
+    for _ in range(60):
+        n = rng.randint(2, 10)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        red = [p for p in pairs if rng.random() < 0.15]
+        black = [p for p in pairs if p not in red and rng.random() < 0.4]
+        out.append((Trigraph(range(1, n + 1), black, red), _random_full_sequence(n, rng)))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return "ValueError: %s" % err
+
+
+def test_dp_and_component_bound_match_the_reference():
+    """The compiled DP steps and the search of z's component alone give
+    the reference's values, bounds and error texts on every input."""
+    values = errors = 0
+    for g, s in _differential_inputs():
+        assert check_component_bound(g, s) == reference.check_component_bound(g, s)
+        for c in range(1, 5):
+            for fast, slow in ((min_vc_dp, reference.min_vc_dp),
+                               (min_ds_dp, reference.min_ds_dp)):
+                got = _outcome(fast, g, s, c)
+                assert got == _outcome(slow, g, s, c)
+                values += isinstance(got, int)
+                errors += isinstance(got, str)
+    assert values > 1000 and errors > 500
+
+
+def test_component_bound_searches_only_z_component():
+    """Counted, no timing: on P_2000's left-to-right witness the bound
+    visits the red sets of the start's n vertices and of the two
+    vertices of z's component after each step, n + c(n - 1) in all
+    with c = 2, where a search of every state visits every live
+    vertex, n(n + 1)/2 red sets.  The visits are the pops of the
+    search stacks in dpsolve, counted by a line tracer."""
+    n = 2000
+    g = Graph.path(n)
+    s = ContractionSequence(n, [(n + 1, 1, 2)] + [(z, z - 1, z - n + 1) for z in range(n + 2, 2 * n)])
+    pops = {}
+    for code in (dpsolve.check_component_bound.__code__, dpsolve._red_component.__code__):
+        lines, first = inspect.getsourcelines(code)
+        pops[code] = {first + i for i, line in enumerate(lines) if "stack.pop()" in line}
+    assert sum(map(len, pops.values())) == 1
+    visits = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in pops[frame.f_code]:
+            visits[0] += 1
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in pops else None)
+    try:
+        c = check_component_bound(g, s)
+    finally:
+        sys.settrace(old)
+    assert c == 2
+    assert visits[0] <= n + c * (n - 1), visits
+    # the reference visits each live vertex of each state
+    states = [0]
+    ref_walk = reference.walk
+
+    def counted(*args):
+        for t in ref_walk(*args):
+            states[0] += len(t.vertices)
+            yield t
+
+    reference.walk = counted
+    try:
+        assert reference.check_component_bound(g, s) == c
+    finally:
+        reference.walk = ref_walk
+    assert states[0] == n * (n + 1) // 2
