@@ -47,7 +47,6 @@ quotient's width and the worst width among the parts.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -70,10 +69,10 @@ def _modules_avoiding(g: Graph, v: int) -> List[Set[int]]:
     near = g.adj[v]
     parts = [p for p in (set(near), g.vertices - near - {v}) if p]
     owner = {x: i for i, p in enumerate(parts) for x in p}
-    queue = deque(sorted(owner))
+    # the walk reads the list in order while appending to it: a queue
+    queue = sorted(owner)
     queued = set(owner)
-    while queue:
-        x = queue.popleft()
+    for x in queue:
         queued.discard(x)
         home = owner[x]
         met: Dict[int, Set[int]] = {}
@@ -174,7 +173,8 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     covered: Set[int] = set()
     classes = _classes(g, v, _modules_avoiding(g, v))
     for m in classes:
-        if not is_module(g, m):
+        # a single vertex is always a module
+        if len(m) > 1 and not is_module(g, m):
             raise AssertionError("grown set is not a module")
         if m & covered:
             raise AssertionError("maximal modules overlapped")

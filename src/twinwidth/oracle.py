@@ -2,12 +2,13 @@
 
 Everything here is deliberately small and exact: iterative deepening
 for exact twin-width from the best first contraction's red degree,
-over partition states with a failed-state memo.  Each state builds,
-once, per-part masks of the parts it is red to and fully joined to; a
-candidate merge is then tested from those masks alone by the
-merged-part rule of "Twin-width I" (Bonnet, Kim, Thomassé & Watrigant,
-FOCS 2020), so a state of k parts costs O(k^2) plus O(1) per candidate
-merge.  Minimum Dominating Set is branch-and-bound;
+over partition states with a failed-state memo.  Each state keeps
+per-part masks of the parts it is red to and fully joined to; a
+candidate merge is tested from those masks alone by the merged-part
+rule of "Twin-width I" (Bonnet, Kim, Thomassé & Watrigant, FOCS 2020),
+and a merge that passes derives its child's masks from its parent's,
+so a state of k parts costs O(k) per child, plus the O(k^2) candidate
+tests of a state that fails.  Minimum Dominating Set is branch-and-bound;
 dominating_transversal asks the reduction's question, a dominating set
 with exactly one vertex per part, by a depth-first search over parts on
 an explicit stack.  Minimum Connected and Capacitated Vertex Cover go
@@ -16,10 +17,12 @@ search over per-vertex adjacency masks on an explicit stack: excluding
 a vertex forces its neighbours in, and a branch dies once its chosen
 and forced vertices exceed the size.  It visits only covers and yields
 them in itertools.combinations order, so each oracle's first hit is
-the plain subset enumeration's.  Connectivity is a bit frontier.  A
-capacitated cover reaches the augmenting-path assignment only when
-its rooms min(max(0, cap), deg) sum to |E| or more, and the assignment
-too runs on an explicit stack.
+the plain subset enumeration's.  The connected search starts at the
+size of a greedy maximal matching, below which no cover exists, and
+tests connectivity by a bit frontier.  A capacitated cover reaches
+the augmenting-path assignment only when its rooms min(max(0, cap),
+deg) sum to |E| or more, and the assignment too runs on an explicit
+stack.
 Sizes are capped; exceeding a cap is an error rather than silent
 slowness.  TWW_SIZE_CAP in the environment overrides every cap at once;
 it is the only way to change them.
@@ -27,6 +30,7 @@ it is the only way to change them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from dataclasses import dataclass
@@ -69,8 +73,8 @@ class CapacitatedGraph:
 # exact twin-width
 
 def _part_tables(order: List[int], g: Graph) -> Dict[int, int]:
-    idx = {v: i for i, v in enumerate(order)}
-    return {v: sum(1 << idx[u] for u in g.adj[v]) for v in order}
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    return {v: sum(map(bit.__getitem__, g.adj[v])) for v in order}
 
 
 def _check_tww_input(g: Graph) -> None:
@@ -81,25 +85,42 @@ def _check_tww_input(g: Graph) -> None:
         raise ValueError("twinwidth_at_most needs vertices 1..n; relabel first")
 
 
+def _first_merges(masks: List[int]) -> List[Tuple[int, int]]:
+    """Merge the two smallest of the sorted masks until one is left,
+    each merged mask taking its place in order; masks is consumed."""
+    out = []
+    while len(masks) > 1:
+        a, b = masks.pop(0), masks.pop(0)
+        out.append((a, b))
+        bisect.insort(masks, a | b)
+    return out
+
+
 def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
     """A witness d-sequence for g, or None when tww(g) > d.
 
-    Search over vertex-partition states (tuples of bitmasks over the
-    original vertices) with a failed-state memo.  Candidate merges are
-    tried in order of smallest contained vertex, so the returned
-    witness is deterministic.
+    Search over vertex-partition states (lists of bitmasks over the
+    original vertices, in increasing order) with a failed-state memo.
+    Candidate merges are tried in that order of the parts, so the
+    returned witness is deterministic.
 
-    Each state builds, once, two masks over its part indices per part:
-    red[i], the parts part i is red to, and full[i], the parts it is
-    fully joined to.  Every state on the search path has red degree at
-    most d, so a merge of parts i and j is tested from those masks
-    alone ("Twin-width I", Bonnet, Kim, Thomassé & Watrigant, FOCS
-    2020): the merged part is red to x exactly when x was red to i or
-    to j, or x is fully joined to one of them and not adjacent to the
-    other.  A part red to i or j loses a red edge and gains at most one,
-    so only the newly red parts can rise, and they must not already sit
-    at degree d.  That is O(k^2) work per state of k parts and O(1) per
-    candidate merge; only the merges that pass build their child state.
+    Each part is labelled by the bit of its lowest vertex, and a state
+    keeps two label masks per part: red[i], the parts part i is red to,
+    and full[i], the parts it is fully joined to.  Every state on the
+    search path has red degree at most d, so a merge of parts i and j is
+    tested from those masks alone ("Twin-width I", Bonnet, Kim, Thomassé
+    & Watrigant, FOCS 2020): the merged part z is red to x exactly when
+    x was red to i or to j, or x is fully joined to one of them and not
+    to the other.  A part red to i or j loses a red edge and gains at
+    most one, so only the newly red parts can rise, and they must not
+    already sit at degree d.  A merge that passes builds its child from
+    the parent in O(k): z is fully joined to what both were, and every
+    other part trades the labels of i and j for z's, in red or black as
+    z sees it.  A state of k parts thus costs O(k) to build, and the
+    O(k^2) candidate tests all run only when the state fails.  Once
+    k - 1 <= d no red degree can exceed d, so every candidate passes and
+    the search would merge the first two parts each time: those merges
+    are emitted directly.
 
     search recurses once per merge, so its depth is below n <= TWW_CAP.
     """
@@ -107,46 +128,42 @@ def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
         raise ValueError("width bound must be non-negative, got %d" % d)
     n = g.n
     _check_tww_input(g)
-    order = list(range(1, n + 1))
-    adjbit = _part_tables(order, g)
-    # a part is (mask, union of member adjacencies, intersection of them)
-    parts0 = tuple(sorted((1 << i, adjbit[i + 1], adjbit[i + 1]) for i in range(n)))
+    adjbit = _part_tables(list(range(1, n + 1)), g)
 
-    failed: Set[Tuple[int, ...]] = set()
+    failed: Set[Tuple[Tuple[int, int, int, int], ...]] = set()
 
-    def search(parts) -> Optional[List[Tuple[int, int]]]:
-        k = len(parts)
-        if k == 1:
-            return []
-        key = tuple(p[0] for p in parts)
+    # a state lists its parts as rows (mask, label, red, full) in mask order
+    def search(rows) -> Optional[List[Tuple[int, int]]]:
+        if len(rows) - 1 <= d:
+            return _first_merges([row[0] for row in rows])
+        key = tuple(rows)
         if key in failed:
             return None
-        red = [0] * k
-        full = [0] * k
-        for i, (_, union, inter) in enumerate(parts):
-            for j, p in enumerate(parts):
-                if p[0] & ~inter == 0:
-                    full[i] |= 1 << j
-                elif p[0] & union and j != i:
-                    red[i] |= 1 << j
-        at_cap = sum(1 << i for i in range(k) if red[i].bit_count() == d)
-        for i in range(k):
-            for j in range(i + 1, k):
-                lose = 1 << i | 1 << j
-                was = red[i] | red[j]
-                gain = (full[i] ^ full[j]) & ~was & ~lose
-                if gain & at_cap or ((was | gain) & ~lose).bit_count() > d:
+        at_cap = 0
+        for _, label, red, _ in rows:
+            if red.bit_count() == d:
+                at_cap |= label
+        for i, (mi, li, ri, fi) in enumerate(rows):
+            for mj, lj, rj, fj in rows[i + 1:]:
+                lose = li | lj
+                was = ri | rj
+                rz = (was | fi ^ fj) & ~lose
+                if rz.bit_count() > d or rz & ~was & at_cap:
                     continue
-                a, b = parts[i], parts[j]
-                merged = (a[0] | b[0], a[1] | b[1], a[2] & b[2])
-                rest = tuple(p for t, p in enumerate(parts) if t != i and t != j)
-                tail = search(tuple(sorted(rest + (merged,))))
+                # the child: every other part trades the two labels for z's
+                lz = lose & -lose
+                fz = fi & fj
+                child = [(m, x, r & ~lose | (lz if x & rz else 0),
+                          f & ~lose | (lz if x & fz else 0))
+                         for m, x, r, f in rows if not x & lose]
+                bisect.insort(child, (mi | mj, lz, rz, fz))
+                tail = search(child)
                 if tail is not None:
-                    return [(a[0], b[0])] + tail
+                    return [(mi, mj)] + tail
         failed.add(key)
         return None
 
-    merges = search(parts0)
+    merges = search([(1 << i, 1 << i, 0, adjbit[i + 1]) for i in range(n)])
     if merges is None:
         return None
     # translate part-mask merges into (z, u, v) steps
@@ -168,7 +185,7 @@ def exact_twinwidth(g: Graph) -> Tuple[int, ContractionSequence]:
     """
     _check_tww_input(g)
     adj = _part_tables(list(range(1, g.n + 1)), g)
-    lower = min((bin((adj[u] ^ adj[v]) & ~((1 << u - 1) | (1 << v - 1))).count("1")
+    lower = min((((adj[u] ^ adj[v]) & ~((1 << u - 1) | (1 << v - 1))).bit_count()
                  for u, v in itertools.combinations(adj, 2)), default=0)
     for d in range(lower, g.n):
         seq = twinwidth_at_most(g, d)
@@ -406,9 +423,10 @@ def min_connected_vertex_cover(g: Graph) -> Optional[Tuple[int, FrozenSet[int]]]
 
     Infeasible exactly when at least two components contain edges: a
     connected cover cannot straddle components.  Isolated vertices are
-    ignored.  Size by size, _covers_of_size lists the covers of the
-    edgeful component in combinations order and the first connected
-    one (a bit frontier over the masks) is returned.
+    ignored.  Size by size, from the size of a greedy maximal matching
+    of the edgeful component, _covers_of_size lists its covers in
+    combinations order and the first connected one (a bit frontier over
+    the masks) is returned.
     """
     _check_size(g, SEARCH_CAP, "search")
     edgeful = [c for c in g.components() if any(g.adj[v] & c for v in c)]
@@ -418,7 +436,15 @@ def min_connected_vertex_cover(g: Graph) -> Optional[Tuple[int, FrozenSet[int]]]
         return 0, frozenset()
     comp = sorted(edgeful[0])
     nbr = list(_part_tables(comp, g).values())
-    for k in range(1, len(comp) + 1):
+    # a cover holds an end of every edge of a matching, so none is
+    # smaller than a greedy maximal one
+    free = (1 << len(comp)) - 1
+    matched = 0
+    for i, near in enumerate(nbr):
+        if free >> i & 1 and near & free:
+            free &= ~(1 << i | near & free & -(near & free))
+            matched += 1
+    for k in range(matched, len(comp) + 1):
         for s in _covers_of_size(nbr, len(comp), k):
             if _connected(nbr, s):
                 return k, frozenset(v for i, v in enumerate(comp) if s >> i & 1)

@@ -100,21 +100,18 @@ def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
     edge = t.lone_red_edge()
     if edge is None:
         raise ValueError("safe contractions are defined for exactly one red edge")
-    a, b = edge
+    # a partner p's black set and reach N(p) | {p}, once per call
+    tables = [(p, t.black[p], t.neighbors(p) | {p}) for p in edge]
     out = []
-    for w in sorted(t.vertices - {a, b}):
-        for partner in (a, b):
-            if _contraction_is_deletion(t, w, partner):
-                out.append((w, partner))
+    for w in sorted(t.vertices - set(edge)):
+        # the merged vertex keeps the partner's edges and colours exactly
+        # when w sees every black neighbour of the partner but w black,
+        # and brings no neighbour of its own; w has no red edge
+        bw = t.black[w]
+        for p, bp, reach in tables:
+            if len(bp - bw) <= (w in bp) and bw <= reach:
+                out.append((w, p))
     return out
-
-
-def _contraction_is_deletion(t: Trigraph, w: int, partner: int) -> bool:
-    # the merged vertex keeps the partner's edges and colours exactly
-    # when w sees every black neighbour of the partner black and brings
-    # no neighbour of its own
-    return (t.black[partner] - {w} <= t.black[w]
-            and t.neighbors(w) - {partner} <= t.neighbors(partner))
 
 
 def _drive(t0: Trigraph, u: int, v: int) -> Optional[Plan]:
@@ -143,7 +140,8 @@ def _plan_prime(h: Graph) -> Optional[Plan]:
     verts = sorted(h.vertices)
     t0 = Trigraph.from_graph(h)
     for u, v in itertools.combinations(verts, 2):
-        if len((h.adj[u] ^ h.adj[v]) - {u, v}) != 1:
+        # u and v sit in each other's neighbourhoods exactly when adjacent
+        if len(h.adj[u] ^ h.adj[v]) - (2 if v in h.adj[u] else 0) != 1:
             continue
         pairs = _drive(t0, u, v)
         if pairs is not None:

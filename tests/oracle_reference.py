@@ -15,6 +15,13 @@ Kept verbatim as the differential reference for twinwidth.oracle:
 - twinwidth_at_most before the per-state red and full masks: every
   child state is built and then rescanned pair by pair for its red
   degrees.
+- twinwidth_at_most_masks, the search with those masks before a child
+  state derived them from its parent's: every state rebuilds its red
+  and full masks pair by pair from each part's (mask, union of member
+  adjacencies, intersection of them), and the search walks on to a
+  single part although a state of k parts with k - 1 <= d can no
+  longer fail.  The search now must return its witnesses and test as
+  many states.
 
 dominating_transversals is no old code but the plain definition that
 dominating_transversal searches: every pick of one vertex per part,
@@ -81,6 +88,85 @@ def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
                     tail = search(nxt)
                     if tail is not None:
                         return [(a[0], b[0])] + tail
+        failed.add(key)
+        return None
+
+    merges = search(parts0)
+    if merges is None:
+        return None
+    # translate part-mask merges into (z, u, v) steps
+    ids = {1 << i: i + 1 for i in range(n)}
+    steps = []
+    nxt = n + 1
+    for ma, mb in merges:
+        steps.append((nxt, ids.pop(ma), ids.pop(mb)))
+        ids[ma | mb] = nxt
+        nxt += 1
+    return ContractionSequence(n, steps)
+
+
+def twinwidth_at_most_masks(g: Graph, d: int) -> Optional[ContractionSequence]:
+    """A witness d-sequence for g, or None when tww(g) > d.
+
+    Search over vertex-partition states (tuples of bitmasks over the
+    original vertices) with a failed-state memo.  Candidate merges are
+    tried in order of smallest contained vertex, so the returned
+    witness is deterministic.
+
+    Each state builds, once, two masks over its part indices per part:
+    red[i], the parts part i is red to, and full[i], the parts it is
+    fully joined to.  Every state on the search path has red degree at
+    most d, so a merge of parts i and j is tested from those masks
+    alone ("Twin-width I", Bonnet, Kim, Thomassé & Watrigant, FOCS
+    2020): the merged part is red to x exactly when x was red to i or
+    to j, or x is fully joined to one of them and not adjacent to the
+    other.  A part red to i or j loses a red edge and gains at most one,
+    so only the newly red parts can rise, and they must not already sit
+    at degree d.  That is O(k^2) work per state of k parts and O(1) per
+    candidate merge; only the merges that pass build their child state.
+
+    search recurses once per merge, so its depth is below n <= TWW_CAP.
+    """
+    if d < 0:
+        raise ValueError("width bound must be non-negative, got %d" % d)
+    n = g.n
+    _check_tww_input(g)
+    order = list(range(1, n + 1))
+    adjbit = _part_tables(order, g)
+    # a part is (mask, union of member adjacencies, intersection of them)
+    parts0 = tuple(sorted((1 << i, adjbit[i + 1], adjbit[i + 1]) for i in range(n)))
+
+    failed: Set[Tuple[int, ...]] = set()
+
+    def search(parts) -> Optional[List[Tuple[int, int]]]:
+        k = len(parts)
+        if k == 1:
+            return []
+        key = tuple(p[0] for p in parts)
+        if key in failed:
+            return None
+        red = [0] * k
+        full = [0] * k
+        for i, (_, union, inter) in enumerate(parts):
+            for j, p in enumerate(parts):
+                if p[0] & ~inter == 0:
+                    full[i] |= 1 << j
+                elif p[0] & union and j != i:
+                    red[i] |= 1 << j
+        at_cap = sum(1 << i for i in range(k) if red[i].bit_count() == d)
+        for i in range(k):
+            for j in range(i + 1, k):
+                lose = 1 << i | 1 << j
+                was = red[i] | red[j]
+                gain = (full[i] ^ full[j]) & ~was & ~lose
+                if gain & at_cap or ((was | gain) & ~lose).bit_count() > d:
+                    continue
+                a, b = parts[i], parts[j]
+                merged = (a[0] | b[0], a[1] | b[1], a[2] & b[2])
+                rest = tuple(p for t, p in enumerate(parts) if t != i and t != j)
+                tail = search(tuple(sorted(rest + (merged,))))
+                if tail is not None:
+                    return [(a[0], b[0])] + tail
         failed.add(key)
         return None
 

@@ -7,15 +7,19 @@ maximal modular partition, and width 0 fails at the first level whose
 partition is made of maximal proper modules, once its prime callback
 returns None.  Width 1 reuses the package's prime-graph planner, which
 this change left as it was.
+
+safe_contractions is the scan as it was before it built each partner's
+black set and reach once per call: it tests every pair (w, partner)
+with _contraction_is_deletion, two set differences per test.
 """
 
 import itertools
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from twinwidth.modular import maximal_modular_partition
 from twinwidth.recognize import Plan, RecognitionResult, _plan_prime
 from twinwidth.sequence import ContractionSequence, replay
-from twinwidth.trigraph import Graph
+from twinwidth.trigraph import Graph, Trigraph
 
 
 def plan(g: Graph, prime: Callable[[Graph], Optional[Plan]]) -> Optional[Plan]:
@@ -68,3 +72,30 @@ def recognize_tww1(g: Graph) -> RecognitionResult:
         if len(t.red_edges()) > 1:
             raise AssertionError("recognition produced a bad witness")
     return RecognitionResult("tww1", seq)
+
+
+def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
+    """Pairs (w, red endpoint) whose contraction just deletes w.
+
+    t must have exactly one red edge.  A contraction is safe when the
+    result coincides with the induced subtrigraph on V minus w, the
+    merged vertex playing the endpoint's role.
+    """
+    edge = t.lone_red_edge()
+    if edge is None:
+        raise ValueError("safe contractions are defined for exactly one red edge")
+    a, b = edge
+    out = []
+    for w in sorted(t.vertices - {a, b}):
+        for partner in (a, b):
+            if _contraction_is_deletion(t, w, partner):
+                out.append((w, partner))
+    return out
+
+
+def _contraction_is_deletion(t: Trigraph, w: int, partner: int) -> bool:
+    # the merged vertex keeps the partner's edges and colours exactly
+    # when w sees every black neighbour of the partner black and brings
+    # no neighbour of its own
+    return (t.black[partner] - {w} <= t.black[w]
+            and t.neighbors(w) - {partner} <= t.neighbors(partner))

@@ -8,6 +8,7 @@ import pytest
 from twinwidth import io
 from twinwidth.compose import make_dummy, or_cross_compose
 from twinwidth.oracle import exact_twinwidth
+from twinwidth.recognize import recognize_tww1
 from twinwidth.trigraph import Graph
 from twinwidth.sequence import ContractionSequence
 from twinwidth.gadgets import (LayoutClause, LayoutFormula, halfgraph_cycle,
@@ -319,6 +320,21 @@ class TestDeterminism:
             g = _random_graph(rng, rng.randint(6, 10), rng.choice([0.3, 0.5, 0.7]))
             h.update(io.write_sequence(exact_twinwidth(g)[1]).encode())
         assert h.hexdigest() == "767982b380c0dec4a98d866e8a75e71eec0b267df1706e7b596cad95b31da8b5"
+
+    def test_recognition_witness_bytes_are_frozen(self):
+        # sha256 of the width-1 recognizer's verdicts and witnesses as
+        # written before safe_contractions built each partner's sets once
+        # per call and _plan_prime counted red edges from one symmetric
+        # difference
+        rng = random.Random(1524)
+        h = hashlib.sha256()
+        for _ in range(300):
+            g = _random_graph(rng, rng.randint(5, 10), rng.choice([0.3, 0.5, 0.7]))
+            result = recognize_tww1(g)
+            h.update(result.verdict.encode())
+            if result.witness is not None:
+                h.update(io.write_sequence(result.witness).encode())
+        assert h.hexdigest() == "86f7c6a20ed1e61b05a58e866229055c68433a52e4b67a1574868d62f436c169"
 
     def test_reduction_bytes_are_frozen(self):
         # sha256 of 60 seeded reductions, as written when the wires

@@ -175,6 +175,65 @@ def test_twinwidth_at_most_matches_reference_around_the_width():
             assert twinwidth_at_most(g, d) == reference.twinwidth_at_most(g, d)
 
 
+def _larger_graphs():
+    """Seeded G(n, p) with n in 10..12, each with its exact width."""
+    rng = random.Random(2424)
+    out = []
+    for _ in range(100):
+        g = _random_graph(rng, rng.randint(10, 12), rng.choice([0.2, 0.35, 0.5, 0.65, 0.8]))
+        out.append((g, exact_twinwidth(g)[0]))
+    return out
+
+
+def test_twinwidth_at_most_matches_mask_reference_on_larger_graphs():
+    for g, w in _larger_graphs():
+        for d in range(max(w - 1, 0), w + 1):
+            assert twinwidth_at_most(g, d) == reference.twinwidth_at_most_masks(g, d), \
+                (d, sorted(g.edges()))
+
+
+def _memo_lookups(fn, graphs):
+    """States that reach fn's failed-state memo with more than d + 1
+    parts, counted by a line tracer on its nested search.  The memo
+    line is the one that tests "in failed"."""
+    code = next(c for c in fn.__code__.co_consts
+                if inspect.iscode(c) and c.co_name == "search")
+    lines, first = inspect.getsourcelines(code)
+    memo = {first + i for i, line in enumerate(lines) if "in failed" in line}
+    assert len(memo) == 1
+    count = [0]
+    bound = [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in memo:
+            parts = frame.f_locals.get("parts", frame.f_locals.get("rows"))
+            count[0] += len(parts) - 1 > bound[0]
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        for g, w in graphs:
+            for d in range(max(w - 1, 0), w + 1):
+                bound[0] = d
+                fn(g, d)
+    finally:
+        sys.settrace(old)
+    return count[0]
+
+
+def test_twinwidth_search_visits_as_many_states_as_mask_reference():
+    """Counted work, no timing: deriving a child's tables from its
+    parent's and finishing without tables once k - 1 <= d must not
+    change which states the search tests.  A state of at most d + 1
+    parts cannot fail, so the reference's such states are the ones the
+    search finishes without visiting."""
+    graphs = _larger_graphs()
+    states = _memo_lookups(twinwidth_at_most, graphs)
+    assert states == _memo_lookups(reference.twinwidth_at_most_masks, graphs)
+    assert states > 1000, states
+
+
 def _exact_twinwidth_from_zero(g):
     """exact_twinwidth as it was: deepening from d = 0."""
     for d in range(0, max(g.n, 1)):

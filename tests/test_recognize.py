@@ -171,6 +171,42 @@ def test_safe_contraction_really_deletes():
         assert safe_contractions(t) == expect
 
 
+def _one_red_trigraphs(rng, count):
+    """Trigraphs with exactly one red edge on scattered ids, as the
+    prime-graph walk `_drive` meets them: dense and sparse ones, some
+    split into two blocks with no black edge between, some with
+    isolated vertices added, and the red edge's ends sometimes isolated
+    but for it."""
+    out = []
+    for i in range(count):
+        n = rng.randint(3, 14)
+        ids = sorted(rng.sample(range(1, 3 * n + 1), n))
+        red = tuple(rng.sample(ids, 2))
+        density = rng.choice([0.1, 0.3, 0.5, 0.8, 1.0])
+        pairs = [e for e in itertools.combinations(ids, 2) if set(e) != set(red)]
+        if i % 4 == 1:
+            # two blocks: no black edge between ids below and above the cut
+            cut = ids[rng.randrange(n)]
+            pairs = [(u, v) for u, v in pairs if (u <= cut) == (v <= cut)]
+        if i % 4 == 2:
+            pairs = [e for e in pairs if not set(e) & set(red)]
+        black = [e for e in pairs if rng.random() < density]
+        # odd draws, the two-block ones among them, gain 1 to 3 isolated vertices
+        lone = list(range(3 * n + 1, 3 * n + 2 + i % 3)) if i % 2 else []
+        out.append(Trigraph(ids + lone, black_edges=black, red_edges=[red]))
+    return out
+
+
+def test_safe_contractions_match_reference():
+    rng = random.Random(2424)
+    found = 0
+    for t in _one_red_trigraphs(rng, 1500):
+        got = safe_contractions(t)
+        assert got == reference.safe_contractions(t), (t.black_edges(), t.red_edges())
+        found += bool(got)
+    assert 300 < found < 1500, found
+
+
 def test_agreement_with_oracle_on_random_graphs():
     rng = random.Random(60601)
     for _ in range(60):
