@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Callable, Dict, List, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .trigraph import Graph, Trigraph
+from .trigraph import Graph, Trigraph, _reach
 from .sequence import ContractionSequence, walk
 
 FULL, PARTIAL, NONE = 0, 1, 2
@@ -67,25 +67,12 @@ def check_component_bound(g: Union[Graph, Trigraph], s: ContractionSequence) -> 
     best, seen = 0, set()
     for v in t.vertices:
         if v not in seen:
-            comp = _red_component(t.red, v)
+            comp = _reach(t.red, v)
             seen |= comp
             best = max(best, len(comp))
     for (z, _, _), t in zip(s.steps, states):
-        best = max(best, len(_red_component(t.red, z)))
+        best = max(best, len(_reach(t.red, z)))
     return best
-
-
-def _red_component(red: Dict[int, Set[int]], v: int) -> Set[int]:
-    """The vertices joined to v by red paths."""
-    comp = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for y in red[x]:
-            if y not in comp:
-                comp.add(y)
-                stack.append(y)
-    return comp
 
 
 def min_vc_dp(g: Graph, s: ContractionSequence, c: int) -> int:

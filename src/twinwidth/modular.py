@@ -50,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .trigraph import Graph, is_module, validate_partition
+from .trigraph import Graph, is_module
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,6 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     if covered != g.vertices:
         raise AssertionError("maximal modules do not cover the graph")
     parts = tuple(frozenset(p) for p in sorted(classes, key=min))
-    validate_partition(g.vertices, [set(p) for p in parts])
     return ModularPartition(parts, "maximal")
 
 

@@ -52,6 +52,8 @@ FORCED_CAP = 512
 
 def _check_size(g: Graph, default: int, what: str) -> None:
     env = os.environ.get("TWW_SIZE_CAP")
+    if env and not (env.isascii() and env.isdigit()):
+        raise ValueError("TWW_SIZE_CAP must be a non-negative integer, got %r" % env)
     limit = int(env) if env else default
     if g.n > limit:
         raise ValueError("graph has %d vertices, %s cap is %d" % (g.n, what, limit))

@@ -138,7 +138,7 @@ def _drive(t0: Trigraph, u: int, v: int) -> Optional[Plan]:
 def _plan_prime(h: Graph) -> Optional[Plan]:
     """1-sequence plan for a prime graph (at least four vertices), or None."""
     verts = sorted(h.vertices)
-    t0 = Trigraph.from_graph(h)
+    t0 = Trigraph._view(h)  # read-only: each guess's first contract copies it
     for u, v in itertools.combinations(verts, 2):
         # u and v sit in each other's neighbourhoods exactly when adjacent
         if len(h.adj[u] ^ h.adj[v]) - (2 if v in h.adj[u] else 0) != 1:

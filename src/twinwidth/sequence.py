@@ -148,17 +148,6 @@ def _check_start(vertices: Set[int], seq: ContractionSequence) -> None:
         raise ValueError("graph vertices must be exactly 1..%d" % seq.n)
 
 
-def _start_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
-    """g as a trigraph, checked against seq and never copied: a Graph
-    becomes a read-only view whose vertex set and black sets are g's."""
-    _check_start(g.vertices, seq)
-    if isinstance(g, Trigraph):
-        return g
-    t = Trigraph.__new__(Trigraph)
-    t.vertices, t.black, t.red = g.vertices, g.adj, dict.fromkeys(g.adj, frozenset())
-    return t
-
-
 def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigraph]:
     """The starting trigraph, then the trigraph after each step of seq.
 
@@ -170,7 +159,8 @@ def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigra
     them.  Each z is fresh: the sequence fixes z = n + i + 1 and the
     start is 1..n, so the in-place steps skip the freshness scan.
     """
-    t = _start_trigraph(g, seq)
+    _check_start(g.vertices, seq)
+    t = g if isinstance(g, Trigraph) else Trigraph._view(g)
     yield t
     for i, (z, u, v) in enumerate(seq.steps):
         t = t._merge(u, v, z) if i else contract(t, u, v, z)

@@ -4,12 +4,13 @@ A trigraph carries two disjoint edge sets on the same vertices: black
 (ordinary) edges and red (error) edges.  Contracting two vertices u, v
 into a fresh vertex z recolours the boundary: common neighbours keep a
 black edge only if both u and v saw them black, every other neighbour of
-u or v becomes a red neighbour of z.  Trigraph.contract_inplace does
-this to one trigraph; contract returns a contracted copy.  A target is
-larger than every live id, so ids are never reused: both calls scan
-the live ids for that, while a sequence's replay skips the scan and
-pays O(deg u + deg v) per step, its ids being fresh by construction
-(a sequence starts from 1..n and its step i creates n + i + 1).
+u or v becomes a red neighbour of z.  contract is the one checked
+entry: a target must exceed every live id, so that no id is ever
+reused, and contract scans the live ids for that before it contracts a
+copy.  Only the library's own loops, a sequence's walk and the width-1
+driver, merge in place (Trigraph._merge) after their first contract:
+their ids are fresh by construction, so a step costs O(deg u + deg v).
+Trigraph._view reads a graph as a trigraph without copying it.
 Which original vertices a contracted vertex stands for is a property
 of the contraction sequence (ContractionSequence.final_bags), not of
 the trigraph.
@@ -19,6 +20,33 @@ from __future__ import annotations
 
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+
+
+def _adjacency(vertices: Set[int], edges: Iterable[Tuple[int, int]]) -> Dict[int, Set[int]]:
+    """Adjacency sets on vertices, filled one edge at a time in the
+    given order; a loop or an unknown endpoint is refused."""
+    adj: Dict[int, Set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        if u == v:
+            raise ValueError("loop edge %d-%d" % (u, v))
+        if u not in adj or v not in adj:
+            raise ValueError("edge %d-%d uses unknown vertex" % (u, v))
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _reach(table: Dict[int, Set[int]], v: int) -> Set[int]:
+    """The vertices joined to v by paths along the sets of table."""
+    comp = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for y in table[x]:
+            if y not in comp:
+                comp.add(y)
+                stack.append(y)
+    return comp
 
 
 class Graph:
@@ -32,9 +60,7 @@ class Graph:
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]] = ()):
         self.vertices: Set[int] = set(vertices)
-        self.adj: Dict[int, Set[int]] = {v: set() for v in self.vertices}
-        for u, v in edges:
-            self._add_edge(u, v)
+        self.adj: Dict[int, Set[int]] = _adjacency(self.vertices, edges)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -50,14 +76,6 @@ class Graph:
             raise ValueError("cycle needs at least 3 vertices")
         return cls(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)])
 
-    def _add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError("loop edge %d-%d" % (u, v))
-        if u not in self.adj or v not in self.adj:
-            raise ValueError("edge %d-%d uses unknown vertex" % (u, v))
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -67,9 +85,6 @@ class Graph:
 
     def closed_neighborhood(self, v: int) -> Set[int]:
         return self.adj[v] | {v}
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj.get(u, ())
@@ -128,18 +143,10 @@ class Graph:
         seen: Set[int] = set()
         comps = []
         for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            comps.append(comp)
+            if start not in seen:
+                comp = _reach(self.adj, start)
+                seen |= comp
+                comps.append(comp)
         return comps
 
     def is_connected(self) -> bool:
@@ -172,32 +179,25 @@ class Trigraph:
         red_edges: Iterable[Tuple[int, int]] = (),
     ):
         self.vertices: Set[int] = set(vertices)
-        self.black: Dict[int, Set[int]] = {v: set() for v in self.vertices}
-        self.red: Dict[int, Set[int]] = {v: set() for v in self.vertices}
-        for u, v in black_edges:
-            self._add(self.black, u, v)
-        for u, v in red_edges:
-            self._add(self.red, u, v)
+        self.black: Dict[int, Set[int]] = _adjacency(self.vertices, black_edges)
+        self.red: Dict[int, Set[int]] = _adjacency(self.vertices, red_edges)
         for v in self.vertices:
             if self.black[v] & self.red[v]:
                 raise ValueError("vertex %d has an edge that is both black and red" % v)
 
-    def _add(self, table: Dict[int, Set[int]], u: int, v: int) -> None:
-        if u == v:
-            raise ValueError("loop edge %d-%d" % (u, v))
-        if u not in table or v not in table:
-            raise ValueError("edge %d-%d uses unknown vertex" % (u, v))
-        table[u].add(v)
-        table[v].add(u)
+    @classmethod
+    def _view(cls, g: Graph) -> "Trigraph":
+        """g with every edge black, read-only: the vertex set and the
+        black sets are g's own and every red set is empty, so it costs
+        O(n), and a caller that changes it must copy it first."""
+        t = cls.__new__(cls)
+        t.vertices, t.black, t.red = g.vertices, g.adj, dict.fromkeys(g.adj, frozenset())
+        return t
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Trigraph":
-        """g with every edge black, in O(n + m): Graph has checked them."""
-        t = cls.__new__(cls)
-        t.vertices = set(g.vertices)
-        t.black = {v: set(s) for v, s in g.adj.items()}
-        t.red = {v: set() for v in g.adj}
-        return t
+        """g with every edge black, as a copy, in O(n + m)."""
+        return cls._view(g).copy()
 
     @property
     def n(self) -> int:
@@ -241,28 +241,13 @@ class Trigraph:
         t.red = {v: set(s) for v, s in self.red.items()}
         return t
 
-    def contract_inplace(self, u: int, v: int, z: Optional[int] = None) -> "Trigraph":
-        """Contract vertices u and v into the fresh vertex z, in place.
-
-        Neighbours seen by exactly one of u, v become red neighbours of
-        z; common neighbours stay black only when both edges were black.
-        Only edges at u, v and z change, so a step costs O(deg u + deg v)
-        beyond the O(n) freshness check.  z must exceed every live id
-        (default: the next one), so each target is the largest id so far
-        and no id ever comes back.  A rejected call leaves the trigraph
-        as it was.  Returns the trigraph itself.
-        """
-        vertices = self.vertices
-        if u in vertices and v in vertices and u != v:  # else _merge rejects them
-            top = max(vertices)
-            if z is None:
-                z = top + 1
-            if z <= top:
-                raise ValueError("contraction target id %d is not fresh" % z)
-        return self._merge(u, v, z)
-
     def _merge(self, u: int, v: int, z: int) -> "Trigraph":
-        """contract_inplace for a target z the caller knows to be fresh."""
+        """contract in place, for a target z the caller knows to be fresh.
+
+        Only edges at u, v and z change, so a step costs O(deg u + deg v).
+        A dead, unknown or repeated vertex is refused before any change.
+        Returns the trigraph itself.
+        """
         vertices = self.vertices
         if u not in vertices or v not in vertices:
             raise ValueError("contract on dead or unknown vertex (%s, %s)" % (u, v))
@@ -302,11 +287,21 @@ class Trigraph:
 def contract(t: Trigraph, u: int, v: int, z: Optional[int] = None) -> Trigraph:
     """Contract vertices u and v of t into the fresh vertex z.
 
-    Returns a new trigraph and leaves t as it was: a copy of t
-    contracted with Trigraph.contract_inplace, which documents the
-    rules and the checks.
+    Neighbours seen by exactly one of u, v become red neighbours of z;
+    common neighbours stay black only when both edges were black.  z
+    must exceed every live id (default: the next one), so each target
+    is the largest id so far and no id ever comes back; the check scans
+    the live ids in O(n).  Returns a contracted copy and leaves t as it
+    was, a rejected call included.
     """
-    return t.copy().contract_inplace(u, v, z)
+    vertices = t.vertices
+    if u in vertices and v in vertices and u != v:  # else _merge rejects them
+        top = max(vertices)
+        if z is None:
+            z = top + 1
+        if z <= top:
+            raise ValueError("contraction target id %d is not fresh" % z)
+    return t.copy()._merge(u, v, z)
 
 
 def is_module(g: Graph, s: Iterable[int]) -> bool:

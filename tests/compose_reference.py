@@ -35,7 +35,7 @@ def classify_positions(p: int, q: int) -> Dict[Point, object]:
     rows, cols = fine_dims(p, q)
     aug = augmented_snaking_grid(p, q)
     sg = snaking_grid(p, q)
-    degree = {pt: aug.degree(v) for pt, v in sg.vertex_at.items()}
+    degree = {pt: len(aug.adj[v]) for pt, v in sg.vertex_at.items()}
 
     out: Dict[Point, object] = {}
     rank = 0

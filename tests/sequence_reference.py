@@ -2,8 +2,9 @@
 
 Kept as the differential reference for twinwidth.trigraph and
 twinwidth.sequence: the start trigraph is built from the sorted edge
-list, every step goes through the public, checked contract_inplace
-(which scans the live ids for freshness), the width is a from-scratch
+list, every step goes through the checked in-place contraction
+contract_inplace below (which scans the live ids for freshness, as
+trigraph.contract does before it copies), the width is a from-scratch
 maximum over every replayed state, and the final trigraph is the last
 state of a walk rather than a quotient by the bags.
 """
@@ -19,13 +20,26 @@ def from_graph(g: Graph) -> Trigraph:
     return Trigraph(g.vertices, g.edges())
 
 
+def contract_inplace(t: Trigraph, u: int, v: int, z: Optional[int] = None) -> Trigraph:
+    """Contract u and v of t into the fresh vertex z, in place, after
+    checking that z exceeds every live id; returns t."""
+    vertices = t.vertices
+    if u in vertices and v in vertices and u != v:  # else _merge rejects them
+        top = max(vertices)
+        if z is None:
+            z = top + 1
+        if z <= top:
+            raise ValueError("contraction target id %d is not fresh" % z)
+    return t._merge(u, v, z)
+
+
 def walk(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Iterator[Trigraph]:
     """The start, then the state after each step, every step checked."""
     t = g if isinstance(g, Trigraph) else from_graph(g)
     yield t
     t = t.copy()
     for z, u, v in seq.steps:
-        yield t.contract_inplace(u, v, z)
+        yield contract_inplace(t, u, v, z)
 
 
 def verify(g: Union[Graph, Trigraph], seq: ContractionSequence,

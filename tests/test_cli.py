@@ -130,7 +130,7 @@ class TestGen:
         assert main(["gen", "hamcycle", "2", "2"]) == 0
         g, _ = io.parse_graph(capsys.readouterr().out)
         assert g.n == 16
-        assert max(g.degree(v) for v in g.vertices) <= 3
+        assert max(len(g.adj[v]) for v in g.vertices) <= 3
 
     def test_halfcycle_with_witness(self, workdir, capsys):
         out, wit = workdir / "hc.graph", workdir / "hc.seq"
@@ -373,6 +373,15 @@ class TestErrorExits:
         capped = workdir / "capped.graph"
         capped.write_text("graph 2\nedge 1 2\ncap 1 1\ncap 2 1\n")
         assert main(["exact", str(capped)]) == 2
+
+    @pytest.mark.parametrize("cap", ["abc", "-1", "1.5", " 7", "²"])
+    def test_malformed_size_cap_is_input_error(self, workdir, capsys, monkeypatch, cap):
+        monkeypatch.setenv("TWW_SIZE_CAP", cap)
+        assert main(["exact", str(workdir / "p4.graph")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: TWW_SIZE_CAP must be a non-negative integer, got %r\n"
+                                % cap)
 
     def test_unexpected_exception_is_internal_error(self, workdir, capsys, monkeypatch):
         def deep(args):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import dpsolve_reference as reference
-from twinwidth import dpsolve
+from twinwidth import dpsolve, trigraph
 from twinwidth.trigraph import Graph, Trigraph
 from twinwidth.sequence import ContractionSequence, replay, verify
 from twinwidth.dpsolve import (MAX_COMPONENT_BOUND, check_component_bound, min_ds_dp,
@@ -298,12 +298,12 @@ def test_component_bound_searches_only_z_component():
     vertices of z's component after each step, n + c(n - 1) in all
     with c = 2, where a search of every state visits every live
     vertex, n(n + 1)/2 red sets.  The visits are the pops of the
-    search stacks in dpsolve, counted by a line tracer."""
+    search stack of trigraph._reach, counted by a line tracer."""
     n = 2000
     g = Graph.path(n)
     s = ContractionSequence(n, [(n + 1, 1, 2)] + [(z, z - 1, z - n + 1) for z in range(n + 2, 2 * n)])
     pops = {}
-    for code in (dpsolve.check_component_bound.__code__, dpsolve._red_component.__code__):
+    for code in (dpsolve.check_component_bound.__code__, trigraph._reach.__code__):
         lines, first = inspect.getsourcelines(code)
         pops[code] = {first + i for i, line in enumerate(lines) if "stack.pop()" in line}
     assert sum(map(len, pops.values())) == 1

@@ -1,7 +1,7 @@
-"""Every name a library module imports is used, every public name it
-defines is used by the library or the benchmark, the oracles stay
-independent, and nothing outside the standard library is needed but
-pytest."""
+"""Every name a library module imports is used, every public name and
+public method it defines is used by the library or the benchmark, the
+oracles stay independent, and nothing outside the standard library is
+needed but pytest."""
 
 import ast
 import glob
@@ -133,6 +133,22 @@ UNUSED_ALLOWED = {
 }
 
 
+# public methods that nothing in the library or the benchmark reads as
+# an attribute, each kept for a reason beyond its own unit test
+UNUSED_METHODS_ALLOWED = {
+    "Graph.complete": "the complete-graph factory the tests build their width-0 cases from",
+    "ComposedInstance.forced_parts": "the composition's forced blocks, the parts"
+                                     " dominating_transversal takes in criterion 8",
+}
+
+
+def _public_methods(source: str):
+    """Class.method for the public methods of the top-level classes."""
+    return {"%s.%s" % (top.name, node.name) for top in ast.parse(source).body
+            if isinstance(top, ast.ClassDef) for node in top.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
 def _public_definitions(source: str):
     return {node.name for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -175,24 +191,45 @@ def test_scan_reaches_commands_through_their_subcommand():
     assert unused == {"cmd_orphan", "build"}
 
 
+def test_scan_finds_unreferenced_methods():
+    source = ("class Kept:\n    def read(self):\n        return self.size\n\n"
+              "    @property\n    def size(self):\n        return 0\n\n"
+              "    def orphan(self):\n        return read()\n\n"
+              "    def _private(self):\n        pass\n\n"
+              "def helper():\n    return Kept().read\n")
+    unused = {m for m in _public_methods(source)
+              if m.split(".")[1] not in _attributes_used(source)}
+    # a bare name is no method use: only attribute reads count
+    assert unused == {"Kept.orphan"}
+
+
 def test_every_public_name_is_referenced():
     # __init__ re-exports every public name, so it counts as no use
     bench = glob.glob(os.path.join(BENCH, "*.py"))
     assert bench, "no benchmark sources next to the package"
-    used = set()
+    used, attributes = set(), set()
     for path in MODULES + bench:
         with open(path, encoding="utf-8") as fh:
-            used |= _references(fh.read())
-    unused = {}
+            source = fh.read()
+        used |= _references(source)
+        attributes |= _attributes_used(source)
+    unused, unused_methods = {}, {}
     for path in MODULES:
         with open(path, encoding="utf-8") as fh:
-            for name in _public_definitions(fh.read()) - used:
-                unused[name] = os.path.basename(path)
+            source = fh.read()
+        for name in _public_definitions(source) - used:
+            unused[name] = os.path.basename(path)
+        for method in _public_methods(source):
+            if method.split(".")[1] not in attributes:
+                unused_methods[method] = os.path.basename(path)
     assert sorted("%s:%s" % (unused[name], name)
                   for name in set(unused) - set(UNUSED_ALLOWED)) == []
-    # the allowlist only holds names that are still defined and unused
+    assert sorted("%s:%s" % (unused_methods[m], m)
+                  for m in set(unused_methods) - set(UNUSED_METHODS_ALLOWED)) == []
+    # the allowlists only hold names that are still defined and unused
     assert set(UNUSED_ALLOWED) <= set(unused)
-    assert all(UNUSED_ALLOWED.values())
+    assert set(UNUSED_METHODS_ALLOWED) <= set(unused_methods)
+    assert all(UNUSED_ALLOWED.values()) and all(UNUSED_METHODS_ALLOWED.values())
 
 
 def _top_level_imports(source: str):

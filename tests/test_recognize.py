@@ -6,7 +6,8 @@ import random
 import pytest
 
 import recognize_reference as reference
-from twinwidth import modular
+from gen_tww1 import random_tww1
+from twinwidth import modular, recognize
 from twinwidth.trigraph import Graph, Trigraph, contract
 from twinwidth.sequence import replay, verify
 from twinwidth.oracle import exact_twinwidth
@@ -310,3 +311,53 @@ def test_width0_builds_no_maximal_proper_module(monkeypatch):
     for g in graphs:
         recognize_tww1(g)
     assert refined[0] >= len(graphs)
+
+
+def _prime_graphs(seed, count):
+    """Seeded prime graphs on 4 to 12 vertices: the width-1 generator's
+    graphs and G(n, p) samples whose maximal modular partition is the
+    trivial one, with at least one above width 1 and one within."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 12)
+        if len(out) % 2:
+            g, _ = random_tww1(n, rng)
+        else:
+            p = rng.choice([0.3, 0.5, 0.7])
+            g = Graph(range(1, n + 1), [e for e in itertools.combinations(range(1, n + 1), 2)
+                                        if rng.random() < p])
+        mp = modular.maximal_modular_partition(g)
+        if mp.kind == "maximal" and mp.is_trivial:
+            out.append(g)
+    return out
+
+
+def test_prime_driver_copies_once_per_guess(monkeypatch):
+    # counted guard: the prime graph is read through a view, so the only
+    # copies are the first contraction of each driven guess
+    copies, guesses = [0], [0]
+    copy, drive = Trigraph.copy, recognize._drive
+
+    def counted_copy(t):
+        copies[0] += 1
+        return copy(t)
+
+    def counted_drive(t0, u, v):
+        guesses[0] += 1
+        return drive(t0, u, v)
+
+    def refuse(cls, g):
+        raise AssertionError("the prime graph was copied")
+
+    monkeypatch.setattr(Trigraph, "copy", counted_copy)
+    monkeypatch.setattr(Trigraph, "from_graph", classmethod(refuse))
+    monkeypatch.setattr(recognize, "_drive", counted_drive)
+    found, most = set(), 0
+    for h in _prime_graphs(6262, 60):
+        copies[0] = guesses[0] = 0
+        found.add(recognize._plan_prime(h) is not None)
+        assert copies[0] == guesses[0]
+        most = max(most, guesses[0])
+    assert found == {True, False}
+    assert most > 1

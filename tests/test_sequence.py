@@ -292,7 +292,7 @@ def test_walk_rejections_survive_optimize_flag(run_optimized):
     script = (
         "from test_sequence import _starts_lacking_ids\n"
         "from twinwidth.sequence import ContractionSequence, final_trigraph, verify\n"
-        "from twinwidth.trigraph import Trigraph\n"
+        "from twinwidth.trigraph import Trigraph, contract\n"
         "seq = ContractionSequence(4, [(5, 1, 2)])\n"
         "for run in (verify, final_trigraph):\n"
         "    for start in _starts_lacking_ids():\n"
@@ -300,11 +300,10 @@ def test_walk_rejections_survive_optimize_flag(run_optimized):
         "            run(start, seq)\n"
         "        except ValueError as exc:\n"
         "            print(exc)\n"
-        "t = Trigraph([1, 2, 3], [(1, 2)])\n"
-        "t.contract_inplace(1, 2, 4)\n"
+        "t = contract(Trigraph([1, 2, 3], [(1, 2)]), 1, 2, 4)\n"
         "for u, v, z in ((3, 4, 2), (3, 4, 4), (1, 3, 5), (3, 7, 5)):\n"
         "    try:\n"
-        "        t.contract_inplace(u, v, z)\n"
+        "        contract(t, u, v, z)\n"
         "    except ValueError as exc:\n"
         "        print(exc)\n"
     )
@@ -319,30 +318,22 @@ def test_walk_rejections_survive_optimize_flag(run_optimized):
 
 
 def test_walk_copies_once(monkeypatch):
-    # one copying contract per walk; every later step is in place and
-    # skips the freshness scan of the public contract_inplace, and
-    # final_trigraph, a quotient by the bags, contracts nothing
+    # one checked, copying contract per walk; every later step is in
+    # place and skips contract's freshness scan, and final_trigraph, a
+    # quotient by the bags, contracts nothing
     calls = []
-    scans = []
 
     def counted(t, u, v, z=None):
         calls.append(z)
         return contract(t, u, v, z)
 
-    def scanned(t, u, v, z=None):
-        scans.append(z)
-        return checked(t, u, v, z)
-
-    checked = Trigraph.contract_inplace
     monkeypatch.setattr(sequence, "contract", counted)
-    monkeypatch.setattr(Trigraph, "contract_inplace", scanned)
     n = 30
     g = Graph.path(n)
     seq = ContractionSequence(n, [(n + 1, 1, 2)] + [(z, z - 1, z - n + 1)
                                                     for z in range(n + 2, 2 * n)])
     assert verify(g, seq).width == 1
     assert calls == [n + 1]
-    assert scans == [n + 1]
     assert len(final_trigraph(g, seq).vertices) == 1
     assert calls == [n + 1]
     verify(g, ContractionSequence(n, []))

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import trigraph_reference as reference
+from twinwidth import trigraph
 from twinwidth.trigraph import (
     Graph,
     Trigraph,
@@ -20,7 +21,7 @@ def test_graph_construction_and_accessors():
     g = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
     assert g.n == 4
     assert g.neighbors(2) == {1, 3}
-    assert g.degree(1) == 1
+    assert len(g.adj[1]) == 1
     assert g.has_edge(3, 2)
     assert not g.has_edge(1, 4)
     assert list(g.edges()) == [(1, 2), (2, 3), (3, 4)]
@@ -85,6 +86,55 @@ def _seeded_graphs(seed, count):
         yield rng, Graph(ids, [e for e in itertools.combinations(ids, 2) if rng.random() < p])
 
 
+def _graph_tables(vertices, edges):
+    g = Graph(vertices, edges)
+    return g.vertices, g.adj
+
+
+def _trigraph_tables(vertices, black_edges=(), red_edges=()):
+    t = Trigraph(vertices, black_edges, red_edges)
+    return t.vertices, t.black, t.red
+
+
+def _built(build, *args):
+    """What build(*args) gives, in iteration order, or its error text."""
+    try:
+        vertices, *tables = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return [list(vertices)] + [[(v, list(t[v])) for v in t] for t in tables]
+
+
+def test_constructors_match_per_edge_reference():
+    # seeded edge lists on scattered ids, in random order and direction,
+    # some repeating an edge reversed and some carrying a loop or an
+    # unknown endpoint at a random position
+    rng = random.Random(5353)
+    errors = 0
+    for trial in range(600):
+        n = rng.randint(0, 30)
+        ids = rng.sample(range(1, 121), n)
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in itertools.combinations(ids, 2) if rng.random() < 0.3]
+        rng.shuffle(edges)
+        if edges and trial % 4 == 1:
+            edges.append(edges[rng.randrange(len(edges))][::-1])
+        if trial % 4 == 2:
+            x = rng.choice(ids) if ids else 1
+            bad = (x, x) if rng.random() < 0.5 else (x, 121 + rng.randrange(10))
+            edges.insert(rng.randint(0, len(edges)), bad[::rng.choice((1, -1))])
+        half = rng.randint(0, len(edges))
+        for fast, slow, args in (
+                (_graph_tables, reference.graph_adjacency, (ids, edges)),
+                (_trigraph_tables, reference.trigraph_tables, (ids, edges)),
+                (_trigraph_tables, reference.trigraph_tables, (ids, (), edges)),
+                (_trigraph_tables, reference.trigraph_tables, (ids, edges[:half], edges[half:]))):
+            got = _built(fast, *args)
+            assert got == _built(slow, *args)
+            errors += isinstance(got, str)
+    assert errors > 300
+
+
 def test_induced_and_complement_match_edge_by_edge_reference():
     for rng, g in _seeded_graphs(4040, 600):
         keep = rng.sample(sorted(g.vertices), rng.randint(0, g.n))
@@ -97,17 +147,18 @@ def test_induced_and_complement_match_edge_by_edge_reference():
 
 
 def test_induced_and_complement_add_no_edge_one_at_a_time(monkeypatch):
-    # counted guard: the copies fill their adjacency sets directly
+    # counted guard: the copies fill their adjacency sets directly,
+    # never through the checked per-edge builder
     added = [0]
-    add_edge = Graph._add_edge
+    build = trigraph._adjacency
 
-    def counted(self, u, v):
+    def counted(vertices, edges):
         added[0] += 1
-        add_edge(self, u, v)
+        return build(vertices, edges)
 
-    monkeypatch.setattr(Graph, "_add_edge", counted)
+    monkeypatch.setattr(trigraph, "_adjacency", counted)
     graphs = [g for _, g in _seeded_graphs(4141, 40)]
-    assert added[0] > 0
+    assert added[0] == 40
     added[0] = 0
     for g in graphs:
         g.induced(sorted(g.vertices)[::2])
@@ -235,27 +286,6 @@ def test_contract_rejects_dead_or_reused_ids():
         contract(t2, 1, 3)  # 1 is gone
     with pytest.raises(ValueError):
         contract(t2, 3, 3)
-
-
-def test_contract_inplace_rejects_like_contract():
-    t = Trigraph([1, 2, 3, 4], black_edges=[(1, 2), (2, 3)], red_edges=[(3, 4)])
-    t.contract_inplace(1, 2)  # vertices 3, 4, 5
-    state = (set(t.vertices), {v: set(s) for v, s in t.black.items()},
-             {v: set(s) for v, s in t.red.items()})
-    for args, message in (((1, 3), "dead or unknown"), ((3, 9), "dead or unknown"),
-                          ((3, 3), "with itself"), ((3, 4, 2), "id 2 is not fresh"),
-                          ((3, 4, 5), "id 5 is not fresh")):
-        with pytest.raises(ValueError) as pure:
-            contract(t, *args)
-        with pytest.raises(ValueError, match=message) as inplace:
-            t.contract_inplace(*args)
-        assert str(inplace.value) == str(pure.value)
-        assert (t.vertices, t.black, t.red) == state
-    # contract leaves its input alone; contract_inplace returns itself
-    expect = contract(t, 3, 4)
-    assert (t.vertices, t.black, t.red) == state
-    assert t.contract_inplace(3, 4) is t
-    assert (t.vertices, t.black, t.red) == (expect.vertices, expect.black, expect.red)
 
 
 def test_contract_mixed_neighborhood_example():
