@@ -11,7 +11,11 @@ red edge, then repeatedly either perform a safe contraction (one that
 results in the trigraph minus a vertex) or contract the unique red
 edge.  A prime graph of width 1 keeps exactly one red edge in every
 intermediate trigraph, so the driver never needs to branch after the
-initial guess.
+initial guess.  Every red edge ends at z, the vertex the last step
+created: the guess makes red edges only at its z, and each later step
+merges an endpoint of the lone red edge, which leaves every edge away
+from the new vertex black.  So the driver reads the red edge from z's
+red set alone.
 
 Plans are built as (label, label) merge pairs, where a bag is labelled
 by its smallest original vertex, and ContractionSequence.from_merges
@@ -97,8 +101,10 @@ def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
     result coincides with the induced subtrigraph on V minus w, the
     merged vertex playing the endpoint's role.
     """
-    edge = t.lone_red_edge()
-    if edge is None:
+    # red sets are symmetric: two vertices with red neighbours share
+    # the one red edge
+    edge = sorted(v for v, near in t.red.items() if near)
+    if len(edge) != 2:
         raise ValueError("safe contractions are defined for exactly one red edge")
     # a partner p's black set and reach N(p) | {p}, once per call
     tables = [(p, t.black[p], t.neighbors(p) | {p}) for p in edge]
@@ -123,11 +129,11 @@ def _drive(t0: Trigraph, u: int, v: int) -> Optional[Plan]:
     t = contract(t0, u, v, z)
     label = {z: min(u, v)}  # merged bags only: a vertex is its own label
     while len(t.vertices) > 1:
-        edge = t.lone_red_edge()
-        if edge is None:
+        reds = t.red[z]  # every red edge ends at z (module docstring)
+        if len(reds) != 1:
             return None
         safe = safe_contractions(t)
-        w, partner = safe[0] if safe else edge
+        w, partner = safe[0] if safe else (*reds, z)
         z += 1
         t._merge(w, partner, z)
         pairs.append((label.get(w, w), label.get(partner, partner)))
@@ -164,6 +170,6 @@ def recognize_tww1(g: Graph) -> RecognitionResult:
         return RecognitionResult("above1")
     seq = ContractionSequence.from_merges(g.n, pairs)
     for t in replay(g, seq):
-        if any(t.red.values()) and t.lone_red_edge() is None:
+        if sum(len(s) for s in t.red.values()) > 2:
             raise AssertionError("recognition produced a bad witness")
     return RecognitionResult("tww1", seq)

@@ -209,24 +209,6 @@ class Trigraph:
     def red_edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u in sorted(self.red) for v in sorted(self.red[u]) if u < v]
 
-    def lone_red_edge(self) -> Optional[Tuple[int, int]]:
-        """The only red edge, smaller endpoint first, or None when there
-        is none or there are several; no set is sorted, and the scan
-        stops at the second red edge it meets."""
-        edge = None
-        for u, near in self.red.items():
-            if not near:
-                continue
-            if len(near) > 1:
-                return None
-            (v,) = near
-            found = (u, v) if u < v else (v, u)
-            if edge is None:
-                edge = found
-            elif found != edge:
-                return None
-        return edge
-
     def black_edges(self) -> List[Tuple[int, int]]:
         return [(u, v) for u in sorted(self.black) for v in sorted(self.black[u]) if u < v]
 

@@ -5,8 +5,11 @@ Kept verbatim but for its names as the differential reference for
 twinwidth.recognize: every level, width 0 included, computes the full
 maximal modular partition, and width 0 fails at the first level whose
 partition is made of maximal proper modules, once its prime callback
-returns None.  Width 1 reuses the package's prime-graph planner, which
-this change left as it was.
+returns None.  Width 1 plans prime graphs with _plan_prime and _drive
+as they were before the driver read its red edge from the vertex each
+step creates: every step finds the lone red edge by scanning every red
+set with lone_red_edge, the method Trigraph had then, and asks this
+file's safe_contractions for the safe pairs.
 
 safe_contractions is the scan as it was before it built each partner's
 black set and reach once per call: it tests every pair (w, partner)
@@ -17,9 +20,9 @@ import itertools
 from typing import Callable, List, Optional, Tuple
 
 from twinwidth.modular import maximal_modular_partition
-from twinwidth.recognize import Plan, RecognitionResult, _plan_prime
+from twinwidth.recognize import Plan, RecognitionResult
 from twinwidth.sequence import ContractionSequence, replay
-from twinwidth.trigraph import Graph, Trigraph
+from twinwidth.trigraph import Graph, Trigraph, contract
 
 
 def plan(g: Graph, prime: Callable[[Graph], Optional[Plan]]) -> Optional[Plan]:
@@ -74,6 +77,60 @@ def recognize_tww1(g: Graph) -> RecognitionResult:
     return RecognitionResult("tww1", seq)
 
 
+def _drive(t0: Trigraph, u: int, v: int) -> Optional[Plan]:
+    """Extend the guessed first contraction of a prime graph to the end."""
+    pairs = [(u, v)]
+    # t0 serves every guess, so the first step copies it; the rest
+    # merge that copy in place, each into the next fresh id
+    z = max(t0.vertices) + 1
+    t = contract(t0, u, v, z)
+    label = {z: min(u, v)}  # merged bags only: a vertex is its own label
+    while len(t.vertices) > 1:
+        edge = lone_red_edge(t)
+        if edge is None:
+            return None
+        safe = safe_contractions(t)
+        w, partner = safe[0] if safe else edge
+        z += 1
+        t._merge(w, partner, z)
+        pairs.append((label.get(w, w), label.get(partner, partner)))
+        label[z] = min(pairs[-1])
+    return pairs
+
+
+def _plan_prime(h: Graph) -> Optional[Plan]:
+    """1-sequence plan for a prime graph (at least four vertices), or None."""
+    verts = sorted(h.vertices)
+    t0 = Trigraph._view(h)  # read-only: each guess's first contract copies it
+    for u, v in itertools.combinations(verts, 2):
+        # u and v sit in each other's neighbourhoods exactly when adjacent
+        if len(h.adj[u] ^ h.adj[v]) - (2 if v in h.adj[u] else 0) != 1:
+            continue
+        pairs = _drive(t0, u, v)
+        if pairs is not None:
+            return pairs
+    return None
+
+
+def lone_red_edge(t: Trigraph) -> Optional[Tuple[int, int]]:
+    """The only red edge, smaller endpoint first, or None when there
+    is none or there are several; no set is sorted, and the scan
+    stops at the second red edge it meets."""
+    edge = None
+    for u, near in t.red.items():
+        if not near:
+            continue
+        if len(near) > 1:
+            return None
+        (v,) = near
+        found = (u, v) if u < v else (v, u)
+        if edge is None:
+            edge = found
+        elif found != edge:
+            return None
+    return edge
+
+
 def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
     """Pairs (w, red endpoint) whose contraction just deletes w.
 
@@ -81,7 +138,7 @@ def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
     result coincides with the induced subtrigraph on V minus w, the
     merged vertex playing the endpoint's role.
     """
-    edge = t.lone_red_edge()
+    edge = lone_red_edge(t)
     if edge is None:
         raise ValueError("safe contractions are defined for exactly one red edge")
     a, b = edge

@@ -1,5 +1,6 @@
 """Width-0/1 recognition and the safe-contraction helper."""
 
+import collections
 import itertools
 import random
 
@@ -7,6 +8,7 @@ import pytest
 
 import recognize_reference as reference
 from gen_tww1 import random_tww1
+from modular_oracle import substitution_graph, width_by_modules
 from twinwidth import modular, recognize
 from twinwidth.trigraph import Graph, Trigraph, contract
 from twinwidth.sequence import replay, verify
@@ -361,3 +363,74 @@ def test_prime_driver_copies_once_per_guess(monkeypatch):
         most = max(most, guesses[0])
     assert found == {True, False}
     assert most > 1
+
+
+def test_every_red_edge_ends_at_the_newest_vertex(monkeypatch):
+    # the driver reads its red edge from z's red set alone, which rests
+    # on every red edge ending at the vertex each step creates: checked
+    # after every merge of guesses that succeed and of guesses that fail
+    merge, drive = Trigraph._merge, recognize._drive
+    steps, outcomes = [0], []
+
+    def checked_merge(t, u, v, z):
+        merge(t, u, v, z)
+        steps[0] += 1
+        stray = [e for e in t.red_edges() if z not in e]
+        assert not stray, (z, stray)
+        return t
+
+    def counted_drive(t0, u, v):
+        steps[0] = 0
+        pairs = drive(t0, u, v)
+        outcomes.append((pairs is not None, steps[0]))
+        return pairs
+
+    monkeypatch.setattr(Trigraph, "_merge", checked_merge)
+    monkeypatch.setattr(recognize, "_drive", counted_drive)
+    for h in _prime_graphs(6262, 60):
+        recognize._plan_prime(h)
+    assert any(ok for ok, _ in outcomes)
+    # failed guesses that got past their first merge
+    assert any(not ok and merges > 1 for ok, merges in outcomes)
+
+
+def test_witness_check_survives_optimize_flag(run_optimized):
+    # a planted plan that merges inside two disjoint P4s leaves two red
+    # edges at once; the witness check refuses it under python -O too
+    proc = run_optimized(
+        "from twinwidth import recognize\n"
+        "from twinwidth.trigraph import Graph\n"
+        "g = Graph(range(1, 9), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)])\n"
+        "recognize._plan = lambda g, prime: None if prime is None else [(1, 3), (5, 7)]\n"
+        "try:\n"
+        "    print(recognize.recognize_tww1(g).verdict)\n"
+        "except AssertionError as e:\n"
+        "    print(e)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "recognition produced a bad witness\n"
+
+
+def test_recognition_matches_exact_width_by_modules():
+    # the exact width by modules equals the exact oracle's on small
+    # graphs built by module substitution, and then decides the verdict
+    # recognition must give on such graphs far past the oracle's cap
+    rng = random.Random(2626)
+    widths = collections.Counter()
+    for _ in range(300):
+        g = substitution_graph(rng, 2, 10, depth=2)
+        d = width_by_modules(g)
+        assert d == exact_twinwidth(g)[0], sorted(g.edges())
+        widths[d] += 1
+    verdicts = collections.Counter()
+    for _ in range(300):
+        g = substitution_graph(rng, 12, 90)
+        d = width_by_modules(g)
+        res = recognize_tww1(g)
+        assert res.verdict == ("tww0", "tww1", "above1")[min(d, 2)], sorted(g.edges())
+        if res.witness is not None:
+            _check_witness(g, res, d)
+        verdicts[res.verdict] += 1
+    print("widths for n <= 10:", dict(sorted(widths.items())),
+          "verdicts for n = 12..90:", dict(sorted(verdicts.items())))
+    assert min(widths[0], widths[1], widths[2]) >= 5, widths
+    assert min(verdicts.values()) >= 50 and len(verdicts) == 3, verdicts

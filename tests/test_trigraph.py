@@ -212,41 +212,6 @@ def test_from_graph_round_trip():
     assert t.black_edges() == list(g.edges())
 
 
-def test_lone_red_edge_matches_the_sorted_list():
-    rng = random.Random(2111)
-    sizes = set()
-    for _ in range(300):
-        n = rng.randint(1, 9)
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        red = rng.sample(pairs, min(len(pairs), rng.choice([0, 1, 1, 2, 3])))
-        # ids in a shuffled insertion order, as contractions leave them
-        verts = rng.sample(range(1, n + 1), n)
-        t = Trigraph(verts, black_edges=[p for p in pairs if p not in red and rng.random() < 0.4],
-                     red_edges=[(v, u) if rng.random() < 0.5 else (u, v) for u, v in red])
-        reds = t.red_edges()
-        sizes.add(len(reds))
-        assert t.lone_red_edge() == (reds[0] if len(reds) == 1 else None)
-    assert sizes == {0, 1, 2, 3}
-
-
-class _Untouchable:
-    """A red set that fails the test when the scan looks at it."""
-
-    def __len__(self):
-        raise AssertionError("the scan went past the second red edge")
-
-
-def test_lone_red_edge_stops_at_the_second_red_edge():
-    t = Trigraph([1, 2, 3, 4, 5], red_edges=[(1, 2), (3, 4)])
-    t.red[5] = _Untouchable()
-    assert t.lone_red_edge() is None
-    t = Trigraph([1, 2, 3, 4], red_edges=[(1, 2), (1, 3)])
-    t.red[2] = _Untouchable()
-    assert t.lone_red_edge() is None
-    t = Trigraph([5, 3, 4], black_edges=[(3, 4)], red_edges=[(5, 3)])
-    assert t.lone_red_edge() == (3, 5)
-
-
 def test_contract_merges_neighborhoods():
     # one shared black neighbor, one private each
     g = Graph([1, 2, 3, 4, 5], [(1, 3), (2, 3), (1, 4), (2, 5)])
