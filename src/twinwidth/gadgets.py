@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .trigraph import Graph, Trigraph, quotient, validate_partition
+from .trigraph import Graph, Trigraph, quotient
 from .sequence import ContractionSequence, verify
 
 Point = Tuple[int, int]
@@ -243,7 +243,7 @@ class AnnotatedInstance:
 
 def validate_instance(inst: AnnotatedInstance) -> None:
     """Raise unless the instance satisfies all composition preconditions."""
-    validate_partition(inst.graph.vertices, [set(p) for p in inst.parts])
+    quot = quotient(inst.graph, list(inst.parts))  # validates the partition first
     if inst.q % 2:
         raise ValueError("instance dimensions must have q even")
     if inst.p < 2:
@@ -255,7 +255,6 @@ def validate_instance(inst: AnnotatedInstance) -> None:
     if set(inst.eta) != set(range(len(inst.parts))) or len(points) != len(inst.eta) \
             or points != set(snake):
         raise ValueError("eta must map the parts onto the fine grid points bijectively")
-    quot = quotient(inst.graph, [set(p) for p in inst.parts])
     for a, b in quot.total_graph().edges():
         if inst.eta[b - 1] not in snake[inst.eta[a - 1]]:
             raise ValueError("quotient is not a subgraph of the snaking grid")

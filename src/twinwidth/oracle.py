@@ -219,10 +219,7 @@ def min_dominating_set(g: Graph) -> Tuple[int, FrozenSet[int]]:
         return 0, frozenset()
 
     order = sorted(g.vertices)
-    idx = {v: i for i, v in enumerate(order)}
-    closed = [0] * g.n
-    for v in order:
-        closed[idx[v]] = (1 << idx[v]) | sum(1 << idx[u] for u in g.adj[v])
+    closed = [near | 1 << i for i, near in enumerate(_part_tables(order, g).values())]
     full = (1 << g.n) - 1
 
     best_set: List[int] = list(range(g.n))  # V always dominates
@@ -257,7 +254,7 @@ def min_dominating_set(g: Graph) -> Tuple[int, FrozenSet[int]]:
         while m:
             i = (m & -m).bit_length() - 1
             m &= m - 1
-            opts = bin(closed[i]).count("1")
+            opts = closed[i].bit_count()
             if pick < 0 or opts < pick_opts:
                 pick, pick_opts = i, opts
         cands = closed[pick]
@@ -295,7 +292,10 @@ def dominating_transversal(g: Graph, parts: Sequence[Set[int]]) -> Optional[Froz
     with the input.  Each node first propagates to a fixpoint: a part's
     candidates shrink to the closed neighbourhood of any undominated
     vertex whose remaining dominators all lie in that part, and a node
-    where some undominated vertex has no dominator left fails.  It then
+    where some undominated vertex has no dominator left fails.  The
+    root starts from whole parts, so its propagation also shrinks each
+    part to the closed neighbourhood of every vertex confined to it:
+    such a vertex's dominators all lie in its own part.  A node then
     branches on the undecided part with the fewest candidates (ties to
     the lower index), trying its members in increasing order; the first
     complete dominating transversal found is returned.
@@ -305,21 +305,13 @@ def dominating_transversal(g: Graph, parts: Sequence[Set[int]]) -> Optional[Froz
     validate_partition(g.vertices, sets)
     order = sorted(g.vertices)
     idx = {v: i for i, v in enumerate(order)}
-    closed = [(1 << idx[v]) | sum(1 << idx[u] for u in g.adj[v]) for v in order]
+    closed = [near | 1 << i for i, near in enumerate(_part_tables(order, g).values())]
     full = (1 << len(order)) - 1
     part_mask = [sum(1 << idx[v] for v in p) for p in sets]
     part_of = [0] * len(order)
     for j, p in enumerate(sets):
         for v in p:
             part_of[idx[v]] = j
-
-    cand = list(part_mask)
-    # static propagation from vertices confined to their own part; a
-    # part left with no candidate has the fewest and fails the root
-    for i, c in enumerate(closed):
-        j = part_of[i]
-        if c & ~part_mask[j] == 0:
-            cand[j] &= c
 
     def propagate(cand, dominated, undecided):
         # every dominator left for an undominated vertex lies in an
@@ -346,19 +338,14 @@ def dominating_transversal(g: Graph, parts: Sequence[Set[int]]) -> Optional[Froz
                     changed = True
         return cand
 
-    # a node is (candidates, dominated mask, undecided parts, picks as
-    # nested (vertex, earlier picks) pairs)
-    stack = [(cand, 0, list(range(len(sets))), None)]
+    # a node is (candidates, dominated mask, undecided parts, picks in order)
+    stack = [(part_mask, 0, list(range(len(sets))), ())]
     while stack:
         cand, dominated, undecided, picked = stack.pop()
         if not undecided:
             # propagation left the last part only candidates that
             # dominate every vertex still undominated
-            out = []
-            while picked is not None:
-                v, picked = picked
-                out.append(v)
-            return frozenset(out)
+            return frozenset(reversed(picked))
         cand = propagate(cand, dominated, undecided)
         if cand is None:
             continue
@@ -369,7 +356,7 @@ def dominating_transversal(g: Graph, parts: Sequence[Set[int]]) -> Optional[Froz
         while m:
             i = m.bit_length() - 1
             m ^= 1 << i
-            stack.append((cand, dominated | closed[i], rest, (order[i], picked)))
+            stack.append((cand, dominated | closed[i], rest, picked + (order[i],)))
     return None
 
 

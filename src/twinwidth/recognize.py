@@ -15,7 +15,7 @@ initial guess.  Every red edge ends at z, the vertex the last step
 created: the guess makes red edges only at its z, and each later step
 merges an endpoint of the lone red edge, which leaves every edge away
 from the new vertex black.  So the driver reads the red edge from z's
-red set alone.
+red set alone, and hands it to safe_contractions.
 
 Plans are built as (label, label) merge pairs, where a bag is labelled
 by its smallest original vertex, and ContractionSequence.from_merges
@@ -94,22 +94,22 @@ def recognize_tww0(g: Graph) -> RecognitionResult:
     return RecognitionResult("tww0", ContractionSequence.from_merges(g.n, pairs))
 
 
-def safe_contractions(t: Trigraph) -> List[Tuple[int, int]]:
+def safe_contractions(t: Trigraph, edge: Tuple[int, int]) -> List[Tuple[int, int]]:
     """Pairs (w, red endpoint) whose contraction just deletes w.
 
-    t must have exactly one red edge.  A contraction is safe when the
-    result coincides with the induced subtrigraph on V minus w, the
-    merged vertex playing the endpoint's role.
+    edge is t's one red edge, its ends in either order; an O(1) guard
+    raises ValueError unless the ends are each other's only red
+    neighbour.  A contraction is safe when the result coincides with the
+    induced subtrigraph on V minus w, the merged vertex playing the
+    endpoint's role.
     """
-    # red sets are symmetric: two vertices with red neighbours share
-    # the one red edge
-    edge = sorted(v for v, near in t.red.items() if near)
-    if len(edge) != 2:
+    x, z = edge
+    if t.red.get(x) != {z} or t.red.get(z) != {x}:
         raise ValueError("safe contractions are defined for exactly one red edge")
     # a partner p's black set and reach N(p) | {p}, once per call
-    tables = [(p, t.black[p], t.neighbors(p) | {p}) for p in edge]
+    tables = [(p, t.black[p], t.neighbors(p) | {p}) for p in sorted(edge)]
     out = []
-    for w in sorted(t.vertices - set(edge)):
+    for w in sorted(t.vertices - {x, z}):
         # the merged vertex keeps the partner's edges and colours exactly
         # when w sees every black neighbour of the partner but w black,
         # and brings no neighbour of its own; w has no red edge
@@ -132,7 +132,7 @@ def _drive(t0: Trigraph, u: int, v: int) -> Optional[Plan]:
         reds = t.red[z]  # every red edge ends at z (module docstring)
         if len(reds) != 1:
             return None
-        safe = safe_contractions(t)
+        safe = safe_contractions(t, (*reds, z))
         w, partner = safe[0] if safe else (*reds, z)
         z += 1
         t._merge(w, partner, z)

@@ -80,9 +80,6 @@ class Graph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def neighbors(self, v: int) -> Set[int]:
-        return self.adj[v]
-
     def closed_neighborhood(self, v: int) -> Set[int]:
         return self.adj[v] | {v}
 

@@ -77,7 +77,7 @@ def stage2_order(p: int, q: int) -> List[Point]:
             colored[label].append(pt)
 
     def near_orange(pt: Point) -> bool:
-        return any(classes[pos[w]] == "orange" for w in aug.neighbors(at[pt]))
+        return any(classes[pos[w]] == "orange" for w in aug.adj[at[pt]])
 
     order = sorted(colored["blue"])
     order += sorted(colored["purple"], key=lambda pt: (near_orange(pt), pt))

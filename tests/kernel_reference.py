@@ -2,15 +2,40 @@
 
 Kept verbatim as the differential reference for twinwidth.kernel: each
 kernel walks the trace classes itself and rebuilds the graph with
-Graph.without once per deleted vertex.
+Graph.without once per deleted vertex.  The class order and the size
+accounting are copied here too, so the reference shares none of the
+kernel's private helpers.
 """
 
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
-from twinwidth.kernel import (KernelInstance, _check_size_accounting, _lex_classes,
-                              trivial_no_graph, two_approx_vc)
+from twinwidth.kernel import KernelInstance, trivial_no_graph, two_approx_vc
+from twinwidth.modular import trace_classes
 from twinwidth.oracle import CapacitatedGraph
 from twinwidth.trigraph import Graph
+
+
+def _lex_classes(g: Graph, x: Set[int]):
+    classes = trace_classes(g, x)
+    return sorted(classes.items(), key=lambda kv: sorted(kv[0]))
+
+
+def _check_size_accounting(out: Graph, x: Set[int], xs: Set[int], k: int) -> None:
+    # post-fixpoint classes touching X^s satisfy |Y_i| <= |X_i| + 1,
+    # which bounds their total size quadratically:
+    #   q * sum |Y_i||X_i|  >=  (sum |Y_i| - q)^2
+    sizes = []
+    for key, members in trace_classes(out, x).items():
+        x_i = key & xs
+        if x_i:
+            if len(members) > len(x_i) + 1:
+                raise AssertionError("rule 3 fixpoint violated")
+            sizes.append((len(members), len(x_i)))
+    q = len(sizes)
+    if q:
+        total = sum(y for y, _ in sizes)
+        if q * sum(y * xi for y, xi in sizes) < (total - q) ** 2:
+            raise AssertionError("quadratic size bound violated")
 
 
 def cvc_kernel_quadratic(g: Graph, k: int) -> KernelInstance:

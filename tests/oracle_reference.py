@@ -26,15 +26,25 @@ Kept verbatim as the differential reference for twinwidth.oracle:
 dominating_transversals is no old code but the plain definition that
 dominating_transversal searches: every pick of one vertex per part,
 kept when it dominates.
+
+The bit tables are copied here from the oracle.  Only the input checks
+_check_size and _check_tww_input are shared: TWW_SIZE_CAP is the one
+override of every cap, so a reference must accept and refuse exactly
+the inputs its oracle does.
 """
 
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from twinwidth.oracle import (SEARCH_CAP, CapacitatedGraph, _check_size,
-                              _check_tww_input, _part_tables, is_dominating_set)
+                              _check_tww_input, is_dominating_set)
 from twinwidth.sequence import ContractionSequence
 from twinwidth.trigraph import Graph
+
+
+def _part_tables(order: List[int], g: Graph) -> Dict[int, int]:
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    return {v: sum(map(bit.__getitem__, g.adj[v])) for v in order}
 
 
 def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:

@@ -97,6 +97,71 @@ def test_scan_finds_forbidden_oracle_import():
                                         "modular", "recognize"}
 
 
+# the references in tests/ re-implement what they check, so from the
+# package they take public names only, and these input checks
+REFERENCE_PRIVATE_ALLOWED = {
+    "twinwidth.oracle._check_size": "TWW_SIZE_CAP is the one override of every cap, so a"
+                                    " reference refuses exactly the sizes its oracle refuses",
+    "twinwidth.oracle._check_tww_input": "the twin-width input rules (nonempty, vertices 1..n,"
+                                         " the cap) that the searches and their references share",
+}
+
+
+def _private_imports(source: str):
+    """module.name for each private name a source takes from the
+    package, by a from-import or as an attribute of a package module."""
+    tree = ast.parse(source)
+    found, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and (node.module or "").split(".")[0] == "twinwidth":
+            for a in node.names:
+                if node.module == "twinwidth":
+                    modules[a.asname or a.name] = "twinwidth." + a.name
+                elif a.name.startswith("_"):
+                    found.add("%s.%s" % (node.module, a.name))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "twinwidth":
+                    modules[a.asname or "twinwidth"] = a.name if a.asname else "twinwidth"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.endswith("__"):
+            path, root = [node.attr], node.value
+            while isinstance(root, ast.Attribute):
+                path.append(root.attr)
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                found.add(".".join([modules[root.id]] + path[::-1]))
+    return found
+
+
+def test_scan_finds_private_package_imports():
+    source = ("from twinwidth.kernel import KernelInstance, _lex_classes\n"
+              "from twinwidth import oracle as orc\nimport twinwidth.modular\n"
+              "from helpers import _local\nimport random\n"
+              "x = orc._part_tables(o, g), orc.TWW_CAP, twinwidth.modular._classes(g)\n"
+              "y = orc.__name__, random._inst, _local.attr\n")
+    assert _private_imports(source) == {"twinwidth.kernel._lex_classes",
+                                        "twinwidth.oracle._part_tables",
+                                        "twinwidth.modular._classes"}
+
+
+def test_references_take_no_private_package_names():
+    paths = glob.glob(os.path.join(TESTS, "*_reference.py"))
+    assert len(paths) > 5
+    found = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            for name in _private_imports(fh.read()):
+                found.setdefault(name, []).append(os.path.basename(path))
+    assert sorted("%s: %s" % (name, found[name])
+                  for name in set(found) - set(REFERENCE_PRIVATE_ALLOWED)) == []
+    # the allowlist only holds names a reference still takes
+    assert set(REFERENCE_PRIVATE_ALLOWED) <= set(found)
+    assert all(REFERENCE_PRIVATE_ALLOWED.values())
+
+
 # label merges are how recognition and the builders write witnesses, so
 # the oracle numbers its own fresh ids instead of sharing that code
 ORACLE_FORBIDDEN_ATTRS = {"from_merges", "merges"}

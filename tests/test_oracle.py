@@ -5,6 +5,7 @@ enumeration of all full contraction sequences, so the rest of the
 suite can lean on it.
 """
 
+import hashlib
 import inspect
 import itertools
 import random
@@ -13,6 +14,9 @@ import sys
 import pytest
 
 import oracle_reference as reference
+from test_acceptance import F1, F2, synthetic_instance
+from twinwidth.compose import or_cross_compose
+from twinwidth.gadgets import reduce_3sat
 from twinwidth.trigraph import Graph, quotient
 from twinwidth.sequence import ContractionSequence, verify
 from twinwidth.modular import maximal_modular_partition
@@ -338,6 +342,33 @@ def test_transversal_matches_product_reference():
             assert ds in every, (sorted(g.edges()), parts)
             found += 1
     assert 0 < found < 600
+
+
+def test_transversal_witnesses_are_frozen():
+    # sha256 of the sorted transversals as found before the root node
+    # started from whole parts and its static pass was dropped: seeded
+    # partitioned graphs, criterion 8's compositions of synthetic
+    # instances and compositions of two reduced formulas, each over its
+    # forced parts
+    rng = random.Random(2727)
+    cases = []
+    for _ in range(2000):
+        g = _random_graph(rng, rng.randint(1, 16), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        cases.append((g, _random_partition(rng, sorted(g.vertices))))
+    rows = []
+    for p, q in [(2, 2), (2, 4)]:
+        yes, no = synthetic_instance(p, q), synthetic_instance(p, q, doubled=True)
+        rows += [[yes, no], [no, no], [no, yes], [no, no, yes]]
+    rows += [[reduce_3sat(f).instance for f in pair] for pair in ([F1, F2], [F2, F1])]
+    cases += [(comp.graph, comp.forced_parts()) for comp in map(or_cross_compose, rows)]
+    h = hashlib.sha256()
+    found = 0
+    for g, parts in cases:
+        ds = dominating_transversal(g, parts)
+        found += ds is not None
+        h.update(repr(None if ds is None else sorted(ds)).encode())
+    assert found == 1565
+    assert h.hexdigest() == "3532765a266c7121cbb88e54813c9e31a521008255ed5ec64fc2bb304920474e"
 
 
 def test_transversal_search_does_not_recurse(run_optimized):

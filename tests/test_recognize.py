@@ -127,20 +127,20 @@ def test_safe_contractions_frozen_example():
     # mid-sequence state of a path after merging the two ends of an
     # induced P3: exactly the two end absorptions are safe
     t = Trigraph([2, 4, 5, 6], black_edges=[(2, 6), (4, 5)], red_edges=[(4, 6)])
-    assert safe_contractions(t) == [(2, 6), (5, 4)]
+    assert safe_contractions(t, (4, 6)) == [(2, 6), (5, 4)]
 
 
 def test_safe_contractions_can_be_empty():
     t = Trigraph(range(1, 6), black_edges=[(1, 2), (2, 3), (3, 4)],
                  red_edges=[(4, 5)])
-    assert safe_contractions(t) == []
+    assert safe_contractions(t, (4, 5)) == []
 
 
 def test_safe_contractions_needs_one_red_edge():
     with pytest.raises(ValueError):
-        safe_contractions(Trigraph([1, 2], black_edges=[(1, 2)]))
+        safe_contractions(Trigraph([1, 2], black_edges=[(1, 2)]), (1, 2))
     with pytest.raises(ValueError):
-        safe_contractions(Trigraph([1, 2, 3], red_edges=[(1, 2), (2, 3)]))
+        safe_contractions(Trigraph([1, 2, 3], red_edges=[(1, 2), (2, 3)]), (1, 2))
 
 
 def _deletes(t, w, partner):
@@ -159,7 +159,7 @@ def _deletes(t, w, partner):
 
 def test_safe_contraction_really_deletes():
     t = Trigraph([2, 4, 5, 6], black_edges=[(2, 6), (4, 5)], red_edges=[(4, 6)])
-    for w, partner in safe_contractions(t):
+    for w, partner in safe_contractions(t, (4, 6)):
         assert _deletes(t, w, partner)
     rng = random.Random(7207)
     for _ in range(300):
@@ -171,7 +171,7 @@ def test_safe_contraction_really_deletes():
         t = Trigraph(range(1, n + 1), black_edges=black, red_edges=[red])
         expect = [(w, p) for w in range(1, n + 1) if w not in red
                   for p in red if _deletes(t, w, p)]
-        assert safe_contractions(t) == expect
+        assert safe_contractions(t, red) == expect
 
 
 def _one_red_trigraphs(rng, count):
@@ -204,7 +204,7 @@ def test_safe_contractions_match_reference():
     rng = random.Random(2424)
     found = 0
     for t in _one_red_trigraphs(rng, 1500):
-        got = safe_contractions(t)
+        got = safe_contractions(t, t.red_edges()[0])
         assert got == reference.safe_contractions(t), (t.black_edges(), t.red_edges())
         found += bool(got)
     assert 300 < found < 1500, found

@@ -20,7 +20,7 @@ from twinwidth.trigraph import (
 def test_graph_construction_and_accessors():
     g = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
     assert g.n == 4
-    assert g.neighbors(2) == {1, 3}
+    assert g.adj[2] == {1, 3}
     assert len(g.adj[1]) == 1
     assert g.has_edge(3, 2)
     assert not g.has_edge(1, 4)
