@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from .trigraph import Graph, Trigraph, contract
 from .sequence import ContractionSequence, replay
@@ -57,10 +57,10 @@ def _plan(g: Graph, prime: Optional[Callable[[Graph], Optional[Plan]]]) -> Optio
     if g.n == 1:
         return []
     saved = []
-    todo = [g.vertices]
+    todo: List[Optional[FrozenSet[int]]] = [None]  # None: g itself, not induced
     while todo:
         part = todo.pop()
-        h = g if part is g.vertices else g.induced(part)
+        h = g if part is None else g.induced(part)
         mp = series_parallel_split(h) if prime is None else maximal_modular_partition(h)
         if mp is None:
             return None
@@ -109,7 +109,7 @@ def safe_contractions(t: Trigraph, edge: Tuple[int, int]) -> List[Tuple[int, int
     # a partner p's black set and reach N(p) | {p}, once per call
     tables = [(p, t.black[p], t.neighbors(p) | {p}) for p in sorted(edge)]
     out = []
-    for w in sorted(t.vertices - {x, z}):
+    for w in sorted(t.black.keys() - {x, z}):
         # the merged vertex keeps the partner's edges and colours exactly
         # when w sees every black neighbour of the partner but w black,
         # and brings no neighbour of its own; w has no red edge
@@ -125,10 +125,10 @@ def _drive(t0: Trigraph, u: int, v: int) -> Optional[Plan]:
     pairs = [(u, v)]
     # t0 serves every guess, so the first step copies it; the rest
     # merge that copy in place, each into the next fresh id
-    z = max(t0.vertices) + 1
+    z = max(t0.black) + 1
     t = contract(t0, u, v, z)
     label = {z: min(u, v)}  # merged bags only: a vertex is its own label
-    while len(t.vertices) > 1:
+    while len(t.black) > 1:
         reds = t.red[z]  # every red edge ends at z (module docstring)
         if len(reds) != 1:
             return None

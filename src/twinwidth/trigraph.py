@@ -14,15 +14,20 @@ Trigraph._view reads a graph as a trigraph without copying it.
 Which original vertices a contracted vertex stands for is a property
 of the contraction sequence (ContractionSequence.final_bags), not of
 the trigraph.
+
+Each object holds its adjacency tables and nothing else: adj for a
+Graph, black and red, with equal keys, for a Trigraph.  The vertex set
+is a read-only view of the keys of adj or black, so a merge updates
+the tables alone.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, KeysView, List, Optional, Set, Tuple, Union
 
 
-def _adjacency(vertices: Set[int], edges: Iterable[Tuple[int, int]]) -> Dict[int, Set[int]]:
+def _adjacency(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> Dict[int, Set[int]]:
     """Adjacency sets on vertices, filled one edge at a time in the
     given order; a loop or an unknown endpoint is refused."""
     adj: Dict[int, Set[int]] = {v: set() for v in vertices}
@@ -52,15 +57,15 @@ def _reach(table: Dict[int, Set[int]], v: int) -> Set[int]:
 class Graph:
     """Undirected simple graph with integer vertices.
 
-    Instances are treated as immutable: every operation that changes the
-    vertex or edge set returns a new Graph.
+    vertices views the keys of adj, the one table.  Instances are
+    treated as immutable: every operation that changes the vertex or
+    edge set returns a new Graph.
     """
 
-    __slots__ = ("vertices", "adj")
+    __slots__ = ("adj",)
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]] = ()):
-        self.vertices: Set[int] = set(vertices)
-        self.adj: Dict[int, Set[int]] = _adjacency(self.vertices, edges)
+        self.adj: Dict[int, Set[int]] = _adjacency(set(vertices), edges)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -77,8 +82,12 @@ class Graph:
         return cls(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)])
 
     @property
+    def vertices(self) -> KeysView[int]:
+        return self.adj.keys()
+
+    @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.adj)
 
     def closed_neighborhood(self, v: int) -> Set[int]:
         return self.adj[v] | {v}
@@ -96,10 +105,10 @@ class Graph:
         return sum(len(s) for s in self.adj.values()) // 2
 
     @classmethod
-    def _of(cls, vertices: Set[int], adj: Dict[int, Set[int]]) -> "Graph":
+    def _of(cls, adj: Dict[int, Set[int]]) -> "Graph":
         """A graph on ready-made adjacency sets, without any check."""
         g = cls.__new__(cls)
-        g.vertices, g.adj = vertices, adj
+        g.adj = adj
         return g
 
     def induced(self, keep: Iterable[int]) -> "Graph":
@@ -109,17 +118,17 @@ class Graph:
         per-edge check: its edges are a subset of a valid graph's, so no
         loop or unknown endpoint can arise.  Members go in increasing
         order, the order edge-by-edge insertion in edges() order would
-        use, and the vertex set is copied as the constructor copies it,
-        so every set iterates as before.
+        use, and the vertices go in the order of a copy of keep, the
+        constructor's, so every set iterates as before.
         """
         keep = set(keep)
-        if not keep <= self.vertices:
+        adj = self.adj
+        if not keep <= adj.keys():
             raise ValueError("induced set is not a subset of the vertices")
-        vertices, adj = set(keep), self.adj
-        return Graph._of(vertices, {v: set(sorted(adj[v] & keep)) for v in vertices})
+        return Graph._of({v: set(sorted(adj[v] & keep)) for v in set(keep)})
 
     def without(self, drop: Iterable[int]) -> "Graph":
-        return self.induced(self.vertices - set(drop))
+        return self.induced(self.adj.keys() - set(drop))
 
     def complement(self) -> "Graph":
         """The graph joining exactly the distinct non-adjacent pairs.
@@ -129,17 +138,17 @@ class Graph:
         or unknown endpoint can arise, and members go in increasing
         order.
         """
-        vertices, adj = set(sorted(self.vertices)), {}
-        for v in vertices:
-            far = self.vertices - self.adj[v]
+        near, adj = self.adj, {}
+        for v in set(sorted(near)):
+            far = near.keys() - near[v]
             far.discard(v)
             adj[v] = set(sorted(far))
-        return Graph._of(vertices, adj)
+        return Graph._of(adj)
 
     def components(self) -> List[Set[int]]:
         seen: Set[int] = set()
         comps = []
-        for start in sorted(self.vertices):
+        for start in sorted(self.adj):
             if start not in seen:
                 comp = _reach(self.adj, start)
                 seen |= comp
@@ -151,23 +160,24 @@ class Graph:
 
     def relabel_compact(self) -> Tuple["Graph", Dict[int, int]]:
         """Relabel vertices to 1..n in sorted order; returns (graph, old->new map)."""
-        mapping = {v: i + 1 for i, v in enumerate(sorted(self.vertices))}
+        mapping = {v: i + 1 for i, v in enumerate(sorted(self.adj))}
         g = Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in self.edges()])
         return g, mapping
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and self.adj == other.adj
+        return self.adj == other.adj
 
     def __repr__(self) -> str:
         return "Graph(n=%d, m=%d)" % (self.n, self.edge_count())
 
 
 class Trigraph:
-    """Graph with disjoint black and red edge sets on the same vertices."""
+    """Graph with disjoint black and red edge sets on the same vertices:
+    black and red have equal keys, and vertices views black's."""
 
-    __slots__ = ("vertices", "black", "red")
+    __slots__ = ("black", "red")
 
     def __init__(
         self,
@@ -175,20 +185,19 @@ class Trigraph:
         black_edges: Iterable[Tuple[int, int]] = (),
         red_edges: Iterable[Tuple[int, int]] = (),
     ):
-        self.vertices: Set[int] = set(vertices)
-        self.black: Dict[int, Set[int]] = _adjacency(self.vertices, black_edges)
-        self.red: Dict[int, Set[int]] = _adjacency(self.vertices, red_edges)
-        for v in self.vertices:
+        self.black: Dict[int, Set[int]] = _adjacency(set(vertices), black_edges)
+        self.red: Dict[int, Set[int]] = _adjacency(self.black, red_edges)
+        for v in self.black:
             if self.black[v] & self.red[v]:
                 raise ValueError("vertex %d has an edge that is both black and red" % v)
 
     @classmethod
     def _view(cls, g: Graph) -> "Trigraph":
-        """g with every edge black, read-only: the vertex set and the
-        black sets are g's own and every red set is empty, so it costs
-        O(n), and a caller that changes it must copy it first."""
+        """g with every edge black, read-only: the black table is g's own
+        and every red set is empty, so it costs O(n), and a caller that
+        changes it must copy it first."""
         t = cls.__new__(cls)
-        t.vertices, t.black, t.red = g.vertices, g.adj, dict.fromkeys(g.adj, frozenset())
+        t.black, t.red = g.adj, dict.fromkeys(g.adj, frozenset())
         return t
 
     @classmethod
@@ -197,8 +206,12 @@ class Trigraph:
         return cls._view(g).copy()
 
     @property
+    def vertices(self) -> KeysView[int]:
+        return self.black.keys()
+
+    @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.black)
 
     def neighbors(self, v: int) -> Set[int]:
         return self.black[v] | self.red[v]
@@ -215,7 +228,6 @@ class Trigraph:
 
     def copy(self) -> "Trigraph":
         t = Trigraph.__new__(Trigraph)
-        t.vertices = set(self.vertices)
         t.black = {v: set(s) for v, s in self.black.items()}
         t.red = {v: set(s) for v, s in self.red.items()}
         return t
@@ -227,12 +239,11 @@ class Trigraph:
         A dead, unknown or repeated vertex is refused before any change.
         Returns the trigraph itself.
         """
-        vertices = self.vertices
-        if u not in vertices or v not in vertices:
+        black, red = self.black, self.red
+        if u not in black or v not in black:
             raise ValueError("contract on dead or unknown vertex (%s, %s)" % (u, v))
         if u == v:
             raise ValueError("cannot contract a vertex with itself")
-        black, red = self.black, self.red
         bu, bv, ru, rv = black.pop(u), black.pop(v), red.pop(u), red.pop(v)
         black_z = bu & bv
         red_z = (bu | bv | ru | rv) - black_z
@@ -252,9 +263,6 @@ class Trigraph:
             rx.add(z)
         black[z] = black_z
         red[z] = red_z
-        vertices.discard(u)
-        vertices.discard(v)
-        vertices.add(z)
         return self
 
     def __repr__(self) -> str:
@@ -273,9 +281,9 @@ def contract(t: Trigraph, u: int, v: int, z: Optional[int] = None) -> Trigraph:
     the live ids in O(n).  Returns a contracted copy and leaves t as it
     was, a rejected call included.
     """
-    vertices = t.vertices
-    if u in vertices and v in vertices and u != v:  # else _merge rejects them
-        top = max(vertices)
+    live = t.black
+    if u in live and v in live and u != v:  # else _merge rejects them
+        top = max(live)
         if z is None:
             z = top + 1
         if z <= top:

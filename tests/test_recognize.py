@@ -1,6 +1,7 @@
 """Width-0/1 recognition and the safe-contraction helper."""
 
 import collections
+import gc
 import itertools
 import random
 
@@ -11,7 +12,7 @@ from gen_tww1 import random_tww1
 from modular_oracle import substitution_graph, width_by_modules
 from twinwidth import modular, recognize
 from twinwidth.trigraph import Graph, Trigraph, contract
-from twinwidth.sequence import replay, verify
+from twinwidth.sequence import ContractionSequence, replay, verify, walk
 from twinwidth.oracle import exact_twinwidth
 from twinwidth.recognize import (
     RecognitionResult,
@@ -392,6 +393,53 @@ def test_every_red_edge_ends_at_the_newest_vertex(monkeypatch):
     assert any(ok for ok, _ in outcomes)
     # failed guesses that got past their first merge
     assert any(not ok and merges > 1 for ok, merges in outcomes)
+
+
+def _held(x):
+    """The objects a graph or trigraph holds, its class left out."""
+    return [r for r in gc.get_referents(x) if not isinstance(r, type)]
+
+
+def test_vertex_set_is_the_keys_of_the_tables_after_every_merge(monkeypatch):
+    # one table per colour and no second vertex set: after every merge
+    # of seeded walks and of every guess the prime driver drives, black
+    # and red have the same keys, those keys are the bags that the steps
+    # merged so far leave, and the trigraph holds nothing but the tables
+    merge, drive = Trigraph._merge, recognize._drive
+    run = {}  # the start's size and the steps merged since it
+
+    def checked_merge(t, u, v, z):
+        merge(t, u, v, z)
+        run["steps"].append((z, u, v))
+        assert t.black.keys() == t.red.keys()
+        assert t.vertices == ContractionSequence(run["n"], run["steps"]).final_bags().keys()
+        assert sorted(map(id, _held(t))) == sorted(map(id, (t.black, t.red)))
+        return t
+
+    def fresh_drive(t0, u, v):
+        run.update(n=t0.n, steps=[])
+        return drive(t0, u, v)
+
+    monkeypatch.setattr(Trigraph, "_merge", checked_merge)
+    monkeypatch.setattr(recognize, "_drive", fresh_drive)
+    rng = random.Random(6363)
+    merged = 0
+    for _ in range(40):
+        g, seq = random_tww1(rng.randint(1, 14), rng)
+        view = Trigraph._view(g)
+        assert [id(x) for x in _held(g)] == [id(g.adj)]
+        assert sorted(map(id, _held(view))) == sorted(map(id, (view.black, view.red)))
+        run.update(n=g.n, steps=[])
+        for _ in walk(g, seq):
+            pass
+        assert run["steps"] == list(seq.steps)
+        merged += len(seq)
+    for h in _prime_graphs(6262, 60):
+        assert [id(x) for x in _held(h)] == [id(h.adj)]
+        run.update(n=h.n, steps=[])
+        recognize._plan_prime(h)
+        merged += len(run["steps"])
+    assert merged > 400
 
 
 def test_witness_check_survives_optimize_flag(run_optimized):

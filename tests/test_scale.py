@@ -1,0 +1,70 @@
+"""Scale guard: commands at 20,000 vertices within a stated time and memory.
+
+Each command runs in its own interpreter, which lowers its address
+space limit (RLIMIT_AS) before it starts, so a command that builds a
+quadratic structure or keeps a copy of every state dies with a
+MemoryError (exit 3) instead of passing.  The inputs are the path
+P_20000 with its width-1 path sequence and the star K_{1,19999}.
+
+recognize is left out: on these inputs it still runs out of memory
+(the width-1 witness check copies every state, the width-0 walk builds
+complements and induces a copy per level), so it waits for
+recognition with one walk and no copies.
+"""
+
+import os
+import resource
+import subprocess
+import sys
+
+import pytest
+
+import twinwidth
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
+N = 20000
+# at most about twice what each command needed when this guard was set
+# (43 to 59 MB of address space on a 2-core VM), and some ten times its
+# wall time there
+LIMIT_MB = 128
+TIMEOUT_S = 30
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("scale")
+    (d / "path.graph").write_text(
+        "graph %d\n" % N + "".join("edge %d %d\n" % (i, i + 1) for i in range(1, N)))
+    # merge the growing end bag with the next vertex: one red edge at a time
+    (d / "path.seq").write_text(
+        "seq %d\ncontract %d 1 2\n" % (N, N + 1)
+        + "".join("contract %d %d %d\n" % (N + i, N + i - 1, i + 1) for i in range(2, N)))
+    (d / "star.graph").write_text(
+        "graph %d\n" % N + "".join("edge 1 %d\n" % i for i in range(2, N + 1)))
+    return d
+
+
+def _limit_address_space():
+    limit = LIMIT_MB << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("args, code, out", [
+    (["verify", "-d", "1", "path.graph", "path.seq"], 0, "width 1"),
+    (["solve", "--problem", "vc", "--sequence", "path.seq", "--component-bound", "2",
+      "path.graph"], 0, "value %d" % (N // 2)),
+    (["solve", "--problem", "ds", "--sequence", "path.seq", "--component-bound", "2",
+      "path.graph"], 0, "value %d" % -(-N // 3)),
+    # the quadratic kernel keeps the centre and k + 1 leaves; the
+    # improved one deletes nothing from a star
+    (["kernel", "--problem", "cvc2", "--k", "1", "star.graph", "--out", "kernel.graph"],
+     0, "n 4 m 3 k 1"),
+    (["kernel", "--problem", "cvc15", "--k", "1", "star.graph", "--out", "kernel.graph"],
+     0, "n %d m %d k 1" % (N, N - 1)),
+], ids=["verify", "solve-vc", "solve-ds", "kernel-cvc2", "kernel-cvc15"])
+def test_command_finishes_at_scale_within_time_and_memory(inputs, args, code, out):
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinwidth.cli"] + args, cwd=inputs,
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=TIMEOUT_S)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "\n", "")

@@ -1,12 +1,16 @@
 """Graph/trigraph basics and the contraction rule."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
 import trigraph_reference as reference
+from gen_tww1 import random_tww1
 from twinwidth import trigraph
+from twinwidth.sequence import walk
 from twinwidth.trigraph import (
     Graph,
     Trigraph,
@@ -176,7 +180,6 @@ def test_induced_and_complement_share_no_set_with_the_parent():
         for h in (g.induced(g.vertices), g.complement()):
             for v in h.adj:
                 h.adj[v].add(-v)
-            h.vertices.add(0)
             h.adj[0] = set()
             assert g.adj == before and g.vertices == vertices
 
@@ -210,6 +213,28 @@ def test_from_graph_round_trip():
     assert t.total_graph() == g
     assert t.vertices == {1, 2, 3, 4}
     assert t.black_edges() == list(g.edges())
+
+
+def test_graphs_and_trigraphs_survive_pickle_and_deepcopy():
+    # a graph, a trigraph part way through a walk and a read-only view
+    # of the graph each come back equal, with the vertices in the same
+    # order, sharing no table with the original (a rebuilt set may
+    # iterate its members in another order)
+    rng = random.Random(6464)
+    for _ in range(30):
+        g, seq = random_tww1(rng.randint(2, 14), rng)
+        states = walk(g, seq)
+        for _ in range(rng.randint(1, len(seq)) + 1):
+            t = next(states)
+        for x in (g, t, Trigraph._view(g)):
+            copies = [pickle.loads(pickle.dumps(x, protocol))
+                      for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+            theirs = (x.adj,) if isinstance(x, Graph) else (x.black, x.red)
+            for back in copies + [copy.deepcopy(x)]:
+                assert type(back) is type(x)
+                own = (back.adj,) if isinstance(back, Graph) else (back.black, back.red)
+                assert own == theirs and list(back.vertices) == list(x.vertices)
+                assert not {id(d) for d in own} & {id(d) for d in theirs}
 
 
 def test_contract_merges_neighborhoods():
