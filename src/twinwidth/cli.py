@@ -15,7 +15,7 @@ from typing import Optional
 from . import io
 from .compose import ComposedInstance, or_cross_compose
 from .dpsolve import min_ds_dp, min_vc_dp
-from .gadgets import (augmented_snaking_grid, fine_dims, halfgraph_cycle,
+from .gadgets import (AnnotatedInstance, augmented_snaking_grid, fine_dims, halfgraph_cycle,
                       reduce_3sat, snaking_grid, validate_instance)
 from .kernel import capvc_kernel, cvc_kernel_improved, cvc_kernel_quadratic
 from .oracle import CapacitatedGraph, exact_twinwidth
@@ -143,10 +143,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _reduce(path: str) -> AnnotatedInstance:
+    """reduce_3sat of a formula file, refused up front when the grid
+    alone, a gadget per point, has more points than the header limit."""
+    formula = io.parse_formula(_read(path))
+    rows, cols = fine_dims(len(formula.clauses) + 1, formula.n + formula.n % 2)
+    if rows * cols > io.MAX_HEADER:
+        raise ValueError("%s: the reduction's grid has %d points, above the header limit %d"
+                         % (path, rows * cols, io.MAX_HEADER))
+    return reduce_3sat(formula).instance
+
+
 def cmd_reduce3sat(args) -> int:
-    formula = io.parse_formula(_read(args.formula))
-    red = reduce_3sat(formula)
-    inst = red.instance
+    inst = _reduce(args.formula)
     _emit(io.write_instance(inst), args.out)
     print("n %d parts %d dims %d %d" % (inst.graph.n, inst.part_count, inst.p, inst.q))
     return 0
@@ -191,8 +200,7 @@ def cmd_validate_instance(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    instances = [reduce_3sat(io.parse_formula(_read(path))).instance
-                 for path in args.formulas]
+    instances = [_reduce(path) for path in args.formulas]
     composed = or_cross_compose(instances)
     report = _verify_and_write(composed, args)
     print("instances %d parts %d n %d width %d"

@@ -25,7 +25,8 @@ check_component_bound searches every red component of the start once
 and, after each step, z's component alone: a contraction only merges
 red components, so no other component of a state is new.  That is at
 most n + c(n - 1) red sets for the bound c it returns, O(n c + m)
-with the walk.
+with the walk.  Both searches are trigraph._reach, the library's one
+graph search: the start's through Graph.components on the red table.
 """
 
 from __future__ import annotations
@@ -63,15 +64,9 @@ def check_component_bound(g: Union[Graph, Trigraph], s: ContractionSequence) -> 
     search of every state.
     """
     states = walk(g, s)
-    t = next(states)
-    best, seen = 0, set()
-    for v in t.vertices:
-        if v not in seen:
-            comp = _reach(t.red, v)
-            seen |= comp
-            best = max(best, len(comp))
+    best = max(map(len, Graph._of(next(states).red).components()), default=0)
     for (z, _, _), t in zip(s.steps, states):
-        best = max(best, len(_reach(t.red, z)))
+        best = max(best, len(_reach(z, t.red.__getitem__, set())))
     return best
 
 

@@ -250,10 +250,11 @@ def validate_instance(inst: AnnotatedInstance) -> None:
         raise ValueError("instance dimensions must have p >= 2")
     if inst.q < 2:
         raise ValueError("instance dimensions must have q >= 2")
-    snake = _snake(*fine_dims(inst.p, inst.q))
+    rows, cols = fine_dims(inst.p, inst.q)
     points = set(inst.eta.values())
-    if set(inst.eta) != set(range(len(inst.parts))) or len(points) != len(inst.eta) \
-            or points != set(snake):
+    # the file's dims may name a huge grid: count before building it
+    if rows * cols != len(inst.parts) or set(inst.eta) != set(range(len(inst.parts))) \
+            or len(points) != len(inst.eta) or points != set(snake := _snake(rows, cols)):
         raise ValueError("eta must map the parts onto the fine grid points bijectively")
     for a, b in quot.total_graph().edges():
         if inst.eta[b - 1] not in snake[inst.eta[a - 1]]:

@@ -6,7 +6,8 @@ and equal values serialize to equal bytes.  Parsers raise ParseError
 with the offending line number.  A header may declare at most
 MAX_HEADER (100000) vertices or variables: every vertex is built
 before any edge is read, so the limit keeps a one-line file from
-exhausting memory.  It is separate from the oracles' TWW_SIZE_CAP.
+exhausting memory; the writers refuse a header above it too.  It is
+separate from the oracles' TWW_SIZE_CAP.
 
     graph file      graph <n> / edge <u> <v> / cap <v> <c>
     sequence file   seq <n> / contract <z> <u> <v>
@@ -54,6 +55,12 @@ def _header(no: int, tokens: List[str], keyword: str) -> int:
     if n > MAX_HEADER:
         raise ParseError(no, "%s %d exceeds the header limit %d" % (keyword, n, MAX_HEADER))
     return n
+
+
+def _header_line(keyword: str, n: int) -> str:
+    if n > MAX_HEADER:  # the file would not read back
+        raise ValueError("%s %d exceeds the header limit %d" % (keyword, n, MAX_HEADER))
+    return "%s %d" % (keyword, n)
 
 
 def _endpoints(no: int, tokens: List[str], n: int, what: str) -> Tuple[int, int]:
@@ -116,7 +123,7 @@ def parse_graph(text: str) -> Tuple[Graph, Dict[int, int]]:
 
 def write_graph(g: Graph, caps: Optional[Dict[int, int]] = None) -> str:
     _require_compact(g.vertices)
-    out = ["graph %d" % g.n]
+    out = [_header_line("graph", g.n)]
     out += ["edge %d %d" % e for e in g.edges()]
     if caps:
         out += ["cap %d %d" % (v, caps[v]) for v in sorted(caps)]
@@ -147,7 +154,7 @@ def parse_sequence(text: str) -> ContractionSequence:
 
 
 def write_sequence(s: ContractionSequence) -> str:
-    out = ["seq %d" % s.n]
+    out = [_header_line("seq", s.n)]
     out += ["contract %d %d %d" % step for step in s.steps]
     return "\n".join(out) + "\n"
 
@@ -178,7 +185,7 @@ def parse_formula(text: str) -> LayoutFormula:
 
 
 def write_formula(f: LayoutFormula) -> str:
-    out = ["formula %d" % f.n]
+    out = [_header_line("formula", f.n)]
     out += ["clause %s %d %d %d %d" % ((cl.sign, cl.rank) + cl.literals)
             for cl in f.clauses]
     return "\n".join(out) + "\n"

@@ -38,7 +38,8 @@ algorithmic aspects of modular decomposition" (2010).
 
 Parts are modules, so the relation of a part to the rest is that of its
 least member, and whether X -> Y holds reads off the quotient: Y
-separates X from v.  Both steps need O(n + m) memory.
+separates X from v.  trigraph._reach searches it along arcs made on
+demand, so both steps need O(n + m) memory.
 
 Width composes over this partition: the width of G is the larger of the
 quotient's width and the worst width among the parts.
@@ -48,9 +49,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .trigraph import Graph, is_module
+from .trigraph import Graph, _reach, is_module
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,6 @@ def _modules_avoiding(g: Graph, v: int) -> List[Set[int]]:
     return parts
 
 
-def _search(start: int, step: Callable[[int], Set[int]], seen: Set[int]) -> Set[int]:
-    """Add to seen every part that start reaches along step; returns seen."""
-    seen.add(start)
-    stack = [start]
-    while stack:
-        for j in step(stack.pop()):
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
-
-
 def _classes(g: Graph, v: int, parts: List[Set[int]]) -> List[Set[int]]:
     """The maximal proper modules, v's last, from the forcing digraph."""
     k = len(parts)
@@ -130,10 +119,10 @@ def _classes(g: Graph, v: int, parts: List[Set[int]]) -> List[Set[int]]:
     for i in range(k):
         if i not in seen:
             root = i
-            _search(i, forced, seen)
-    if root and len(_search(root, forced, set())) < k:
+            _reach(i, forced, seen)
+    if root and len(_reach(root, forced, set())) < k:
         raise AssertionError("no part forces the whole graph")
-    source = _search(root, forcing, set())
+    source = _reach(root, forcing, set())
     classes = [parts[i] for i in sorted(source)]
     classes.append({v}.union(*(parts[i] for i in range(k) if i not in source)))
     return classes
@@ -154,12 +143,10 @@ def series_parallel_split(g: Graph) -> Optional[ModularPartition]:
         raise ValueError("modular partition needs at least two vertices")
     comps = g.components()
     if len(comps) > 1:
-        parts = tuple(frozenset(c) for c in sorted(comps, key=min))
-        return ModularPartition(parts, "components")
+        return ModularPartition(tuple(map(frozenset, comps)), "components")
     cocomps = g.complement().components()
     if len(cocomps) > 1:
-        parts = tuple(frozenset(c) for c in sorted(cocomps, key=min))
-        return ModularPartition(parts, "cocomponents")
+        return ModularPartition(tuple(map(frozenset, cocomps)), "cocomponents")
     return None
 
 

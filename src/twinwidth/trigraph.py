@@ -19,12 +19,16 @@ Each object holds its adjacency tables and nothing else: adj for a
 Graph, black and red, with equal keys, for a Trigraph.  The vertex set
 is a read-only view of the keys of adj or black, so a merge updates
 the tables alone.
+
+No table has a defined iteration order.  An output that needs an order
+sorts where it is made, as edges() and components() do, so equal
+graphs give equal outputs however they were built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, KeysView, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, KeysView, List, Optional, Set, Tuple, Union
 
 
 def _adjacency(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> Dict[int, Set[int]]:
@@ -41,17 +45,18 @@ def _adjacency(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> Dic
     return adj
 
 
-def _reach(table: Dict[int, Set[int]], v: int) -> Set[int]:
-    """The vertices joined to v by paths along the sets of table."""
-    comp = {v}
-    stack = [v]
+def _reach(start: int, step: Callable[[int], Iterable[int]], seen: Set[int]) -> Set[int]:
+    """Add to seen all that start reaches along step, skipping what seen
+    holds; returns seen.  The library's one graph search."""
+    seen.add(start)
+    stack = [start]
     while stack:
         x = stack.pop()
-        for y in table[x]:
-            if y not in comp:
-                comp.add(y)
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
                 stack.append(y)
-    return comp
+    return seen
 
 
 class Graph:
@@ -65,7 +70,7 @@ class Graph:
     __slots__ = ("adj",)
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[Tuple[int, int]] = ()):
-        self.adj: Dict[int, Set[int]] = _adjacency(set(vertices), edges)
+        self.adj: Dict[int, Set[int]] = _adjacency(vertices, edges)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -116,16 +121,13 @@ class Graph:
 
         Each adjacency set is built directly from this graph's, with no
         per-edge check: its edges are a subset of a valid graph's, so no
-        loop or unknown endpoint can arise.  Members go in increasing
-        order, the order edge-by-edge insertion in edges() order would
-        use, and the vertices go in the order of a copy of keep, the
-        constructor's, so every set iterates as before.
+        loop or unknown endpoint can arise.
         """
         keep = set(keep)
         adj = self.adj
         if not keep <= adj.keys():
             raise ValueError("induced set is not a subset of the vertices")
-        return Graph._of({v: set(sorted(adj[v] & keep)) for v in set(keep)})
+        return Graph._of({v: adj[v] & keep for v in keep})
 
     def without(self, drop: Iterable[int]) -> "Graph":
         return self.induced(self.adj.keys() - set(drop))
@@ -135,24 +137,23 @@ class Graph:
 
         Adjacency sets are built directly, as in induced: the edges are
         non-edges between distinct vertices of a valid graph, so no loop
-        or unknown endpoint can arise, and members go in increasing
-        order.
+        or unknown endpoint can arise.
         """
         near, adj = self.adj, {}
-        for v in set(sorted(near)):
+        for v in near:
             far = near.keys() - near[v]
             far.discard(v)
-            adj[v] = set(sorted(far))
+            adj[v] = far
         return Graph._of(adj)
 
     def components(self) -> List[Set[int]]:
+        """The connected components, each listed by its least member."""
         seen: Set[int] = set()
         comps = []
         for start in sorted(self.adj):
             if start not in seen:
-                comp = _reach(self.adj, start)
-                seen |= comp
-                comps.append(comp)
+                comps.append(_reach(start, self.adj.__getitem__, set()))
+                seen |= comps[-1]
         return comps
 
     def is_connected(self) -> bool:
@@ -185,11 +186,11 @@ class Trigraph:
         black_edges: Iterable[Tuple[int, int]] = (),
         red_edges: Iterable[Tuple[int, int]] = (),
     ):
-        self.black: Dict[int, Set[int]] = _adjacency(set(vertices), black_edges)
+        self.black: Dict[int, Set[int]] = _adjacency(vertices, black_edges)
         self.red: Dict[int, Set[int]] = _adjacency(self.black, red_edges)
-        for v in self.black:
-            if self.black[v] & self.red[v]:
-                raise ValueError("vertex %d has an edge that is both black and red" % v)
+        clash = [v for v in self.black if self.black[v] & self.red[v]]
+        if clash:
+            raise ValueError("vertex %d has an edge that is both black and red" % min(clash))
 
     @classmethod
     def _view(cls, g: Graph) -> "Trigraph":
@@ -342,6 +343,6 @@ def quotient_by(g: Union[Graph, Trigraph], owner: Dict[int, int]) -> Trigraph:
                 if i < j:
                     links[i, j] = links.get((i, j), 0) + weight
     black_edges, red_edges = [], []
-    for (i, j), cnt in sorted(links.items()):
+    for (i, j), cnt in links.items():
         (black_edges if cnt == size[i] * size[j] else red_edges).append((i, j))
     return Trigraph(size, black_edges, red_edges)

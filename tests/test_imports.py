@@ -67,6 +67,33 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _sorted_set_copies(source: str):
+    """Lines of set(sorted(...)) and frozenset(sorted(...)) calls."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("set", "frozenset") and len(node.args) == 1
+                  and isinstance(node.args[0], ast.Call)
+                  and getattr(node.args[0].func, "id", None) == "sorted")
+
+
+def test_scan_finds_sorted_set_copies():
+    source = ("a = set(sorted(x))\nb = frozenset(sorted(y, key=len))\n"
+              "c = sorted(set(x))\nd = set(x)\ne = set(s.sorted(x))\nf = {v: set(sorted(w))}\n")
+    assert _sorted_set_copies(source) == [1, 2, 6]
+
+
+def test_library_makes_no_sorted_set_copies():
+    # no table has a defined iteration order (trigraph module), so a
+    # sorted copy put back into a set only reproduces an order no
+    # output may depend on
+    found = []
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            found += ["%s:%d" % (os.path.basename(path), line)
+                      for line in _sorted_set_copies(fh.read())]
+    assert found == []
+
+
 # the oracles are the independent ground truth: within the package they
 # may lean on graphs and sequences only, never on the code they check
 ORACLE_ALLOWED = {"trigraph", "sequence"}

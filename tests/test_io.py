@@ -273,6 +273,18 @@ class TestHeaderLimit:
             io.parse_instance(text)
 
 
+def test_writers_refuse_headers_the_parsers_refuse():
+    # a file above the limit could not be read back
+    big = io.MAX_HEADER + 1
+    with pytest.raises(ValueError, match="graph 100001 exceeds the header limit 100000"):
+        io.write_graph(Graph(range(1, big + 1)))
+    with pytest.raises(ValueError, match="seq 100001 exceeds the header limit 100000"):
+        io.write_sequence(ContractionSequence(big, []))
+    with pytest.raises(ValueError, match="formula 100001 exceeds the header limit 100000"):
+        io.write_formula(LayoutFormula(big, []))
+    assert io.write_graph(Graph(range(1, big))) == "graph %d\n" % io.MAX_HEADER
+
+
 class TestProvenanceFormat:
     def test_sorted_by_vertex(self):
         text = io.write_provenance({2: (1, 3), 1: (2, 7)})

@@ -10,6 +10,12 @@ recognize is left out: on these inputs it still runs out of memory
 (the width-1 witness check copies every state, the width-0 walk builds
 complements and induces a copy per level), so it waits for
 recognition with one walk and no copies.
+
+Inputs that ask for more than the header limit allows are refused with
+one line and no file written: an instance whose dims name a grid of
+four million points for its 40 parts and a formula whose reduction's
+grid has 1.2 million points before any grid is built, and a formula
+whose grid fits but whose reduced instance does not at the write.
 """
 
 import os
@@ -20,6 +26,8 @@ import sys
 import pytest
 
 import twinwidth
+from twinwidth import io
+from twinwidth.gadgets import reduce_3sat
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(twinwidth.__file__)))
 N = 20000
@@ -41,11 +49,19 @@ def inputs(tmp_path_factory):
         + "".join("contract %d %d %d\n" % (N + i, N + i - 1, i + 1) for i in range(2, N)))
     (d / "star.graph").write_text(
         "graph %d\n" % N + "".join("edge 1 %d\n" % i for i in range(2, N + 1)))
+    formula = io.parse_formula("formula 3\nclause + 1 1 2 -3\n")
+    small = io.write_instance(reduce_3sat(formula).instance)
+    assert "\ndims 2 4\n" in small
+    (d / "huge-dims.inst").write_text(small.replace("\ndims 2 4\n", "\ndims 2000 2000\n"))
+    (d / "wide.formula").write_text("formula 100000\nclause + 1 1 2 3\n")
+    (d / "long.formula").write_text(
+        "formula 2000\nclause + 1 1 2 3\nclause + 2 4 5 6\nclause + 3 7 8 9\n"
+        "clause - 1 10 11 12\nclause - 2 13 14 15\n")
     return d
 
 
-def _limit_address_space():
-    limit = LIMIT_MB << 20
+def _limit_address_space(limit_mb=LIMIT_MB):
+    limit = limit_mb << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -68,3 +84,31 @@ def test_command_finishes_at_scale_within_time_and_memory(inputs, args, code, ou
         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=_limit_address_space,
         capture_output=True, text=True, timeout=TIMEOUT_S)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "\n", "")
+
+
+BIJECTIVE = "eta must map the parts onto the fine grid points bijectively"
+
+
+@pytest.mark.parametrize("args, limit_mb, code, out, err", [
+    (["validate-instance", "huge-dims.inst"], LIMIT_MB, 1, "invalid: %s\n" % BIJECTIVE, ""),
+    (["compose", "huge-dims.inst", "--out", "composed.graph", "--witness", "composed.seq"],
+     LIMIT_MB, 2, "", "error: %s\n" % BIJECTIVE),
+    (["reduce3sat", "wide.formula", "--out", "wide.inst"], LIMIT_MB, 2, "",
+     "error: wide.formula: the reduction's grid has 1199992 points, above the header limit"
+     " 100000\n"),
+    (["pipeline", "wide.formula", "--out", "wide.graph"], LIMIT_MB, 2, "",
+     "error: wide.formula: the reduction's grid has 1199992 points, above the header limit"
+     " 100000\n"),
+    # the grid has 95,968 points, the instance 100,429 vertices: built
+    # in about 170 MB, refused at the write
+    (["reduce3sat", "long.formula", "--out", "long.inst"], 2 * LIMIT_MB, 2, "",
+     "error: graph 100429 exceeds the header limit 100000\n"),
+], ids=["validate-dims", "compose-dims", "reduce3sat-grid", "pipeline-grid", "reduce3sat-written"])
+def test_oversized_input_is_refused_within_time_and_memory(inputs, args, limit_mb, code, out, err):
+    files = sorted(os.listdir(inputs))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinwidth.cli"] + args, cwd=inputs,
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=lambda: _limit_address_space(limit_mb),
+        capture_output=True, text=True, timeout=TIMEOUT_S)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert sorted(os.listdir(inputs)) == files
