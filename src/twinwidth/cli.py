@@ -145,13 +145,17 @@ def cmd_gen(args) -> int:
 
 def _reduce(path: str) -> AnnotatedInstance:
     """reduce_3sat of a formula file, refused up front when the grid
-    alone, a gadget per point, has more points than the header limit."""
+    alone, a gadget per point, has more points than the header limit,
+    and before any use when the reduced instance has more vertices."""
     formula = io.parse_formula(_read(path))
     rows, cols = fine_dims(len(formula.clauses) + 1, formula.n + formula.n % 2)
     if rows * cols > io.MAX_HEADER:
         raise ValueError("%s: the reduction's grid has %d points, above the header limit %d"
                          % (path, rows * cols, io.MAX_HEADER))
-    return reduce_3sat(formula).instance
+    inst = reduce_3sat(formula).instance
+    if inst.graph.n > io.MAX_HEADER:  # the writer's refusal, before anything is composed
+        raise ValueError("graph %d exceeds the header limit %d" % (inst.graph.n, io.MAX_HEADER))
+    return inst
 
 
 def cmd_reduce3sat(args) -> int:

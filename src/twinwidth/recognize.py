@@ -46,13 +46,15 @@ def _plan(g: Graph, prime: Optional[Callable[[Graph], Optional[Plan]]]) -> Optio
     """Merge pairs for g along its maximal modular partitions, or None.
 
     Series and parallel levels chain their modules; prime(h) plans each
-    prime quotient h or returns None.  prime=None plans width 0: each
-    level asks only for its series/parallel split, and a level without
-    one fails at once.  The modules wait on one stack, each induced
-    from g when its turn comes, and the last child goes first: read
-    back in reverse, the saved plans put every module's pairs before
-    its parent's quotient.  A level's quotient is planned before its
-    modules, so a level that fails stops the walk there.
+    prime quotient h or returns None.  A quotient is the subgraph
+    induced on the modules' least members, as adjacency between modules
+    is uniform.  prime=None plans width 0: each level asks only for its
+    series/parallel split, and a level without one fails at once.  The
+    modules wait on one stack, each induced from g when its turn comes,
+    and the last child goes first: read back in reverse, the saved plans
+    put every module's pairs before its parent's quotient.  A level's
+    quotient is planned before its modules, so a level that fails stops
+    the walk there.
     """
     if g.n == 1:
         return []
@@ -65,12 +67,8 @@ def _plan(g: Graph, prime: Optional[Callable[[Graph], Optional[Plan]]]) -> Optio
         if mp is None:
             return None
         reps = [min(p) for p in mp.parts]
-        if mp.kind == "maximal" and mp.is_trivial:
-            top = prime(h)
-        elif mp.kind == "maximal":
-            # adjacency between modules is uniform, so any representatives carry it
-            edges = [(a, b) for a, b in itertools.combinations(reps, 2) if g.has_edge(a, b)]
-            top = prime(Graph(reps, edges))
+        if mp.kind == "maximal":
+            top = prime(h if mp.is_trivial else h.induced(reps))
         else:
             # reps come sorted; the accumulating bag keeps the smallest label
             top = [(reps[0], r) for r in reps[1:]]

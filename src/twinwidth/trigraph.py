@@ -23,6 +23,13 @@ the tables alone.
 No table has a defined iteration order.  An output that needs an order
 sorts where it is made, as edges() and components() do, so equal
 graphs give equal outputs however they were built.
+
+A graph derived from another graph takes its rows from the source by
+set operations: induced, complement, relabel_compact and total_graph
+build each row from a row of a valid table, which cannot produce a
+loop or an unknown endpoint, and Graph._of wraps the result unchecked.
+The edge-list constructors, with their per-edge checks, serve outside
+input and the constructions that produce their own edge lists.
 """
 
 from __future__ import annotations
@@ -97,9 +104,6 @@ class Graph:
     def closed_neighborhood(self, v: int) -> Set[int]:
         return self.adj[v] | {v}
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj.get(u, ())
-
     def edges(self) -> Iterator[Tuple[int, int]]:
         for u in sorted(self.adj):
             for v in sorted(self.adj[u]):
@@ -117,12 +121,8 @@ class Graph:
         return g
 
     def induced(self, keep: Iterable[int]) -> "Graph":
-        """The subgraph on keep, a subset of the vertices.
-
-        Each adjacency set is built directly from this graph's, with no
-        per-edge check: its edges are a subset of a valid graph's, so no
-        loop or unknown endpoint can arise.
-        """
+        """The subgraph on keep, a subset of the vertices: each row is
+        this graph's row cut down to keep."""
         keep = set(keep)
         adj = self.adj
         if not keep <= adj.keys():
@@ -133,18 +133,11 @@ class Graph:
         return self.induced(self.adj.keys() - set(drop))
 
     def complement(self) -> "Graph":
-        """The graph joining exactly the distinct non-adjacent pairs.
-
-        Adjacency sets are built directly, as in induced: the edges are
-        non-edges between distinct vertices of a valid graph, so no loop
-        or unknown endpoint can arise.
-        """
-        near, adj = self.adj, {}
-        for v in near:
-            far = near.keys() - near[v]
-            far.discard(v)
-            adj[v] = far
-        return Graph._of(adj)
+        """The graph joining exactly the distinct non-adjacent pairs:
+        each row is every vertex less the row and the vertex itself."""
+        near = self.adj
+        every = set(near)
+        return Graph._of({v: every.difference(near[v], (v,)) for v in near})
 
     def components(self) -> List[Set[int]]:
         """The connected components, each listed by its least member."""
@@ -162,8 +155,8 @@ class Graph:
     def relabel_compact(self) -> Tuple["Graph", Dict[int, int]]:
         """Relabel vertices to 1..n in sorted order; returns (graph, old->new map)."""
         mapping = {v: i + 1 for i, v in enumerate(sorted(self.adj))}
-        g = Graph(mapping.values(), [(mapping[u], mapping[v]) for u, v in self.edges()])
-        return g, mapping
+        adj = {mapping[v]: {mapping[w] for w in near} for v, near in self.adj.items()}
+        return Graph._of(adj), mapping
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -225,7 +218,7 @@ class Trigraph:
 
     def total_graph(self) -> Graph:
         """The underlying graph ignoring colours."""
-        return Graph(self.vertices, list(self.black_edges()) + list(self.red_edges()))
+        return Graph._of({v: self.neighbors(v) for v in self.black})
 
     def copy(self) -> "Trigraph":
         t = Trigraph.__new__(Trigraph)

@@ -40,7 +40,7 @@ def plan(g: Graph, prime: Callable[[Graph], Optional[Plan]]) -> Optional[Plan]:
             top = prime(h)
         elif mp.kind == "maximal":
             # adjacency between modules is uniform, so any representatives carry it
-            edges = [(a, b) for a, b in itertools.combinations(reps, 2) if g.has_edge(a, b)]
+            edges = [(a, b) for a, b in itertools.combinations(reps, 2) if b in g.adj[a]]
             top = prime(Graph(reps, edges))
         else:
             # reps come sorted; the accumulating bag keeps the smallest label

@@ -51,13 +51,13 @@ def test_snaking_grid_structure():
     g = sg.graph
     # bottom row is fully wired, other rows only in their parity pattern
     for c in range(1, cols):
-        assert g.has_edge(at[1, c], at[1, c + 1])
-    assert not g.has_edge(at[2, 1], at[2, 2])
+        assert at[1, c + 1] in g.adj[at[1, c]]
+    assert at[2, 2] not in g.adj[at[2, 1]]
     # sparse columns carry full verticals
     for c in (1, 4, 7):
         for r in range(1, rows):
-            assert g.has_edge(at[r, c], at[r + 1, c])
-    assert not g.has_edge(at[1, 2], at[2, 2])
+            assert at[r + 1, c] in g.adj[at[r, c]]
+    assert at[2, 2] not in g.adj[at[1, 2]]
     assert max(len(g.adj[v]) for v in g.vertices) <= 3
     # fill vertices away from the wall pattern are isolated
     assert len(g.adj[at[2, 2]]) == 0
@@ -366,7 +366,7 @@ def test_validate_instance_rejects_each_broken_precondition():
     # singleton part keeps a vertex whose neighbours stay inside it
     sg = snaking_grid(inst.p, inst.q)
     a, b = next((a, b) for a in dummies for b in dummies
-                if sg.graph.has_edge(sg.vertex_at[a], sg.vertex_at[b]))
+                if sg.vertex_at[b] in sg.graph.adj[sg.vertex_at[a]])
     rejects(joined(a, b), "a part lacks a vertex confined to it")
 
 

@@ -94,6 +94,41 @@ def test_library_makes_no_sorted_set_copies():
     assert found == []
 
 
+def _graph_calls(source: str, classes=None):
+    """Lines of calls to the name Graph: anywhere in a source, or with
+    classes given, only inside the top-level classes of those names."""
+    tree = ast.parse(source)
+    roots = [tree] if classes is None else [
+        top for top in tree.body if isinstance(top, ast.ClassDef) and top.name in classes]
+    return sorted(node.lineno for root in roots for node in ast.walk(root)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "Graph")
+
+
+def test_scan_finds_graph_constructor_calls():
+    source = ("def f(g):\n    return Graph(g.vertices, [])\n\n"
+              "class Graph:\n    def copy(self):\n        return Graph(self.vertices)\n\n"
+              "    def view(self):\n        return Graph._of(self.adj), cls([1])\n\n"
+              "class Other:\n    def build(self):\n        return Graph([1], [])\n")
+    assert _graph_calls(source) == [2, 6, 13]
+    assert _graph_calls(source, {"Graph", "Trigraph"}) == [6]
+
+
+# a graph derived from another takes its rows from the source by set
+# operations (trigraph module); the checked edge-list constructor is
+# for outside input and constructions that make their own edge lists
+DERIVED_GRAPH_SCOPES = {"recognize.py": None, "modular.py": None,
+                        "trigraph.py": {"Graph", "Trigraph"}}
+
+
+def test_derived_graphs_take_their_rows_from_the_source():
+    found = []
+    for name, classes in DERIVED_GRAPH_SCOPES.items():
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            found += ["%s:%d" % (name, line) for line in _graph_calls(fh.read(), classes)]
+    assert found == []
+
+
 # the oracles are the independent ground truth: within the package they
 # may lean on graphs and sequences only, never on the code they check
 ORACLE_ALLOWED = {"trigraph", "sequence"}
@@ -229,6 +264,8 @@ UNUSED_ALLOWED = {
 # an attribute, each kept for a reason beyond its own unit test
 UNUSED_METHODS_ALLOWED = {
     "Graph.complete": "the complete-graph factory the tests build their width-0 cases from",
+    "Trigraph.black_edges": "the sorted black edge list the tests compare trigraphs by",
+    "Trigraph.red_edges": "the sorted red edge list the tests compare trigraphs by",
     "ComposedInstance.forced_parts": "the composition's forced blocks, the parts"
                                      " dominating_transversal takes in criterion 8",
 }

@@ -482,3 +482,32 @@ def test_recognition_matches_exact_width_by_modules():
           "verdicts for n = 12..90:", dict(sorted(verdicts.items())))
     assert min(widths[0], widths[1], widths[2]) >= 5, widths
     assert min(verdicts.values()) >= 50 and len(verdicts) == 3, verdicts
+
+
+def _p4_substitution(rng, k, quotient_edges):
+    """A quotient on 0..k-1 with each vertex replaced by a P4, relabelled
+    at random so that the P4s are not runs of consecutive ids."""
+    edges = [(4 * i + a, 4 * i + a + 1) for i in range(k) for a in (1, 2, 3)]
+    edges += [(4 * i + a, 4 * j + b) for i, j in quotient_edges
+              for a in range(1, 5) for b in range(1, 5)]
+    name = [0] + rng.sample(range(1, 4 * k + 1), 4 * k)
+    return Graph(range(1, 4 * k + 1), [(name[a], name[b]) for a, b in edges])
+
+
+def test_recognition_matches_width_by_modules_on_deep_modules():
+    # P4-threshold graphs nest prime P4s under many series and parallel
+    # levels; a path of P4s has a non-trivial maximal level on top,
+    # whose quotient P_m is planned as an induced subgraph
+    rng = random.Random(3131)
+    graphs = [_p4_substitution(rng, k, [(j, i) for i in range(1, k, 2) for j in range(i)])
+              for k in range(10, 31)]
+    for m in range(5, 13):
+        g = _p4_substitution(rng, m, [(i, i + 1) for i in range(m - 1)])
+        top = modular.maximal_modular_partition(g)
+        assert top.kind == "maximal" and len(top.parts) == m and not top.is_trivial
+        graphs.append(g)
+    for g in graphs:
+        res = recognize_tww1(g)
+        assert res.verdict == "tww1", (g.n, sorted(g.edges()))
+        _check_witness(g, res, 1)
+        assert width_by_modules(g) == 1

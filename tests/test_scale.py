@@ -4,7 +4,9 @@ Each command runs in its own interpreter, which lowers its address
 space limit (RLIMIT_AS) before it starts, so a command that builds a
 quadratic structure or keeps a copy of every state dies with a
 MemoryError (exit 3) instead of passing.  The inputs are the path
-P_20000 with its width-1 path sequence and the star K_{1,19999}.
+P_20000 with its width-1 path sequence, the cycle C_20000 with the
+same growing-bag sequence, which reaches width 2 and red components of
+three vertices, and the star K_{1,19999}.
 
 recognize is left out: on these inputs it still runs out of memory
 (the width-1 witness check copies every state, the width-0 walk builds
@@ -15,7 +17,8 @@ Inputs that ask for more than the header limit allows are refused with
 one line and no file written: an instance whose dims name a grid of
 four million points for its 40 parts and a formula whose reduction's
 grid has 1.2 million points before any grid is built, and a formula
-whose grid fits but whose reduced instance does not at the write.
+whose grid fits but whose reduced instance does not after the
+reduction, before pipeline composes anything.
 """
 
 import os
@@ -47,6 +50,8 @@ def inputs(tmp_path_factory):
     (d / "path.seq").write_text(
         "seq %d\ncontract %d 1 2\n" % (N, N + 1)
         + "".join("contract %d %d %d\n" % (N + i, N + i - 1, i + 1) for i in range(2, N)))
+    (d / "cycle.graph").write_text(
+        "graph %d\n" % N + "".join("edge %d %d\n" % (i, i % N + 1) for i in range(1, N + 1)))
     (d / "star.graph").write_text(
         "graph %d\n" % N + "".join("edge 1 %d\n" % i for i in range(2, N + 1)))
     formula = io.parse_formula("formula 3\nclause + 1 1 2 -3\n")
@@ -71,13 +76,22 @@ def _limit_address_space(limit_mb=LIMIT_MB):
       "path.graph"], 0, "value %d" % (N // 2)),
     (["solve", "--problem", "ds", "--sequence", "path.seq", "--component-bound", "2",
       "path.graph"], 0, "value %d" % -(-N // 3)),
+    # on the cycle the bag holds vertex 1, so it keeps a red edge to
+    # vertex N beside the one to the next vertex: width 2, red
+    # components of three vertices
+    (["verify", "-d", "2", "cycle.graph", "path.seq"], 0, "width 2"),
+    (["solve", "--problem", "vc", "--sequence", "path.seq", "--component-bound", "3",
+      "cycle.graph"], 0, "value %d" % (N // 2)),
+    (["solve", "--problem", "ds", "--sequence", "path.seq", "--component-bound", "3",
+      "cycle.graph"], 0, "value %d" % -(-N // 3)),
     # the quadratic kernel keeps the centre and k + 1 leaves; the
     # improved one deletes nothing from a star
     (["kernel", "--problem", "cvc2", "--k", "1", "star.graph", "--out", "kernel.graph"],
      0, "n 4 m 3 k 1"),
     (["kernel", "--problem", "cvc15", "--k", "1", "star.graph", "--out", "kernel.graph"],
      0, "n %d m %d k 1" % (N, N - 1)),
-], ids=["verify", "solve-vc", "solve-ds", "kernel-cvc2", "kernel-cvc15"])
+], ids=["verify", "solve-vc", "solve-ds", "cycle-verify", "cycle-solve-vc", "cycle-solve-ds",
+        "kernel-cvc2", "kernel-cvc15"])
 def test_command_finishes_at_scale_within_time_and_memory(inputs, args, code, out):
     proc = subprocess.run(
         [sys.executable, "-m", "twinwidth.cli"] + args, cwd=inputs,
@@ -100,10 +114,15 @@ BIJECTIVE = "eta must map the parts onto the fine grid points bijectively"
      "error: wide.formula: the reduction's grid has 1199992 points, above the header limit"
      " 100000\n"),
     # the grid has 95,968 points, the instance 100,429 vertices: built
-    # in about 170 MB, refused at the write
+    # in about 170 MB, refused after the reduction
     (["reduce3sat", "long.formula", "--out", "long.inst"], 2 * LIMIT_MB, 2, "",
      "error: graph 100429 exceeds the header limit 100000\n"),
-], ids=["validate-dims", "compose-dims", "reduce3sat-grid", "pipeline-grid", "reduce3sat-written"])
+    # refused before composing the 292,365-vertex graph that the
+    # writer would refuse
+    (["pipeline", "long.formula", "--out", "long.graph", "--witness", "long.seq"],
+     2 * LIMIT_MB, 2, "", "error: graph 100429 exceeds the header limit 100000\n"),
+], ids=["validate-dims", "compose-dims", "reduce3sat-grid", "pipeline-grid", "reduce3sat-written",
+        "pipeline-written"])
 def test_oversized_input_is_refused_within_time_and_memory(inputs, args, limit_mb, code, out, err):
     files = sorted(os.listdir(inputs))
     proc = subprocess.run(
