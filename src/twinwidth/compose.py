@@ -171,8 +171,8 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     # the quotient relabelled by the bags' labels, its merges continue
     # those of stages 1 and 2
     partial = ContractionSequence.from_merges(n_h, pairs)
-    t_fin = quotient_by(final_trigraph(h, partial),
-                        {v: min(bag) for v, bag in partial.final_bags().items()})
+    owner = partial.owners()
+    t_fin = quotient_by(final_trigraph(h, partial), {owner[l]: l for l in label.values()})
     embedding = {label[col]: pt for pt, col in point_col.items()}
     pairs += grid_subdivision_collapse(t_fin, embedding)
     witness = ContractionSequence.from_merges(n_h, pairs)

@@ -24,6 +24,7 @@ with red degree at most 4.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -262,7 +263,11 @@ def validate_instance(inst: AnnotatedInstance) -> None:
     rep = verify(inst.graph, inst.witness, bound=4)
     if not rep.ok:
         raise ValueError("witness exceeds red degree 4 at step %d" % rep.violation[0])
-    if set(inst.witness.final_bags().values()) != set(inst.parts):
+    # parts and bags both partition V, so they are equal when each part
+    # has one owner and there are as many owners as parts
+    owner = inst.witness.owners()
+    if len(set(owner.values())) != len(inst.parts) \
+            or any(len({owner[v] for v in part}) != 1 for part in inst.parts):
         raise ValueError("witness does not end at the declared partition")
     for part in inst.parts:
         if not any(inst.graph.closed_neighborhood(v) <= part for v in part):
@@ -305,7 +310,7 @@ class LayoutFormula:
         if self.n < 1:
             raise ValueError("formula needs at least one variable")
         for cl in self.clauses:
-            if cl.sign not in "+-":
+            if cl.sign not in ("+", "-"):
                 raise ValueError("clause sign must be + or -")
             vs = cl.variables
             if sorted(set(vs)) != list(vs):
@@ -320,20 +325,30 @@ class LayoutFormula:
             self._check_removal(family)
 
     def _check_removal(self, family: List[LayoutClause]) -> None:
+        """Raise unless the family can be removed by rank.
+
+        The live variables, kept sorted, are those that this clause or
+        a later one uses, so a clause's blockers are the live variables
+        strictly between its outer ones but its middle, found by
+        bisection; after each clause, the variables it used last leave.
+        """
         family = sorted(family, key=lambda cl: cl.rank)
+        last = {w: idx for idx, cl in enumerate(family) for w in cl.variables}
+        live = sorted(last)
         for idx, cl in enumerate(family):
             lo, mid, hi = cl.variables
-            later = family[idx + 1:]
-            for w in range(lo + 1, hi):
-                if w == mid:
-                    continue
-                if any(w in other.variables for other in [cl] + later):
+            at = bisect.bisect_right(live, lo)
+            for w in live[at:at + 2]:  # mid is live: the least blocker is here
+                if w < hi and w != mid:
                     raise ValueError(
                         "variable %d blocks removal of the rank-%d %s clause"
                         % (w, cl.rank, cl.sign))
-            if any(mid in other.variables for other in later):
+            if last[mid] > idx:
                 raise ValueError(
                     "middle variable %d reused after rank %d" % (mid, cl.rank))
+            for w in cl.variables:
+                if last[w] == idx:
+                    del live[bisect.bisect_left(live, w)]
 
     def signed(self, sign: str) -> List[LayoutClause]:
         return sorted((cl for cl in self.clauses if cl.sign == sign),

@@ -40,10 +40,16 @@ def _lines(text: str) -> Iterator[Tuple[int, List[str]]]:
 
 
 def _ints(no: int, tokens: List[str], what: str) -> List[int]:
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise ParseError(no, "%s wants integers, got %r" % (what, " ".join(tokens)))
+    """The tokens as integers, each spelled as the writers spell one:
+    ASCII digits after an optional '-'.  int() takes that and, beyond
+    it, only non-ASCII digits, underscores and a '+', refused first."""
+    spelled = "".join(tokens)
+    if spelled.isascii() and "_" not in spelled and "+" not in spelled:
+        try:
+            return [int(tok) for tok in tokens]
+        except ValueError:
+            pass
+    raise ParseError(no, "%s wants integers, got %r" % (what, " ".join(tokens)))
 
 
 def _header(no: int, tokens: List[str], keyword: str) -> int:

@@ -6,8 +6,8 @@ from the original graph on 1..n and fresh ids continue the numbering,
 so step i (0-based) creates z = n + i + 1, larger than every id before
 it.  A full sequence has n - 1 steps and ends in a single vertex;
 shorter sequences are partial and are the currency of the composition
-machinery, which reads their final bags off the steps (final_bags)
-instead of replaying them.
+machinery, which reads where each original vertex ends off the steps
+(owners) instead of replaying them.
 
 Builders do not number fresh ids themselves: they list merges of bags
 named by labels, and from_merges numbers the steps.  A label is a
@@ -41,7 +41,7 @@ vertex, degree).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .trigraph import Graph, Trigraph, contract, quotient_by
 
@@ -108,15 +108,12 @@ class ContractionSequence:
     def is_full(self) -> bool:
         return len(self.steps) == self.n - 1
 
-    def final_bags(self) -> Dict[int, FrozenSet[int]]:
-        """Original vertices behind each vertex left after the steps.
-
-        Bags follow from the steps alone, so no trigraph is replayed.
-        """
-        bags = {v: frozenset([v]) for v in range(1, self.n + 1)}
-        for z, u, v in self.steps:
-            bags[z] = bags.pop(u) | bags.pop(v)
-        return bags
+    def owners(self) -> Dict[int, int]:
+        """Each original vertex mapped to its bag's id after the steps, in O(n)."""
+        owner = {v: v for v in range(1, self.n + 1)}
+        for z, u, v in reversed(self.steps):
+            owner[u] = owner[v] = owner.pop(z, z)
+        return owner
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -210,9 +207,6 @@ def verify(
 
 def final_trigraph(g: Union[Graph, Trigraph], seq: ContractionSequence) -> Trigraph:
     """The trigraph after the last step, never g itself: the quotient
-    of g by the steps' bags, in O(n + m)."""
+    of g by seq.owners(), in O(n + m)."""
     _check_start(g.vertices, seq)
-    owner = {v: v for v in g.vertices}  # start vertex -> the surviving id of its bag
-    for z, u, v in reversed(seq.steps):
-        owner[u] = owner[v] = owner.pop(z, z)
-    return quotient_by(g, owner)
+    return quotient_by(g, seq.owners())

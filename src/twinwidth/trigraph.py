@@ -12,8 +12,8 @@ driver, merge in place (Trigraph._merge) after their first contract:
 their ids are fresh by construction, so a step costs O(deg u + deg v).
 Trigraph._view reads a graph as a trigraph without copying it.
 Which original vertices a contracted vertex stands for is a property
-of the contraction sequence (ContractionSequence.final_bags), not of
-the trigraph.
+of the contraction sequence (ContractionSequence.owners), not of the
+trigraph.
 
 Each object holds its adjacency tables and nothing else: adj for a
 Graph, black and red, with equal keys, for a Trigraph.  The vertex set
@@ -209,12 +209,6 @@ class Trigraph:
 
     def neighbors(self, v: int) -> Set[int]:
         return self.black[v] | self.red[v]
-
-    def red_edges(self) -> List[Tuple[int, int]]:
-        return [(u, v) for u in sorted(self.red) for v in sorted(self.red[u]) if u < v]
-
-    def black_edges(self) -> List[Tuple[int, int]]:
-        return [(u, v) for u in sorted(self.black) for v in sorted(self.black[u]) if u < v]
 
     def total_graph(self) -> Graph:
         """The underlying graph ignoring colours."""

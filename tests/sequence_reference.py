@@ -7,12 +7,24 @@ contract_inplace below (which scans the live ids for freshness, as
 trigraph.contract does before it copies), the width is a from-scratch
 maximum over every replayed state, and the final trigraph is the last
 state of a walk rather than a quotient by the bags.
+
+final_bags is the forward union ContractionSequence had before owners
+read a sequence's end backwards: each step's bag is the union of its
+two parts' bags, so a growing bag costs O(n^2) over the sequence.
 """
 
-from typing import Iterator, List, Optional, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Union
 
 from twinwidth.sequence import ContractionSequence, WidthReport
 from twinwidth.trigraph import Graph, Trigraph
+
+
+def final_bags(seq: ContractionSequence) -> Dict[int, FrozenSet[int]]:
+    """Original vertices behind each vertex left after the steps."""
+    bags = {v: frozenset([v]) for v in range(1, seq.n + 1)}
+    for z, u, v in seq.steps:
+        bags[z] = bags.pop(u) | bags.pop(v)
+    return bags
 
 
 def from_graph(g: Graph) -> Trigraph:

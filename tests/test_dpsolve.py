@@ -17,6 +17,7 @@ from twinwidth.oracle import min_dominating_set
 from twinwidth.recognize import recognize_tww1
 
 from gen_tww1 import random_tww1
+from trigraph_reference import edge_list
 
 
 def brute_vertex_cover(g: Graph) -> int:
@@ -63,7 +64,7 @@ def _largest_red_component(t):
             v = parent[v]
         return v
 
-    for u, v in t.red_edges():
+    for u, v in edge_list(t.red):
         parent[find(u)] = find(v)
     sizes = {}
     for v in t.vertices:

@@ -1,10 +1,14 @@
 """Generators: snaking grids, half-graph cycles, and the 3-SAT reduction."""
 
+import collections
+import random
+import re
 from dataclasses import replace
 
 import pytest
 
 from twinwidth.trigraph import Graph, Trigraph
+from twinwidth.compose import make_dummy
 from twinwidth.sequence import ContractionSequence, verify
 from twinwidth.oracle import (all_min_dominating_sets, dominating_transversal, is_dominating_set,
                               min_dominating_set)
@@ -183,6 +187,46 @@ def test_layout_formula_validation():
     # opposite families do not constrain each other
     LayoutFormula(5, [LayoutClause("+", 1, (1, 3, 5)),
                       LayoutClause("-", 1, (2, 4, 5))])
+
+
+@pytest.mark.parametrize("sign", ["", "+-"])
+def test_layout_formula_refuses_a_sign_of_neither_family(sign):
+    # a substring test of "+-" took both, and the reduction then
+    # dropped the clause, which belongs to neither family
+    with pytest.raises(ValueError, match=re.escape("clause sign must be + or -")):
+        LayoutFormula(3, [LayoutClause(sign, 1, (1, 2, 3))])
+
+
+def _outcome(check):
+    """None when check() returns, else the message it raises."""
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_removal_check_matches_reference():
+    # the bisection over live variables against the rescan of every
+    # later clause, family by family in the constructor's order, on
+    # seeded families of both signs with valid ranks and literals, so
+    # that the removal check alone decides: the same verdict, message
+    # and first variable reported
+    rng = random.Random(32)
+    seen = collections.Counter()
+    for _ in range(5000):
+        n = rng.randint(3, 9)
+        clauses = []
+        for sign in "+-":
+            m = rng.randint(0, 4)
+            for rank in rng.sample(range(1, m + 1), m):
+                vs = sorted(rng.sample(range(1, n + 1), 3))
+                clauses.append(LayoutClause(sign, rank, tuple(v * rng.choice((1, -1)) for v in vs)))
+        want = _outcome(lambda: [reference.check_removal([cl for cl in clauses if cl.sign == s])
+                                 for s in "+-"])
+        assert _outcome(lambda: LayoutFormula(n, clauses)) == want, clauses
+        seen[want and want.split()[0]] += 1
+    assert min(seen[None], seen["variable"], seen["middle"]) > 300, seen
 
 
 def _unvalidated(n, clauses):
@@ -368,6 +412,18 @@ def test_validate_instance_rejects_each_broken_precondition():
     a, b = next((a, b) for a in dummies for b in dummies
                 if sg.vertex_at[b] in sg.graph.adj[sg.vertex_at[a]])
     rejects(joined(a, b), "a part lacks a vertex confined to it")
+
+
+def test_validate_instance_rejects_a_witness_ending_at_another_partition():
+    # as many bags as parts, but every part split between two bags; and
+    # every part inside one bag, but two parts in the same bag
+    inst = make_dummy(16, 2, 2)
+    validate_instance(inst)
+    shifted = ContractionSequence.from_merges(32, [(1, 32)] + [(v, v + 1) for v in range(2, 32, 2)])
+    joined = ContractionSequence.from_merges(32, inst.witness.merges() + [(1, 3)])
+    for witness in (shifted, joined):
+        with pytest.raises(ValueError, match="witness does not end at the declared partition"):
+            validate_instance(replace(inst, witness=witness))
 
 
 def test_validate_instance_rejects_grid_without_columns():

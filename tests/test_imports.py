@@ -264,8 +264,6 @@ UNUSED_ALLOWED = {
 # an attribute, each kept for a reason beyond its own unit test
 UNUSED_METHODS_ALLOWED = {
     "Graph.complete": "the complete-graph factory the tests build their width-0 cases from",
-    "Trigraph.black_edges": "the sorted black edge list the tests compare trigraphs by",
-    "Trigraph.red_edges": "the sorted red edge list the tests compare trigraphs by",
     "ComposedInstance.forced_parts": "the composition's forced blocks, the parts"
                                      " dominating_transversal takes in criterion 8",
 }

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -271,6 +272,27 @@ class TestHeaderLimit:
         text = "graph 2\ndims 1 2\npart 1 1 2\neta 1 1 1\nseq %d\n" % self.HUGE
         with pytest.raises(io.ParseError, match="line 5: seq 1000000000 exceeds"):
             io.parse_instance(text)
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "+3", "\u0663"],
+                         ids=["underscore", "plus", "arabic-indic"])
+@pytest.mark.parametrize("parse, text, line, what, tokens", [
+    (io.parse_graph, "graph {}\n", 1, "graph", "{}"),
+    (io.parse_graph, "graph 10\nedge 1 {}\n", 2, "edge", "1 {}"),
+    (io.parse_sequence, "seq {}\n", 1, "seq", "{}"),
+    (io.parse_sequence, "seq 10\ncontract 11 1 {}\n", 2, "contract", "11 1 {}"),
+    (io.parse_formula, "formula {}\n", 1, "formula", "{}"),
+    (io.parse_formula, "formula 10\nclause + 1 1 2 {}\n", 2, "clause", "1 1 2 {}"),
+    (io.parse_instance, "graph {}\n", 1, "graph", "{}"),
+    (io.parse_instance, "graph 2\ndims 1 {}\n", 2, "dims", "1 {}"),
+], ids=["graph-header", "edge", "seq-header", "contract", "formula-header", "clause",
+        "instance-header", "dims"])
+def test_integers_are_read_only_as_the_writers_spell_them(parse, text, line, what, tokens,
+                                                          spelling):
+    # int() alone takes an underscore, a plus sign and non-ASCII digits
+    message = "line %d: %s wants integers, got %r" % (line, what, tokens.format(spelling))
+    with pytest.raises(io.ParseError, match=re.escape(message)):
+        parse(text.format(spelling))
 
 
 def test_writers_refuse_headers_the_parsers_refuse():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import modular_reference as reference
+from trigraph_reference import edge_list
 from twinwidth.trigraph import Graph, is_module, quotient
 from twinwidth.modular import (
     ModularPartition,
@@ -55,7 +56,7 @@ def test_maximal_modules_found():
     for p in mp.parts:
         assert is_module(g, set(p))
     q = quotient(g, mp.parts)
-    assert q.red_edges() == []
+    assert edge_list(q.red) == []
     assert q.total_graph().edge_count() == 5  # quotient is again a 5-cycle
 
 
@@ -68,7 +69,7 @@ def test_partition_quotient_requires_modules():
     # the no-red-edge checks below catch a partition into non-modules
     g = Graph.path(4)
     fake = ModularPartition((frozenset([1, 2]), frozenset([3, 4])), "maximal")
-    assert quotient(g, fake.parts).red_edges() == [(1, 2)]
+    assert edge_list(quotient(g, fake.parts).red) == [(1, 2)]
 
 
 def test_trace_classes():
@@ -105,7 +106,7 @@ def test_parts_are_modules_on_random_graphs():
             seen |= p
         assert seen == g.vertices
         if mp.kind == "maximal" and not mp.is_trivial:
-            assert quotient(g, mp.parts).red_edges() == []
+            assert edge_list(quotient(g, mp.parts).red) == []
 
 
 def _all_graphs(n):

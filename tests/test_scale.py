@@ -13,12 +13,23 @@ recognize is left out: on these inputs it still runs out of memory
 complements and induces a copy per level), so it waits for
 recognition with one walk and no copies.
 
+An annotated instance of 60,000 isolated vertices on dims 2 2, one of
+its 16 parts holding all but 15 of them and its witness growing that
+part's bag one vertex at a time, is validated in 128 MB and composed,
+verified and written in 256 MB, each within 5 s: a sequence's end is
+read backwards off its steps, not by a forward union of ever larger
+bags.
+
 Inputs that ask for more than the header limit allows are refused with
 one line and no file written: an instance whose dims name a grid of
 four million points for its 40 parts and a formula whose reduction's
 grid has 1.2 million points before any grid is built, and a formula
 whose grid fits but whose reduced instance does not after the
-reduction, before pipeline composes anything.
+reduction, before pipeline composes anything.  So are two formulas on
+wide spans whose layout check would rescan every later clause for each
+variable of a span: 800 clauses on 1, 2, 100000 reusing a middle, and
+a valid nested family of 20,000 clauses whose grid has 3.6 billion
+points.
 """
 
 import os
@@ -39,6 +50,9 @@ N = 20000
 # wall time there
 LIMIT_MB = 128
 TIMEOUT_S = 30
+INSTANCE_N = 60000
+# validate-instance took 0.7-0.9 s and compose 1.4-2.4 s on a 2-core VM
+INSTANCE_TIMEOUT_S = 5
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +76,29 @@ def inputs(tmp_path_factory):
     (d / "long.formula").write_text(
         "formula 2000\nclause + 1 1 2 3\nclause + 2 4 5 6\nclause + 3 7 8 9\n"
         "clause - 1 10 11 12\nclause - 2 13 14 15\n")
+    (d / "reused.formula").write_text(
+        "formula 100000\n" + "".join("clause + %d 1 2 100000\n" % r for r in range(1, 801)))
+    # rank r's outer variables c - r and c + 1 enclose only its middle
+    # c - r + 1, the earlier ranks having retired c - r + 2 .. c
+    c = 20005
+    (d / "nested.formula").write_text(
+        "formula 20008\nclause + 1 %d %d %d\n" % (c - 1, c, c + 1)
+        + "".join("clause + %d %d %d %d\n" % (r, c - r, c - r + 1, c + 1)
+                  for r in range(2, 20001)))
+    (d / "bag.inst").write_text(_growing_bag_instance(INSTANCE_N))
     return d
+
+
+def _growing_bag_instance(n):
+    """n isolated vertices on dims 2 2: parts 1..15 are the singletons
+    1..15, part 16 is 16..n, and the witness merges 16..n in order."""
+    lines = ["graph %d" % n, "dims 2 2"]
+    lines += ["part %d %d" % (j, j) for j in range(1, 16)]
+    lines.append("part 16 " + " ".join(map(str, range(16, n + 1))))
+    lines += ["eta %d %d %d" % (4 * r + c - 4, r, c) for r in range(1, 5) for c in range(1, 5)]
+    lines += ["seq %d" % n, "contract %d 16 17" % (n + 1)]
+    lines += ["contract %d %d %d" % (n + i, n + i - 1, i + 16) for i in range(2, n - 15)]
+    return "\n".join(lines) + "\n"
 
 
 def _limit_address_space(limit_mb=LIMIT_MB):
@@ -100,6 +136,19 @@ def test_command_finishes_at_scale_within_time_and_memory(inputs, args, code, ou
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out + "\n", "")
 
 
+@pytest.mark.parametrize("args, limit_mb, out", [
+    (["validate-instance", "bag.inst"], LIMIT_MB, "ok"),
+    (["compose", "bag.inst", "--out", "bag.graph", "--witness", "bag.seq"], 2 * LIMIT_MB,
+     "n %d parts 16 width 3" % (INSTANCE_N + 32)),
+], ids=["validate-instance", "compose"])
+def test_instance_command_finishes_at_scale_within_time_and_memory(inputs, args, limit_mb, out):
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinwidth.cli"] + args, cwd=inputs,
+        env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=lambda: _limit_address_space(limit_mb),
+        capture_output=True, text=True, timeout=INSTANCE_TIMEOUT_S)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out + "\n", "")
+
+
 BIJECTIVE = "eta must map the parts onto the fine grid points bijectively"
 
 
@@ -121,8 +170,15 @@ BIJECTIVE = "eta must map the parts onto the fine grid points bijectively"
     # writer would refuse
     (["pipeline", "long.formula", "--out", "long.graph", "--witness", "long.seq"],
      2 * LIMIT_MB, 2, "", "error: graph 100429 exceeds the header limit 100000\n"),
+    # the layout check bisects the live variables instead of scanning
+    # each span against every later clause
+    (["reduce3sat", "reused.formula", "--out", "reused.inst"], LIMIT_MB, 2, "",
+     "error: middle variable 2 reused after rank 1\n"),
+    (["pipeline", "nested.formula", "--out", "nested.graph"], LIMIT_MB, 2, "",
+     "error: nested.formula: the reduction's grid has 3601380022 points, above the header"
+     " limit 100000\n"),
 ], ids=["validate-dims", "compose-dims", "reduce3sat-grid", "pipeline-grid", "reduce3sat-written",
-        "pipeline-written"])
+        "pipeline-written", "reduce3sat-reused", "pipeline-nested"])
 def test_oversized_input_is_refused_within_time_and_memory(inputs, args, limit_mb, code, out, err):
     files = sorted(os.listdir(inputs))
     proc = subprocess.run(

@@ -22,6 +22,7 @@ from twinwidth.dpsolve import check_component_bound, min_ds_dp, min_vc_dp
 
 from gen_tww1 import random_tww1
 import sequence_reference as reference
+from trigraph_reference import edge_list
 
 
 def test_fresh_id_discipline():
@@ -110,8 +111,8 @@ def test_replay_and_final_trigraph():
     assert states[0].vertices == {1, 2, 3, 4, 5}
     last = final_trigraph(g, seq)
     assert last.vertices == {9}
-    assert last.red_edges() == [] and last.black_edges() == []
-    assert seq.final_bags() == {9: frozenset([1, 2, 3, 4, 5])}
+    assert edge_list(last.red) == [] and edge_list(last.black) == []
+    assert seq.owners() == dict.fromkeys([1, 2, 3, 4, 5], 9)
 
 
 def test_verify_needs_matching_vertex_set():
@@ -151,8 +152,10 @@ def test_incremental_width_matches_full_recompute():
 
 
 def test_final_bags_match_replayed_bags():
-    # a trigraph reached by contractions is the quotient of the
-    # partition into its bags, whatever the contraction order
+    # owners() sends each vertex to the bag that the forward union of
+    # the reference puts it in, and a trigraph reached by contractions
+    # is the quotient of the partition into its bags, whatever the
+    # contraction order
     rng = random.Random(2024)
     for _ in range(40):
         n = rng.randint(1, 10)
@@ -162,13 +165,16 @@ def test_final_bags_match_replayed_bags():
         full = _random_full_sequence(rng, n)
         for k in sorted({0, rng.randint(0, len(full)), len(full)}):
             seq = ContractionSequence(n, full.steps[:k])
-            bags = seq.final_bags()
+            bags = reference.final_bags(seq)
+            assert seq.owners() == {v: z for z, bag in bags.items() for v in bag}
             ids = sorted(bags)
             q = quotient(g, [bags[v] for v in ids])
             t = final_trigraph(g, seq)
             assert t.vertices == set(ids)
-            assert sorted((ids[a - 1], ids[b - 1]) for a, b in q.black_edges()) == t.black_edges()
-            assert sorted((ids[a - 1], ids[b - 1]) for a, b in q.red_edges()) == t.red_edges()
+            relabel = [(ids[a - 1], ids[b - 1]) for a, b in edge_list(q.black)]
+            assert sorted(relabel) == edge_list(t.black)
+            relabel = [(ids[a - 1], ids[b - 1]) for a, b in edge_list(q.red)]
+            assert sorted(relabel) == edge_list(t.red)
 
 
 def test_width_monotone_under_prefix():
@@ -191,8 +197,8 @@ def _state(t):
 
 def _reference_contract(t, u, v, z):
     """The contraction rebuilt from edge lists, independent of the library."""
-    black = [e for e in t.black_edges() if u not in e and v not in e]
-    red = [e for e in t.red_edges() if u not in e and v not in e]
+    black = [e for e in edge_list(t.black) if u not in e and v not in e]
+    red = [e for e in edge_list(t.red) if u not in e and v not in e]
     for x in sorted((t.neighbors(u) | t.neighbors(v)) - {u, v}):
         (black if x in t.black[u] and x in t.black[v] else red).append((x, z))
     return Trigraph((t.vertices - {u, v}) | {z}, black, red)
@@ -363,7 +369,7 @@ def assert_merges_round_trip(seq):
     assert ContractionSequence.from_merges(seq.n, seq.merges()) == seq
     retired = {max(pair) for pair in seq.merges()}
     assert (set(range(1, seq.n + 1)) - retired
-            == {min(bag) for bag in seq.final_bags().values()})
+            == {min(bag) for bag in reference.final_bags(seq).values()})
 
 
 def test_merges_round_trip_random_sequences():

@@ -8,11 +8,20 @@ order and push each one through the checked constructor, and
 graph_adjacency and trigraph_tables are the constructors' own per-edge
 insertion, one checked call per edge (Graph._add_edge and Trigraph._add
 before the builder replaced both).
+
+edge_list is the sorted edge list of one adjacency table, which the
+tests compare trigraphs by (Trigraph.black_edges and red_edges before
+the library dropped them for want of a caller).
 """
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from twinwidth.trigraph import Graph
+
+
+def edge_list(table: Dict[int, Set[int]]) -> List[Tuple[int, int]]:
+    """The edges of an adjacency table as sorted pairs (u, v), u < v."""
+    return [(u, v) for u in sorted(table) for v in sorted(table[u]) if u < v]
 
 
 def add_edge(table: Dict[int, Set[int]], u: int, v: int) -> None:
