@@ -6,7 +6,7 @@ hardness gadgetry with replayable witnesses, vertex cover kernels,
 and dynamic programming along bounded-red-component sequences.
 """
 
-from .trigraph import Graph, Trigraph, contract, is_module, quotient
+from .trigraph import Graph, InternalError, Trigraph, contract, is_module, quotient
 from .sequence import (ContractionSequence, WidthReport, final_trigraph,
                        replay, verify)
 from .modular import maximal_modular_partition, trace_classes
@@ -26,7 +26,7 @@ from .compose import ComposedInstance, make_dummy, or_cross_compose
 from .dpsolve import check_component_bound, min_ds_dp, min_vc_dp
 
 __all__ = [
-    "Graph", "Trigraph", "contract", "is_module", "quotient",
+    "Graph", "InternalError", "Trigraph", "contract", "is_module", "quotient",
     "ContractionSequence", "WidthReport", "final_trigraph", "replay",
     "verify",
     "maximal_modular_partition", "trace_classes",

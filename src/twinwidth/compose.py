@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
-from .trigraph import Graph, quotient_by
+from .trigraph import Graph, InternalError, quotient_by
 from .sequence import ContractionSequence, final_trigraph
 from .gadgets import (AnnotatedInstance, Point, augmented_grid, fine_dims,
                       grid_subdivision_collapse, hamiltonian_cycle,
@@ -80,7 +80,7 @@ def stage2_order(nbrs: Dict[Point, Set[Point]]) -> List[Point]:
     the purple group: with no band rows present the orange row touches
     the purple row directly, and such a point must not see both its
     horizontal partner and the orange point pending at once.  Raises
-    AssertionError (also under python -O) unless blue points have
+    InternalError (also under python -O) unless blue points have
     augmented degree two and all others three.
     """
     rows, cols = max(nbrs)  # the top right corner
@@ -92,7 +92,7 @@ def stage2_order(nbrs: Dict[Point, Set[Point]]) -> List[Point]:
     purple: List[Point] = []
     for pt, near in nbrs.items():
         if len(near) != 3 and (pt in fixed or len(near) != 2):
-            raise AssertionError("position %r has degree %d" % (pt, len(near)))
+            raise InternalError("position %r has degree %d" % (pt, len(near)))
         if pt not in fixed:
             (blue if len(near) == 2 else purple).append(pt)
     purple.sort(key=lambda pt: not nbrs[pt].isdisjoint(orange))
@@ -103,7 +103,7 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     """Compose annotated instances (plus a fresh dummy row) into one.
 
     Raises ValueError on dimension mismatch or an invalid input
-    instance, and AssertionError (also under python -O) if the emitted
+    instance, and InternalError (also under python -O) if the emitted
     witness is not full or breaks the C + 2P <= 4 degree audit at a
     stage-2 contraction.
     """
@@ -122,15 +122,15 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     cyc = [dummy.eta[j] for j in range(budget)]  # its classes lie along the cycle
     point_col = {pt: j + 1 for j, pt in enumerate(cyc)}
 
-    # global ids: each row's vertices follow those of the rows above;
-    # stage 1 is each row's own witness, shifted the same way
+    # global ids: each row's vertices (1..n, as validated) and adjacency
+    # rows follow the rows above; stage 1 is each row's witness, shifted
     provenance: Dict[int, Tuple[int, int]] = {}
     cells: List[Dict[int, Set[int]]] = []  # per row: column -> global ids
-    edges: List[Tuple[int, int]] = []
+    adj: Dict[int, Set[int]] = {}
     pairs: List[Tuple[int, int]] = []
     n_h = 0
     for i, inst in enumerate(all_rows):
-        edges += [(n_h + u, n_h + v) for u, v in inst.graph.edges()]
+        adj.update((n_h + v, {n_h + w for w in near}) for v, near in inst.graph.adj.items())
         pairs += [(n_h + a, n_h + b) for a, b in inst.witness.merges()]
         row_cells: Dict[int, Set[int]] = {}
         for j, part in enumerate(inst.parts):
@@ -140,14 +140,15 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
                 provenance[n_h + v] = (i + 1, col)
         cells.append(row_cells)
         n_h += inst.graph.n
-    for i in range(t1):
-        for col in range(1, budget + 1):
-            succ = col % budget + 1
-            for deeper in range(i + 1, t1):
-                for u in cells[i][col]:
-                    for v in cells[deeper][succ]:
-                        edges.append((u, v))
-    h = Graph(range(1, n_h + 1), edges)
+    for i, row_cells in enumerate(cells):  # cell (i, col) joins deeper cells at col + 1
+        for col, cell in row_cells.items():
+            for deeper in cells[i + 1:]:
+                link = deeper[col % budget + 1]
+                for u in cell:
+                    adj[u] |= link
+                for v in link:
+                    adj[v] |= cell
+    h = Graph._of(adj)
 
     # stage 2: fold rows into the bottom grid in one fixed order, whose
     # degree audit is the same for every fold; a part's bag is labelled
@@ -159,8 +160,8 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
         contracted = len(nbrs[pt] & done)
         pending = len(nbrs[pt]) - contracted
         if contracted + 2 * pending > 4:
-            raise AssertionError("degree audit failed at %r: C=%d P=%d"
-                                 % (pt, contracted, pending))
+            raise InternalError("degree audit failed at %r: C=%d P=%d"
+                                % (pt, contracted, pending))
         done.add(pt)
     label = {col: min(cell) for col, cell in cells[0].items()}
     fold = [point_col[pt] for pt in order]
@@ -177,5 +178,5 @@ def or_cross_compose(instances: Sequence[AnnotatedInstance]) -> ComposedInstance
     pairs += grid_subdivision_collapse(t_fin, embedding)
     witness = ContractionSequence.from_merges(n_h, pairs)
     if not witness.is_full:
-        raise AssertionError("composed witness is not a full sequence")
+        raise InternalError("composed witness is not a full sequence")
     return ComposedInstance(h, budget, t1, witness, provenance)

@@ -24,11 +24,10 @@ with red degree at most 4.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .trigraph import Graph, Trigraph, quotient
+from .trigraph import Graph, InternalError, Trigraph, quotient
 from .sequence import ContractionSequence, verify
 
 Point = Tuple[int, int]
@@ -72,16 +71,18 @@ def _snake(rows: int, cols: int) -> Dict[Point, Set[Point]]:
     return snake
 
 
+def _numbered(nbrs: Dict[Point, Set[Point]]) -> Tuple[Graph, Dict[Point, int]]:
+    """nbrs as a graph on the ids 1, 2, ... of its points in order, and each point's id."""
+    vid = {pt: v for v, pt in enumerate(nbrs, start=1)}
+    return Graph._of({vid[a]: {vid[b] for b in near} for a, near in nbrs.items()}), vid
+
+
 def snaking_grid(s: int, t: int) -> SnakingGrid:
     """The snaking grid; s = 1 degenerates to a single full row."""
     if s < 1 or t < 2:
         raise ValueError("snaking grid needs s >= 1 and t >= 2")
     rows, cols = fine_dims(s, t)
-    snake = _snake(rows, cols)
-    vertex_at = {pt: v for v, pt in enumerate(snake, start=1)}
-    g = Graph(vertex_at.values(), [(v, vertex_at[b]) for a, v in vertex_at.items()
-                                   for b in snake[a]])
-    return SnakingGrid(s, t, rows, cols, g, vertex_at)
+    return SnakingGrid(s, t, rows, cols, *_numbered(_snake(rows, cols)))
 
 
 def hamiltonian_cycle(p: int, q: int) -> List[Point]:
@@ -105,7 +106,7 @@ def hamiltonian_cycle(p: int, q: int) -> List[Point]:
     if len(set(order)) != rows * cols or any(
             abs(r1 - r2) + abs(c1 - c2) != 1
             for (r1, c1), (r2, c2) in zip(order, order[1:] + order[:1])):
-        raise AssertionError("cycle does not close")
+        raise InternalError("cycle does not close")
     return order
 
 
@@ -120,9 +121,7 @@ def augmented_grid(p: int, q: int, cyc: List[Point]) -> Dict[Point, Set[Point]]:
 
 def augmented_snaking_grid(p: int, q: int) -> Graph:
     """The augmented grid as a graph on the snaking grid's vertex ids."""
-    nbrs = augmented_grid(p, q, hamiltonian_cycle(p, q))
-    vid = {pt: v for v, pt in enumerate(nbrs, start=1)}
-    return Graph(vid.values(), [(vid[a], vid[b]) for a in nbrs for b in nbrs[a]])
+    return _numbered(augmented_grid(p, q, hamiltonian_cycle(p, q)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +256,8 @@ def validate_instance(inst: AnnotatedInstance) -> None:
     if rows * cols != len(inst.parts) or set(inst.eta) != set(range(len(inst.parts))) \
             or len(points) != len(inst.eta) or points != set(snake := _snake(rows, cols)):
         raise ValueError("eta must map the parts onto the fine grid points bijectively")
-    for a, b in quot.total_graph().edges():
-        if inst.eta[b - 1] not in snake[inst.eta[a - 1]]:
+    for a, black in quot.black.items():
+        if not {inst.eta[b - 1] for b in black | quot.red[a]} <= snake[inst.eta[a - 1]]:
             raise ValueError("quotient is not a subgraph of the snaking grid")
     rep = verify(inst.graph, inst.witness, bound=4)
     if not rep.ok:
@@ -270,7 +269,7 @@ def validate_instance(inst: AnnotatedInstance) -> None:
             or any(len({owner[v] for v in part}) != 1 for part in inst.parts):
         raise ValueError("witness does not end at the declared partition")
     for part in inst.parts:
-        if not any(inst.graph.closed_neighborhood(v) <= part for v in part):
+        if not any(inst.graph.adj[v] <= part for v in part):
             raise ValueError("a part lacks a vertex confined to it")
 
 
@@ -327,28 +326,39 @@ class LayoutFormula:
     def _check_removal(self, family: List[LayoutClause]) -> None:
         """Raise unless the family can be removed by rank.
 
-        The live variables, kept sorted, are those that this clause or
-        a later one uses, so a clause's blockers are the live variables
-        strictly between its outer ones but its middle, found by
-        bisection; after each clause, the variables it used last leave.
+        The live variables are those that this clause or a later one
+        uses, so a clause's blockers are the live variables strictly
+        between its outer ones but its middle; after each clause, the
+        variables it used last leave.  nxt over 0..n+1 holds w while w
+        is live and otherwise a step towards the least live variable
+        above w (n + 1 stays live), and find halves the path it walks,
+        so the check is near-linear in n and the clause count.
         """
         family = sorted(family, key=lambda cl: cl.rank)
         last = {w: idx for idx, cl in enumerate(family) for w in cl.variables}
-        live = sorted(last)
+        nxt = [w if w in last or w > self.n else w + 1 for w in range(self.n + 2)]
+
+        def find(w: int) -> int:
+            while nxt[w] != w:
+                nxt[w] = nxt[nxt[w]]
+                w = nxt[w]
+            return w
+
         for idx, cl in enumerate(family):
             lo, mid, hi = cl.variables
-            at = bisect.bisect_right(live, lo)
-            for w in live[at:at + 2]:  # mid is live: the least blocker is here
-                if w < hi and w != mid:
-                    raise ValueError(
-                        "variable %d blocks removal of the rank-%d %s clause"
-                        % (w, cl.rank, cl.sign))
+            w = find(lo + 1)
+            if w == mid:  # mid is live: the least blocker is the next one
+                w = find(mid + 1)
+            if w < hi:
+                raise ValueError(
+                    "variable %d blocks removal of the rank-%d %s clause"
+                    % (w, cl.rank, cl.sign))
             if last[mid] > idx:
                 raise ValueError(
                     "middle variable %d reused after rank %d" % (mid, cl.rank))
             for w in cl.variables:
                 if last[w] == idx:
-                    del live[bisect.bisect_left(live, w)]
+                    nxt[w] = w + 1
 
     def signed(self, sign: str) -> List[LayoutClause]:
         return sorted((cl for cl in self.clauses if cl.sign == sign),
@@ -486,7 +496,7 @@ def reduce_3sat(f: LayoutFormula) -> ReducedFormula:
                 lay(var, tips[var, up], link, (nominal - 1, nominal))
             for var, link, lit in zip(cl.variables, (lo_link, mid_link, hi_link), cl.literals):
                 if occ[link].variable != var:
-                    raise AssertionError("clause link %r is off the wire of %d" % (link, var))
+                    raise InternalError("clause link %r is off the wire of %d" % (link, var))
                 links.append((pc, link, lit))
 
     for pt in snake:
@@ -553,7 +563,7 @@ def _quotient_witness(g: Graph, occ: Dict[Point, PlacedGadget],
     for pt in order:
         if occ[pt].kind == "regular" and wire_neighbors(pt) > 2:
             if wire_neighbors(pt) != 3:
-                raise AssertionError("wire gadget with too many neighbors")
+                raise InternalError("wire gadget with too many neighbors")
             fold(pt, ("top", "d", "t", "bot", "f"))
     return ContractionSequence.from_merges(g.n, pairs)
 

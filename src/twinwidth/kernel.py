@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-from .trigraph import Graph
+from .trigraph import Graph, InternalError
 from .modular import trace_classes
 from .oracle import CapacitatedGraph
 
@@ -147,10 +147,10 @@ def _check_size_accounting(out: Graph, x: Set[int], xs: Set[int], k: int) -> Non
         x_i = key & xs
         if x_i:
             if len(members) > len(x_i) + 1:
-                raise AssertionError("rule 3 fixpoint violated")
+                raise InternalError("rule 3 fixpoint violated")
             sizes.append((len(members), len(x_i)))
     q = len(sizes)
     if q:
         total = sum(y for y, _ in sizes)
         if q * sum(y * xi for y, xi in sizes) < (total - q) ** 2:
-            raise AssertionError("quadratic size bound violated")
+            raise InternalError("quadratic size bound violated")

@@ -51,7 +51,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .trigraph import Graph, _reach, is_module
+from .trigraph import Graph, InternalError, _reach, is_module
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _classes(g: Graph, v: int, parts: List[Set[int]]) -> List[Set[int]]:
             root = i
             _reach(i, forced, seen)
     if root and len(_reach(root, forced, set())) < k:
-        raise AssertionError("no part forces the whole graph")
+        raise InternalError("no part forces the whole graph")
     source = _reach(root, forcing, set())
     classes = [parts[i] for i in sorted(source)]
     classes.append({v}.union(*(parts[i] for i in range(k) if i not in source)))
@@ -162,12 +162,12 @@ def maximal_modular_partition(g: Graph) -> ModularPartition:
     for m in classes:
         # a single vertex is always a module
         if len(m) > 1 and not is_module(g, m):
-            raise AssertionError("grown set is not a module")
+            raise InternalError("grown set is not a module")
         if m & covered:
-            raise AssertionError("maximal modules overlapped")
+            raise InternalError("maximal modules overlapped")
         covered |= m
     if covered != g.vertices:
-        raise AssertionError("maximal modules do not cover the graph")
+        raise InternalError("maximal modules do not cover the graph")
     parts = tuple(frozenset(p) for p in sorted(classes, key=min))
     return ModularPartition(parts, "maximal")
 

@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .trigraph import Graph, validate_partition
+from .trigraph import Graph, InternalError, validate_partition
 from .sequence import ContractionSequence
 
 TWW_CAP = 12
@@ -193,7 +193,7 @@ def exact_twinwidth(g: Graph) -> Tuple[int, ContractionSequence]:
         seq = twinwidth_at_most(g, d)
         if seq is not None:
             return d, seq
-    raise AssertionError("unreachable: every graph has an (n-1)-sequence")
+    raise InternalError("unreachable: every graph has an (n-1)-sequence")
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +437,7 @@ def min_connected_vertex_cover(g: Graph) -> Optional[Tuple[int, FrozenSet[int]]]
         for s in _covers_of_size(nbr, len(comp), k):
             if _connected(nbr, s):
                 return k, frozenset(v for i, v in enumerate(comp) if s >> i & 1)
-    raise AssertionError("unreachable: the whole component is a connected cover")
+    raise InternalError("unreachable: the whole component is a connected cover")
 
 
 def _assign(cg: CapacitatedGraph, edges: List[Tuple[int, int]], x: Set[int]) -> bool:

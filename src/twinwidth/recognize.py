@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Tuple
 
-from .trigraph import Graph, Trigraph, contract
+from .trigraph import Graph, InternalError, Trigraph, contract
 from .sequence import ContractionSequence, replay
 from .modular import maximal_modular_partition, series_parallel_split
 
@@ -169,5 +169,5 @@ def recognize_tww1(g: Graph) -> RecognitionResult:
     seq = ContractionSequence.from_merges(g.n, pairs)
     for t in replay(g, seq):
         if sum(len(s) for s in t.red.values()) > 2:
-            raise AssertionError("recognition produced a bad witness")
+            raise InternalError("recognition produced a bad witness")
     return RecognitionResult("tww1", seq)

@@ -25,17 +25,31 @@ sorts where it is made, as edges() and components() do, so equal
 graphs give equal outputs however they were built.
 
 A graph derived from another graph takes its rows from the source by
-set operations: induced, complement, relabel_compact and total_graph
-build each row from a row of a valid table, which cannot produce a
-loop or an unknown endpoint, and Graph._of wraps the result unchecked.
-The edge-list constructors, with their per-edge checks, serve outside
-input and the constructions that produce their own edge lists.
+set operations: induced, complement and relabel_compact build each row
+from a row of a valid table, the composed graph
+(compose.or_cross_compose) shifts its inputs' rows and joins whole
+cells, and the grid graphs (gadgets.snaking_grid and
+augmented_snaking_grid) number the point rows of their grids.  None
+of these can produce a loop or an unknown endpoint, and Graph._of
+wraps the result unchecked.  The edge-list constructors, with their
+per-edge checks, serve outside input, the families complete, path and
+cycle, and the constructions that produce their own edge lists:
+quotient_by (one edge per linked pair of classes), gadgets.reduce_3sat,
+halfgraph_cycle and variable_wire, and compose.make_dummy.
+
+A broken internal invariant raises InternalError, explicitly, so that
+the check holds under python -O too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Callable, Dict, Iterable, Iterator, KeysView, List, Optional, Set, Tuple, Union
+
+
+class InternalError(AssertionError):
+    """A broken internal invariant: a fault of the library, not of its
+    input.  An AssertionError, so whatever catches that catches it."""
 
 
 def _adjacency(vertices: Iterable[int], edges: Iterable[Tuple[int, int]]) -> Dict[int, Set[int]]:
@@ -100,9 +114,6 @@ class Graph:
     @property
     def n(self) -> int:
         return len(self.adj)
-
-    def closed_neighborhood(self, v: int) -> Set[int]:
-        return self.adj[v] | {v}
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         for u in sorted(self.adj):
@@ -209,10 +220,6 @@ class Trigraph:
 
     def neighbors(self, v: int) -> Set[int]:
         return self.black[v] | self.red[v]
-
-    def total_graph(self) -> Graph:
-        """The underlying graph ignoring colours."""
-        return Graph._of({v: self.neighbors(v) for v in self.black})
 
     def copy(self) -> "Trigraph":
         t = Trigraph.__new__(Trigraph)

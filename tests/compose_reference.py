@@ -1,16 +1,47 @@
 """The stage-2 schedule and the augmented grid as they were before the
-composition moved onto fine-grid points.
+composition moved onto fine-grid points, and the composed graph as it
+was built before it took its rows from the inputs.
 
 Kept verbatim as the differential reference for twinwidth.compose and
 twinwidth.gadgets: the schedule is written as labels per position by
 classify_positions and unpacked again by stage2_order, and both read
 degrees and neighbours off the augmented grid built as a Graph.
+composed_graph lists every input edge, shifted, and every half-graph
+pair, and pushes each through the checked edge-list constructor.
 """
 
-from typing import Dict, List
+from typing import Dict, List, Sequence, Set, Tuple
 
-from twinwidth.gadgets import Point, fine_dims, hamiltonian_cycle, snaking_grid
+from twinwidth.compose import make_dummy
+from twinwidth.gadgets import (AnnotatedInstance, Point, fine_dims, hamiltonian_cycle,
+                               snaking_grid)
 from twinwidth.trigraph import Graph
+
+
+def composed_graph(instances: Sequence[AnnotatedInstance]) -> Graph:
+    """The graph of or_cross_compose(instances): the rows with a dummy
+    row below, each cell joined to every deeper cell of the next column."""
+    budget = instances[0].part_count
+    dummy = make_dummy(budget, instances[0].p, instances[0].q)
+    all_rows = list(instances) + [dummy]
+    t1 = len(all_rows)
+    point_col = {dummy.eta[j]: j + 1 for j in range(budget)}
+    cells: List[Dict[int, Set[int]]] = []
+    edges: List[Tuple[int, int]] = []
+    n_h = 0
+    for inst in all_rows:
+        edges += [(n_h + u, n_h + v) for u, v in inst.graph.edges()]
+        cells.append({point_col[inst.eta[j]]: {n_h + v for v in part}
+                      for j, part in enumerate(inst.parts)})
+        n_h += inst.graph.n
+    for i in range(t1):
+        for col in range(1, budget + 1):
+            succ = col % budget + 1
+            for deeper in range(i + 1, t1):
+                for u in cells[i][col]:
+                    for v in cells[deeper][succ]:
+                        edges.append((u, v))
+    return Graph(range(1, n_h + 1), edges)
 
 
 def augmented_snaking_grid(p: int, q: int) -> Graph:

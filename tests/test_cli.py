@@ -392,3 +392,11 @@ class TestErrorExits:
         assert captured.out == ""
         assert captured.err == ("internal error: RecursionError: "
                                 "maximum recursion depth exceeded\n")
+
+    def test_broken_invariant_is_internal_error_by_name(self, capsys, monkeypatch):
+        # an odd fine column count leaves the comb's cycle open
+        monkeypatch.setattr(gadgets, "fine_dims", lambda s, t: (3 * s - 2, 3 * t - 1))
+        assert main(["gen", "hamcycle", "2", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: InternalError: cycle does not close\n"

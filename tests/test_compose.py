@@ -1,5 +1,6 @@
 """OR-composition: dummy rows, position schedule, and OR-semantics."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -20,6 +21,7 @@ from twinwidth import compose, gadgets
 from twinwidth.compose import make_dummy, or_cross_compose, stage2_order
 
 import compose_reference as reference
+from test_acceptance import synthetic_instance
 
 # p in 2..8 and even q in 2..12
 ALL_DIMS = [(p, q) for p in range(2, 9) for q in range(2, 13, 2)]
@@ -125,6 +127,29 @@ def test_compose_builds_each_grid_few_times(monkeypatch, k):
     assert calls == {"_snake": k + 1, "hamiltonian_cycle": 1, "augmented_grid": 1}
 
 
+# (formulas per composition, variables) of one block of the benchmark's
+# pipeline workload, each formula one clause of a random sign
+PIPELINE_SHAPES = [(3, 5), (2, 3), (3, 7), (3, 6), (2, 5), (4, 5), (4, 4), (3, 3), (4, 6)]
+
+
+def test_composed_graph_matches_edge_list_reference():
+    # the rows shifted and the cells joined, against the edge list of
+    # every input edge and half-graph pair: on criterion 8's two
+    # compositions and on one composition of each pipeline shape
+    yes, no = synthetic_instance(2, 2), synthetic_instance(2, 2, doubled=True)
+    compositions = [[yes, no], [no, no]]
+    rng = random.Random(33)
+    for count, n in PIPELINE_SHAPES:
+        formulas = []
+        for _ in range(count):
+            low = rng.randint(1, n - 2)
+            lits = tuple(v * rng.choice((1, -1)) for v in range(low, low + 3))
+            formulas.append(LayoutFormula(n, [LayoutClause(rng.choice("+-"), 1, lits)]))
+        compositions.append([reduce_3sat(f).instance for f in formulas])
+    for instances in compositions:
+        assert or_cross_compose(instances).graph == reference.composed_graph(instances)
+
+
 def test_compose_rejects_mismatched_inputs():
     with pytest.raises(ValueError):
         or_cross_compose([])
@@ -198,7 +223,7 @@ def test_degree_audit_survives_optimize_flag(run_optimized):
     )
     proc = run_optimized(script)
     assert proc.returncode == 1
-    assert "AssertionError: degree audit failed at (2, 7): C=0 P=3" in proc.stderr
+    assert "InternalError: degree audit failed at (2, 7): C=0 P=3" in proc.stderr
 
 
 def test_position_degree_check_survives_optimize_flag(run_optimized):
@@ -217,7 +242,7 @@ def test_position_degree_check_survives_optimize_flag(run_optimized):
     )
     proc = run_optimized(script)
     assert proc.returncode == 1
-    assert "AssertionError: position (2, 2) has degree 0" in proc.stderr
+    assert "InternalError: position (2, 2) has degree 0" in proc.stderr
 
 
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 4), (3, 4)])

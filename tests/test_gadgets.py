@@ -206,27 +206,51 @@ def _outcome(check):
     return None
 
 
+def _chain_family(rng, n, sign):
+    """Clauses on windows of three consecutive live variables, mostly
+    the front one, each retiring its middle and often its low end: so
+    the family retires variables from the front, in long runs.  Now
+    and then a clause takes a random triple instead."""
+    live = list(range(1, n + 1))
+    clauses = []
+    for rank in range(1, rng.randint(1, n // 3) + 1):
+        i = 0 if rng.random() < 0.7 else rng.randrange(len(live) - 2)
+        vs = live[i:i + 3]
+        del live[i + 1]
+        if rng.random() < 0.5:
+            del live[i]
+        if rng.random() < 0.05:
+            vs = sorted(rng.sample(range(1, n + 1), 3))
+        clauses.append(LayoutClause(sign, rank, tuple(v * rng.choice((1, -1)) for v in vs)))
+    return clauses
+
+
 def test_removal_check_matches_reference():
-    # the bisection over live variables against the rescan of every
-    # later clause, family by family in the constructor's order, on
-    # seeded families of both signs with valid ranks and literals, so
-    # that the removal check alone decides: the same verdict, message
-    # and first variable reported
+    # the next-live pointers against the rescan of every later clause,
+    # family by family in the constructor's order, on seeded families
+    # of both signs with valid ranks and literals, so that the removal
+    # check alone decides: the same verdict, message and first variable
+    # reported; first on random triples, then on front-retiring chains
     rng = random.Random(32)
     seen = collections.Counter()
-    for _ in range(5000):
-        n = rng.randint(3, 9)
-        clauses = []
-        for sign in "+-":
-            m = rng.randint(0, 4)
-            for rank in rng.sample(range(1, m + 1), m):
-                vs = sorted(rng.sample(range(1, n + 1), 3))
-                clauses.append(LayoutClause(sign, rank, tuple(v * rng.choice((1, -1)) for v in vs)))
+    for trial in range(6500):
+        if trial < 5000:
+            n, clauses = rng.randint(3, 9), []
+            for sign in "+-":
+                m = rng.randint(0, 4)
+                for rank in rng.sample(range(1, m + 1), m):
+                    vs = sorted(rng.sample(range(1, n + 1), 3))
+                    clauses.append(LayoutClause(sign, rank, tuple(v * rng.choice((1, -1))
+                                                                  for v in vs)))
+        else:
+            n = rng.randint(10, 40)
+            clauses = _chain_family(rng, n, "+") + _chain_family(rng, n, "-")
         want = _outcome(lambda: [reference.check_removal([cl for cl in clauses if cl.sign == s])
                                  for s in "+-"])
         assert _outcome(lambda: LayoutFormula(n, clauses)) == want, clauses
-        seen[want and want.split()[0]] += 1
-    assert min(seen[None], seen["variable"], seen["middle"]) > 300, seen
+        seen[trial < 5000, want and want.split()[0]] += 1
+    assert min(seen[True, None], seen[True, "variable"], seen[True, "middle"]) > 300, seen
+    assert min(seen[False, None], seen[False, "variable"], seen[False, "middle"]) > 100, seen
 
 
 def _unvalidated(n, clauses):
@@ -443,4 +467,4 @@ def test_cycle_check_survives_optimize_flag(run_optimized):
     )
     proc = run_optimized(script)
     assert proc.returncode == 1
-    assert "AssertionError: cycle does not close" in proc.stderr
+    assert "InternalError: cycle does not close" in proc.stderr

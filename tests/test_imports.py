@@ -67,6 +67,32 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _assertion_raises(source: str):
+    """Lines of the raise statements that name AssertionError."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and "AssertionError" in {n.id for n in ast.walk(node.exc)
+                                           if isinstance(n, ast.Name)})
+
+
+def test_scan_finds_assertion_raises():
+    source = ("def f(x):\n    if not x:\n        raise AssertionError('bare')\n"
+              "    raise AssertionError\n\ndef g():\n    raise InternalError('kept')\n"
+              "try:\n    f(0)\nexcept AssertionError:\n    raise\n")
+    assert _assertion_raises(source) == [3, 4]
+
+
+def test_library_raises_internal_errors_by_their_one_type():
+    # a broken invariant raises trigraph.InternalError, so that the CLI
+    # names it and a test can tell it from any other AssertionError
+    found = []
+    for path in glob.glob(os.path.join(PACKAGE, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            found += ["%s:%d" % (os.path.basename(path), line)
+                      for line in _assertion_raises(fh.read())]
+    assert found == []
+
+
 def _sorted_set_copies(source: str):
     """Lines of set(sorted(...)) and frozenset(sorted(...)) calls."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
@@ -94,12 +120,14 @@ def test_library_makes_no_sorted_set_copies():
     assert found == []
 
 
-def _graph_calls(source: str, classes=None):
+def _graph_calls(source: str, scope=None):
     """Lines of calls to the name Graph: anywhere in a source, or with
-    classes given, only inside the top-level classes of those names."""
+    scope given, only inside the top-level classes and functions of
+    those names."""
     tree = ast.parse(source)
-    roots = [tree] if classes is None else [
-        top for top in tree.body if isinstance(top, ast.ClassDef) and top.name in classes]
+    roots = [tree] if scope is None else [
+        top for top in tree.body if isinstance(top, (ast.ClassDef, ast.FunctionDef))
+        and top.name in scope]
     return sorted(node.lineno for root in roots for node in ast.walk(root)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "Graph")
@@ -112,13 +140,19 @@ def test_scan_finds_graph_constructor_calls():
               "class Other:\n    def build(self):\n        return Graph([1], [])\n")
     assert _graph_calls(source) == [2, 6, 13]
     assert _graph_calls(source, {"Graph", "Trigraph"}) == [6]
+    assert _graph_calls(source, {"f", "Other"}) == [2, 13]
 
 
 # a graph derived from another takes its rows from the source by set
 # operations (trigraph module); the checked edge-list constructor is
 # for outside input and constructions that make their own edge lists
+# (make_dummy and the gadgets' reduce_3sat, halfgraph_cycle and
+# variable_wire among them)
 DERIVED_GRAPH_SCOPES = {"recognize.py": None, "modular.py": None,
-                        "trigraph.py": {"Graph", "Trigraph"}}
+                        "trigraph.py": {"Graph", "Trigraph"},
+                        "compose.py": {"or_cross_compose"},
+                        "gadgets.py": {"_numbered", "snaking_grid", "augmented_snaking_grid",
+                                       "validate_instance"}}
 
 
 def test_derived_graphs_take_their_rows_from_the_source():

@@ -182,7 +182,7 @@ def test_size_accounting_survives_optimize_flag(run_optimized):
     )
     proc = run_optimized(script)
     assert proc.returncode == 1
-    assert "AssertionError: rule 3 fixpoint violated" in proc.stderr
+    assert "InternalError: rule 3 fixpoint violated" in proc.stderr
 
 
 def _twin_rich(rng):

@@ -246,6 +246,42 @@ def _cotree_edges(vertices, rng):
     return edges
 
 
+def test_verdicts_are_invariant_under_complement_and_relabelling():
+    # twin-width is invariant under complementation and relabelling
+    # ("Twin-width I", FOCS 2020), a check that needs no oracle: g, its
+    # complement and g under a seeded random relabelling get the same
+    # verdict, and every witness verifies at its verdict's width; on
+    # n = 20..60 from the width-1 generator, random graphs (mostly
+    # above1) and cographs
+    rng = random.Random(3333)
+    verdicts = collections.Counter()
+    for i in range(480):
+        n = rng.randint(20, 60)
+        source = ("tww1 generator", "random", "cograph")[i % 3]
+        if source == "tww1 generator":
+            g = random_tww1(n, rng)[0]
+        elif source == "random":
+            p = rng.choice([0.1, 0.3, 0.5])
+            g = Graph(range(1, n + 1), [e for e in itertools.combinations(range(1, n + 1), 2)
+                                        if rng.random() < p])
+        else:
+            g = Graph(range(1, n + 1), _cotree_edges(list(range(1, n + 1)), rng))
+        name = [0] + rng.sample(range(1, n + 1), n)
+        relabelled = Graph(range(1, n + 1), [(name[u], name[v]) for u, v in g.edges()])
+        forms = (g, g.complement(), relabelled)
+        results = [recognize_tww1(h) for h in forms]
+        assert len({r.verdict for r in results}) == 1, sorted(g.edges())
+        for h, r in zip(forms, results):
+            if r.verdict != "above1":
+                rep = verify(h, r.witness, bound=("tww0", "tww1").index(r.verdict))
+                assert rep.ok, (r.verdict, sorted(h.edges()))
+        verdicts[source, results[0].verdict] += 1
+    print("verdicts by source:", dict(sorted(verdicts.items())))
+    assert verdicts["tww1 generator", "tww1"] >= 90, verdicts
+    assert verdicts["random", "above1"] >= 120, verdicts
+    assert verdicts["cograph", "tww0"] == 160, verdicts
+
+
 def _seeded_graphs(seed, count):
     """Random, threshold and cotree graphs on up to 40 vertices, each
     under a random labelling, some with one random edge flipped so that

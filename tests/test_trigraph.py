@@ -30,7 +30,6 @@ def test_graph_construction_and_accessors():
     assert 4 not in g.adj[1]
     assert list(g.edges()) == [(1, 2), (2, 3), (3, 4)]
     assert g.edge_count() == 3
-    assert g.closed_neighborhood(2) == {1, 2, 3}
 
 
 def test_graph_rejects_loops_and_unknown_endpoints():
@@ -218,7 +217,7 @@ def test_from_graph_round_trip():
     g = Graph.cycle(4)
     t = Trigraph.from_graph(g)
     assert reference.edge_list(t.red) == []
-    assert t.total_graph() == g
+    assert t.black == g.adj
     assert t.vertices == {1, 2, 3, 4}
     assert reference.edge_list(t.black) == list(g.edges())
 
