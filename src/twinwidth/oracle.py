@@ -21,8 +21,8 @@ the plain subset enumeration's.  The connected search starts at the
 size of a greedy maximal matching, below which no cover exists, and
 tests connectivity by a bit frontier.  A capacitated cover reaches
 the augmenting-path assignment only when its rooms min(max(0, cap),
-deg) sum to |E| or more, and the assignment too runs on an explicit
-stack.
+deg) sum to |E| or more, and the assignment places each edge by a
+breadth-first augmenting path.
 Sizes are capped; exceeding a cap is an error rather than silent
 slowness.  TWW_SIZE_CAP in the environment overrides every cap at once;
 it is the only way to change them.
@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import os
+import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -59,6 +60,15 @@ def _check_size(g: Graph, default: int, what: str) -> None:
         raise ValueError("graph has %d vertices, %s cap is %d" % (g.n, what, limit))
 
 
+def _check_depth(g: Graph, what: str) -> None:
+    # twinwidth_at_most's search and min_dominating_set's bb recurse once
+    # per merge or pick, up to n deep, whatever TWW_SIZE_CAP admits; half
+    # the recursion limit leaves the other half to their callers
+    limit = sys.getrecursionlimit() // 2
+    if g.n > limit:
+        raise ValueError("graph has %d vertices, %s depth limit is %d" % (g.n, what, limit))
+
+
 @dataclass(frozen=True)
 class CapacitatedGraph:
     graph: Graph
@@ -83,6 +93,7 @@ def _check_tww_input(g: Graph) -> None:
     if g.n == 0:
         raise ValueError("twin-width needs at least one vertex")
     _check_size(g, TWW_CAP, "twin-width")
+    _check_depth(g, "twin-width")
     if g.vertices != set(range(1, g.n + 1)):
         raise ValueError("twinwidth_at_most needs vertices 1..n; relabel first")
 
@@ -124,7 +135,9 @@ def twinwidth_at_most(g: Graph, d: int) -> Optional[ContractionSequence]:
     the search would merge the first two parts each time: those merges
     are emitted directly.
 
-    search recurses once per merge, so its depth is below n <= TWW_CAP.
+    search recurses once per merge, so its depth is below n, and
+    _check_tww_input refuses an n above half the recursion limit (500
+    at Python's default) even where TWW_SIZE_CAP admits it.
     """
     if d < 0:
         raise ValueError("width bound must be non-negative, got %d" % d)
@@ -212,9 +225,11 @@ def min_dominating_set(g: Graph) -> Tuple[int, FrozenSet[int]]:
 
     Branch-and-bound over the undominated vertex with the fewest
     dominators.  bb recurses once per chosen vertex and never chooses
-    more than n, so its depth is bounded by SEARCH_CAP.
+    more than n, so an n above half the recursion limit (500 at
+    Python's default) is refused even where TWW_SIZE_CAP admits it.
     """
     _check_size(g, SEARCH_CAP, "search")
+    _check_depth(g, "search")
     if g.n == 0:
         return 0, frozenset()
 
@@ -441,58 +456,47 @@ def min_connected_vertex_cover(g: Graph) -> Optional[Tuple[int, FrozenSet[int]]]
 
 
 def _assign(cg: CapacitatedGraph, edges: List[Tuple[int, int]], x: Set[int]) -> bool:
-    """Kuhn-style augmenting assignment of edges to endpoints in the cover x.
+    """Can the edges be assigned to endpoints in the cover x within capacity?
 
     Negative capacities (legal bookkeeping in the kernel rules) count
-    as zero.  Each edge is placed by a depth-first augmenting-path
-    search on an explicit stack: an endpoint in x with room takes it,
-    or one of the endpoint's edges moves on, each cover vertex visited
-    once per edge.  Endpoints go in increasing order and their edges in
-    load order, so the verdicts are those of the recursive search.
+    as zero.  Each edge in turn is placed by a breadth-first augmenting
+    path search (Kuhn, "The Hungarian method for the assignment
+    problem", 1955) from its endpoints in x: a vertex without room
+    leads on to the other end of each edge it carries, and the first
+    vertex with room takes one, each carried edge on the path moving
+    one step.  When no vertex with room is reached, the edges so far
+    admit no assignment in any order (Berge), so the verdict is False.
     """
-    cap = {v: max(0, cg.cap[v]) for v in x}
-    load: Dict[int, List[Tuple[int, int]]] = {v: [] for v in x}
-
-    def moves(e: Tuple[int, int], visited: Set[int]) -> Iterator[Tuple[int, int]]:
-        # (w, -1): e fits at w; (w, i): e takes load[w][i] if that moves on
-        for w in sorted(set(e) & x):
-            if w not in visited:
-                visited.add(w)
-                if len(load[w]) < cap[w]:
-                    yield w, -1
-                else:
-                    for i in range(len(load[w])):
-                        yield w, i
-
+    room = {v: max(0, cg.cap[v]) for v in x}
+    carried: Dict[int, Set[Tuple[int, int]]] = {v: set() for v in x}
     for e in edges:
-        visited: Set[int] = set()
-        stack = [(e, moves(e, visited))]
-        taken: List[Tuple[int, int]] = []  # the slot each frame below the top tries
-        while True:
-            f, it = stack[-1]
-            step = next(it, None)
-            if step is None:
-                stack.pop()
-                if not stack:
-                    return False
-                taken.pop()
-            elif step[1] < 0:
-                load[step[0]].append(f)
-                for (moved, _), (w, i) in zip(stack, taken):
-                    load[w][i] = moved
+        came: Dict[int, Optional[Tuple[int, Tuple[int, int]]]] = {w: None for w in e if w in x}
+        queue = list(came)
+        for w in queue:
+            if room[w]:
                 break
-            else:
-                taken.append(step)
-                f = load[step[0]][step[1]]
-                stack.append((f, moves(f, visited)))
+            for f in carried[w]:
+                u = f[0] if f[1] == w else f[1]
+                if u in x and u not in came:
+                    came[u] = (w, f)
+                    queue.append(u)
+        else:
+            return False
+        room[w] -= 1
+        while came[w] is not None:
+            v, f = came[w]
+            carried[v].remove(f)
+            carried[w].add(f)
+            w = v
+        carried[w].add(e)
     return True
 
 
 def capacitated_vc_feasible(cg: CapacitatedGraph, x) -> bool:
     """Can every edge be assigned to a covering endpoint within capacity?
 
-    No size cap applies here; the assignment keeps its search on an
-    explicit stack, so no input size bounds it by the recursion limit.
+    No size cap applies here; the assignment searches breadth first
+    without recursion, so no input size bounds it by the recursion limit.
     """
     x = set(x)
     return is_vertex_cover(cg.graph, x) and _assign(cg, list(cg.graph.edges()), x)

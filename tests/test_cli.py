@@ -1,5 +1,7 @@
 """End-to-end tests of the tww command line."""
 
+import sys
+
 import pytest
 
 from twinwidth import cli, compose, dpsolve, gadgets, io, sequence
@@ -382,6 +384,19 @@ class TestErrorExits:
         assert captured.out == ""
         assert captured.err == ("error: TWW_SIZE_CAP must be a non-negative integer, got %r\n"
                                 % cap)
+
+    def test_search_deeper_than_half_the_recursion_limit_is_input_error(
+            self, workdir, capsys, monkeypatch):
+        # the raised cap admits the star, but the exact search would
+        # recurse once per merge of its 1,199 twin leaves
+        monkeypatch.setenv("TWW_SIZE_CAP", "5000")
+        star = workdir / "star.graph"
+        star.write_text("graph 1200\n" + "".join("edge 1 %d\n" % v for v in range(2, 1201)))
+        assert main(["exact", str(star)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: graph has 1200 vertices, twin-width depth limit is %d\n"
+                                % (sys.getrecursionlimit() // 2))
 
     def test_unexpected_exception_is_internal_error(self, workdir, capsys, monkeypatch):
         def deep(args):

@@ -163,6 +163,58 @@ def test_derived_graphs_take_their_rows_from_the_source():
     assert found == []
 
 
+def _self_calls(source: str, module: str):
+    """Qualified names of the functions in a source that call themselves
+    by name, or as methods through self or cls; a nested function is
+    named under the function or class that holds it."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if any(isinstance(n, ast.Call) and (
+                        isinstance(n.func, ast.Name) and n.func.id == name
+                        or isinstance(n.func, ast.Attribute) and n.func.attr == name
+                        and getattr(n.func.value, "id", None) in ("self", "cls"))
+                       for n in ast.walk(child)):
+                    found.append(prefix + name)
+                visit(child, prefix + name + ".")
+            else:
+                visit(child, prefix + child.name + "." if isinstance(child, ast.ClassDef)
+                      else prefix)
+
+    visit(ast.parse(source), module + ".")
+    return sorted(found)
+
+
+def test_scan_finds_self_calls():
+    source = ("def f(n):\n    return f(n - 1)\n\n"
+              "def g():\n    def h(x):\n        return h(x) if x else g()\n    return h(1)\n\n"
+              "class C:\n    def m(self):\n        return self.m()\n\n"
+              "    def k(self):\n        return other.k(), f(1)\n")
+    assert _self_calls(source, "mod") == ["mod.C.m", "mod.f", "mod.g", "mod.g.h"]
+
+
+# the library's only recursive functions, each with the check that keeps
+# its depth below the recursion limit whatever TWW_SIZE_CAP admits; any
+# other recursion, in the capacitated assignment say, fails here
+RECURSIVE = {
+    "oracle.twinwidth_at_most.search": "one level per merge; _check_tww_input refuses more"
+                                       " vertices than half the recursion limit",
+    "oracle.min_dominating_set.bb": "one level per pick; min_dominating_set refuses more"
+                                    " vertices than half the recursion limit",
+}
+
+
+def test_library_recurses_only_where_its_depth_is_checked():
+    found = []
+    for path in MODULES:
+        with open(path, encoding="utf-8") as fh:
+            found += _self_calls(fh.read(), os.path.basename(path)[:-3])
+    assert found == sorted(RECURSIVE)
+
+
 # the oracles are the independent ground truth: within the package they
 # may lean on graphs and sequences only, never on the code they check
 ORACLE_ALLOWED = {"trigraph", "sequence"}

@@ -141,6 +141,26 @@ def test_twinwidth_size_cap(monkeypatch):
     assert exact_twinwidth(big)[0] == 0
 
 
+def test_recursive_searches_refuse_more_vertices_than_half_the_recursion_limit(monkeypatch):
+    # the twin-width search and the dominating set's branch and bound
+    # recurse once per merge or pick, so a raised size cap does not let
+    # them reach the recursion limit: the input is refused instead
+    monkeypatch.setenv("TWW_SIZE_CAP", "5000")
+    limit = sys.getrecursionlimit() // 2
+    edgeless = Graph(range(1, 1001))
+    for search in (twinwidth_at_most, reference.twinwidth_at_most):
+        with pytest.raises(ValueError, match="^graph has 1000 vertices, twin-width depth limit"
+                           " is %d$" % limit):
+            search(edgeless, 0)
+    matching = Graph(range(1, 2401), [(v, v + 1) for v in range(1, 2401, 2)])
+    with pytest.raises(ValueError, match="^graph has 2400 vertices, search depth limit is %d$"
+                       % limit):
+        min_dominating_set(matching)
+    # at the limit both run, one merge or pick per level
+    assert twinwidth_at_most(Graph(range(1, limit + 1)), 0).n == limit
+    assert min_dominating_set(matching.induced(range(1, limit + 1)))[0] == (limit + 1) // 2
+
+
 def test_twinwidth_needs_compact_labels():
     with pytest.raises(ValueError):
         exact_twinwidth(Graph([2, 3], [(2, 3)]))
@@ -568,21 +588,26 @@ def test_vc_oracles_match_reference_on_hub_graphs():
 
 
 def test_capacitated_assignment_does_not_recurse(run_optimized):
-    # on a path with cap 1 everywhere but vertex 1, every edge's
-    # augmenting path walks back towards vertex 1: 300 frames deep
+    # on a path with cap 1 everywhere but vertex 1, a depth-first search
+    # walks each edge (i, i + 1) back from i towards vertex 1 before it
+    # tries i + 1: i frames deep, far past a limit of 100 on P_300, and
+    # quadratic in all, beyond the time limit on P_20000.  Breadth first,
+    # each edge reaches i + 1 at once; with vertex n at cap 0 too, the
+    # last edge's search fails once over the whole path.
     proc = run_optimized(
         "import sys\n"
         "from twinwidth.oracle import CapacitatedGraph, capacitated_vc_feasible\n"
         "from twinwidth.trigraph import Graph\n"
-        "g = Graph.path(300)\n"
-        "cap = {v: 1 for v in g.vertices}\n"
-        "cap[1] = 0\n"
         "sys.setrecursionlimit(100)\n"
-        "print(capacitated_vc_feasible(CapacitatedGraph(g, cap), g.vertices))\n"
-        "cap[300] = 0\n"
-        "print(capacitated_vc_feasible(CapacitatedGraph(g, cap), g.vertices))\n")
+        "for n in (300, 20000):\n"
+        "    g = Graph.path(n)\n"
+        "    cap = {v: 1 for v in g.vertices}\n"
+        "    cap[1] = 0\n"
+        "    print(capacitated_vc_feasible(CapacitatedGraph(g, cap), g.vertices))\n"
+        "    cap[n] = 0\n"
+        "    print(capacitated_vc_feasible(CapacitatedGraph(g, cap), g.vertices))\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True\nFalse\n"
+    assert proc.stdout == "True\nFalse\n" * 2
 
 
 def _budget_inputs():

@@ -6,7 +6,8 @@ quadratic structure or keeps a copy of every state dies with a
 MemoryError (exit 3) instead of passing.  The inputs are the path
 P_20000 with its width-1 path sequence, the cycle C_20000 with the
 same growing-bag sequence, which reaches width 2 and red components of
-three vertices, and the star K_{1,19999}.
+three vertices, and the star K_{1,19999}, which the capacitated kernel
+reads with capacity N at its centre and 1 at each leaf.
 
 recognize is left out: on these inputs it still runs out of memory
 (the width-1 witness check copies every state, the width-0 walk builds
@@ -68,6 +69,9 @@ def inputs(tmp_path_factory):
         "graph %d\n" % N + "".join("edge %d %d\n" % (i, i % N + 1) for i in range(1, N + 1)))
     (d / "star.graph").write_text(
         "graph %d\n" % N + "".join("edge 1 %d\n" % i for i in range(2, N + 1)))
+    (d / "capstar.graph").write_text(
+        (d / "star.graph").read_text() + "cap 1 %d\n" % N
+        + "".join("cap %d 1\n" % i for i in range(2, N + 1)))
     formula = io.parse_formula("formula 3\nclause + 1 1 2 -3\n")
     small = io.write_instance(reduce_3sat(formula).instance)
     assert "\ndims 2 4\n" in small
@@ -126,8 +130,12 @@ def _limit_address_space(limit_mb=LIMIT_MB):
      0, "n 4 m 3 k 1"),
     (["kernel", "--problem", "cvc15", "--k", "1", "star.graph", "--out", "kernel.graph"],
      0, "n %d m %d k 1" % (N, N - 1)),
+    # with room for every edge at the centre, the capacitated kernel
+    # also keeps the centre and k + 1 leaves
+    (["kernel", "--problem", "capvc", "--k", "1", "capstar.graph", "--out", "kernel.graph"],
+     0, "n 4 m 3 k 1"),
 ], ids=["verify", "solve-vc", "solve-ds", "cycle-verify", "cycle-solve-vc", "cycle-solve-ds",
-        "kernel-cvc2", "kernel-cvc15"])
+        "kernel-cvc2", "kernel-cvc15", "kernel-capvc"])
 def test_command_finishes_at_scale_within_time_and_memory(inputs, args, code, out):
     proc = subprocess.run(
         [sys.executable, "-m", "twinwidth.cli"] + args, cwd=inputs,
